@@ -13,15 +13,12 @@ from .classifier import (
     Task,
     TkeConfig,
     Vocab,
-    embed_enhanced,
     encode_corpus,
     encode_sample,
-    forward,
     grad_check,
     init_params,
     load_checkpoint,
     loss_and_grads,
-    loss_weighted_ce,
     predict,
     save_checkpoint,
     train,
@@ -61,7 +58,7 @@ from .metrics import (
     fleiss_kappa,
     weighted_prf,
 )
-from .normalize import NormalizeConfig, deduplicate, is_substantive, normalize_text
+from .normalize import NormalizeConfig, clean_corpus, deduplicate, is_substantive, normalize_text
 from .pseudolabel import (
     CandidateTerm,
     FixpointResult,

@@ -21,7 +21,7 @@ dropout on the pooled vector during training only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -216,21 +216,6 @@ def init_params(vocab_size: int, cfg: TkeConfig) -> ModelParams:
     )
 
 
-def embed_enhanced(enc: EncodedSample, params: ModelParams, lam: float) -> np.ndarray:
-    """Per-token enhanced embeddings: row i = W[token_i] + λ·C[toxic_i]."""
-    if (
-        enc.token_ids.min(initial=0) < 0
-        or enc.token_ids.max(initial=0) >= params.W.shape[0]
-        or enc.toxic_ids.min(initial=0) < 0
-        or enc.toxic_ids.max(initial=0) >= params.C.shape[0]
-    ):
-        raise ClassifierError("token or toxic id out of range for the parameter tables")
-    E = params.W[enc.token_ids]
-    if lam != 0.0:
-        E = E + lam * params.C[enc.toxic_ids]
-    return E
-
-
 def _stack(batch: Sequence[EncodedSample]) -> tuple[np.ndarray, np.ndarray]:
     tok = np.stack([s.token_ids for s in batch])
     tox = np.stack([s.toxic_ids for s in batch])
@@ -250,6 +235,14 @@ def _forward_batch(
     cfg: TkeConfig,
     dropout_mask: np.ndarray | None = None,
 ):
+    """Class scores for a padded batch, and the cache the backward pass reads."""
+    if (
+        tok.min(initial=0) < 0
+        or tok.max(initial=0) >= params.W.shape[0]
+        or tox.min(initial=0) < 0
+        or tox.max(initial=0) >= params.C.shape[0]
+    ):
+        raise ClassifierError("token or toxic id out of range for the parameter tables")
     nonpad = tok != PAD_ID
     counts = nonpad.sum(axis=1)
     if (counts == 0).any():
@@ -265,13 +258,6 @@ def _forward_batch(
     scores = hidden @ params.V + params.b
     cache = (tok, tox, nonpad, counts, dropped, dropout_mask, hidden)
     return scores, cache
-
-
-def forward(enc: EncodedSample, params: ModelParams, cfg: TkeConfig) -> np.ndarray:
-    """Class scores for one sample (no dropout; inference path)."""
-    tok, tox = _stack([enc])
-    scores, _ = _forward_batch(tok, tox, params, cfg)
-    return scores[0]
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
@@ -293,28 +279,38 @@ def _bce_with_logits(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.maximum(scores, 0.0) - scores * targets + np.log1p(np.exp(-np.abs(scores)))
 
 
-def loss_weighted_ce(
-    scores: np.ndarray, label: int | np.ndarray, class_weights: np.ndarray
-) -> float:
-    """Weighted cross-entropy for one sample.
+def _batch_loss(
+    scores: np.ndarray, labels: np.ndarray, class_weights: np.ndarray, need_grad: bool = True
+) -> tuple[float, np.ndarray | None]:
+    """Mean weighted cross-entropy over a batch, and its gradient in the scores.
 
-    Single-label: softmax CE scaled by the true class's weight.
-    Multi-label (label is a 0/1 vector): mean over labels of the
-    weighted per-label binary cross-entropies.
+    Single-label (labels are B class indices): softmax CE scaled by the
+    true class's weight.  Multi-label (labels are B×k rows of 0/1 flags):
+    mean over all entries of the weighted per-label binary cross-entropies.
+    ``need_grad=False`` skips the gradient and returns None in its place.
     """
-    scores = np.asarray(scores, dtype=np.float64)
     if not np.isfinite(scores).all():
         raise ClassifierError("non-finite scores")
     weights = np.asarray(class_weights, dtype=np.float64)
     if (weights <= 0).any():
         raise ClassifierError("class weights must be positive")
-    if np.ndim(label) == 0:
-        label = int(label)
-        if not 0 <= label < scores.shape[-1]:
-            raise ClassifierError(f"label {label} out of range")
-        return float(-weights[label] * _log_softmax(scores)[label])
-    targets = np.asarray(label, dtype=np.float64)
-    return float(np.mean(weights * _bce_with_logits(scores, targets)))
+    B, k = scores.shape
+    if labels.ndim == 2:
+        loss = float((weights * _bce_with_logits(scores, labels)).mean())
+        if not need_grad:
+            return loss, None
+        return loss, weights * (_sigmoid(scores) - labels) / (B * k)
+    if labels.min() < 0 or labels.max() >= k:
+        raise ClassifierError(f"label out of range for {k} classes")
+    logp = _log_softmax(scores)
+    w_true = weights[labels]
+    loss = float(np.mean(-w_true * logp[np.arange(B), labels]))
+    if not need_grad:
+        return loss, None
+    probs = np.exp(logp)
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(B), labels] = 1.0
+    return loss, (w_true[:, None] / B) * (probs - onehot)
 
 
 def class_weights_for(labels: Sequence[int] | np.ndarray, cfg: TkeConfig) -> np.ndarray:
@@ -346,21 +342,7 @@ def loss_and_grads(
     labels = _stack_labels(batch, cfg)
     scores, cache = _forward_batch(tok, tox, params, cfg, dropout_mask)
     _, _, nonpad, counts, dropped, dmask, hidden = cache
-    B, k = scores.shape
-    weights = np.asarray(class_weights, dtype=np.float64)
-
-    if cfg.multilabel:
-        per = weights * _bce_with_logits(scores, labels)
-        loss = float(per.mean())
-        dscores = weights * (_sigmoid(scores) - labels) / (B * k)
-    else:
-        logp = _log_softmax(scores)
-        w_true = weights[labels]
-        loss = float(np.mean(-w_true * logp[np.arange(B), labels]))
-        probs = np.exp(logp)
-        onehot = np.zeros_like(probs)
-        onehot[np.arange(B), labels] = 1.0
-        dscores = (w_true[:, None] / B) * (probs - onehot)
+    loss, dscores = _batch_loss(scores, labels, class_weights)
 
     grads = {name: np.zeros_like(arr) for name, arr in params.blocks().items()}
     grads["V"] = hidden.T @ dscores
@@ -386,18 +368,12 @@ def finite_diff_grads(
     step: float = 1e-5,
 ) -> dict[str, np.ndarray]:
     """Central-difference gradients; the independent oracle for loss_and_grads."""
+    tok, tox = _stack(batch)
+    labels = _stack_labels(batch, cfg)
 
     def batch_loss() -> float:
-        tok, tox = _stack(batch)
-        labels = _stack_labels(batch, cfg)
         scores, _ = _forward_batch(tok, tox, params, cfg)
-        if cfg.multilabel:
-            per = np.asarray(class_weights) * _bce_with_logits(scores, labels)
-            return float(per.mean())
-        total = 0.0
-        for i in range(len(batch)):
-            total += loss_weighted_ce(scores[i], int(labels[i]), class_weights)
-        return total / len(batch)
+        return _batch_loss(scores, labels, class_weights, need_grad=False)[0]
 
     numeric = {}
     for name, arr in params.blocks().items():
@@ -489,17 +465,9 @@ def _eval_loss_acc(
     tok, tox = _stack(encoded)
     labels = _stack_labels(encoded, cfg)
     scores, _ = _forward_batch(tok, tox, params, cfg)
-    if cfg.multilabel:
-        per = np.asarray(class_weights) * _bce_with_logits(scores, labels)
-        loss = float(per.mean())
-        pred = _predict_from_scores(scores, cfg)
-        acc = float((pred == labels).all(axis=1).mean())
-    else:
-        logp = _log_softmax(scores)
-        B = len(encoded)
-        loss = float(np.mean(-np.asarray(class_weights)[labels] * logp[np.arange(B), labels]))
-        acc = float((scores.argmax(axis=1) == labels).mean())
-    return loss, acc
+    loss, _ = _batch_loss(scores, labels, class_weights, need_grad=False)
+    hits = _predict_from_scores(scores, cfg) == labels
+    return loss, float(hits.reshape(len(labels), -1).all(axis=1).mean())
 
 
 def train(
@@ -606,13 +574,7 @@ def save_checkpoint(path: str | Path, params: ModelParams, cfg: TkeConfig, vocab
     """
     payload = {
         "version": CHECKPOINT_VERSION,
-        "config": {
-            "task": cfg.task.value, "d": cfg.d, "h": cfg.h, "lam": cfg.lam,
-            "pad_len": cfg.pad_len, "epochs": cfg.epochs, "batch": cfg.batch,
-            "lr": cfg.lr, "dropout": cfg.dropout, "seed": cfg.seed,
-            "enhancement": cfg.enhancement, "weight_decay": cfg.weight_decay,
-            "val_fraction": cfg.val_fraction, "patience": cfg.patience,
-        },
+        "config": {f.name: getattr(cfg, f.name) for f in fields(TkeConfig)} | {"task": cfg.task.value},
         "vocab": sorted(vocab.token_to_id.items(), key=lambda kv: kv[1]),
         "params": {
             name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}

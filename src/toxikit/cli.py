@@ -15,7 +15,7 @@ import argparse
 import json
 import statistics
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +54,7 @@ from .metrics import (
     fleiss_kappa,
     weighted_prf,
 )
-from .normalize import NormalizeConfig, deduplicate, is_substantive, normalize_text
+from .normalize import NormalizeConfig, clean_corpus
 from .pseudolabel import extract_candidates, iterate_to_fixpoint
 from .variants import (
     DerivationRule,
@@ -90,22 +90,9 @@ class _Parser(argparse.ArgumentParser):
 
 # ---------------------------------------------------------------- config
 
-_CONFIG_FIELDS = {
-    "task": str,
-    "d": int,
-    "h": int,
-    "lam": float,
-    "pad_len": int,
-    "epochs": int,
-    "batch": int,
-    "lr": float,
-    "dropout": float,
-    "seed": int,
-    "enhancement": bool,
-    "weight_decay": float,
-    "val_fraction": float,
-    "patience": int,
-}
+# key=value config files accept exactly the TkeConfig fields, each parsed
+# as the type of its default value
+_CONFIG_FIELDS = {f.name: type(getattr(TkeConfig(), f.name)) for f in fields(TkeConfig)}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -149,23 +136,25 @@ def _add_model_flags(sub) -> None:
     sub.add_argument("--weight-decay", type=float, default=None)
 
 
-def _assemble_config(args, needs_task: bool = True) -> TkeConfig:
-    file_values = _parse_config_file(args.config) if args.config else {}
-    merged: dict = dict(file_values)
-    for key in ("d", "h", "lam", "pad_len", "epochs", "batch", "lr", "dropout", "seed", "weight_decay"):
+def _assemble_config(args) -> TkeConfig:
+    merged = _parse_config_file(args.config) if args.config else {}
+    for key in _CONFIG_FIELDS:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
-    if getattr(args, "no_enhancement", False):
+    if args.no_enhancement:
         merged["enhancement"] = False
-    task_name = getattr(args, "task", None) or merged.pop("task", None)
-    if needs_task:
-        if task_name is None:
-            raise CorpusError("no task given (flag --task or config key task)")
-        merged["task"] = Task(task_name)
-    else:
-        merged.pop("task", None)
+    if "task" not in merged:
+        raise CorpusError("no task given (flag --task or config key task)")
+    merged["task"] = Task(merged["task"])
     return TkeConfig(**merged)
+
+
+def _parse_int(text: str, path: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise CorpusError(f"{path}:{lineno}: expected an integer, got {text!r}") from None
 
 
 def _lexicon_from(args) -> Lexicon:
@@ -183,24 +172,11 @@ def cmd_normalize(args) -> int:
     cfg = NormalizeConfig() if args.min_chars is None else NormalizeConfig(min_content_chars=args.min_chars)
     exclude: set[int] = set()
     if args.exclude:
-        for line in Path(args.exclude).read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if line:
-                exclude.add(int(line))
-    samples = read_corpus(args.infile)
-    normalized = []
-    dropped_brief = 0
-    for sample in samples:
-        if sample.id in exclude:
-            continue
-        text = normalize_text(sample.text, cfg)
-        if not is_substantive(text, cfg):
-            dropped_brief += 1
-            continue
-        normalized.append(replace(sample, text=text))
-    survivors = set(deduplicate([(s.id, s.text) for s in normalized]))
-    dropped_dup = len(normalized) - len(survivors)
-    kept = [s for s in normalized if s.id in survivors]
+        for lineno, line in enumerate(Path(args.exclude).read_text(encoding="utf-8").splitlines(), 1):
+            if line.strip():
+                exclude.add(_parse_int(line, args.exclude, lineno))
+    samples = [s for s in read_corpus(args.infile) if s.id not in exclude]
+    kept, dropped_brief, dropped_dup = clean_corpus(samples, cfg)
     write_corpus(args.out, kept)
     print(f"kept={len(kept)} dropped_brief={dropped_brief} dropped_dup={dropped_dup}")
     return EXIT_OK
@@ -469,11 +445,11 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_kappa(args) -> int:
     rows = []
-    for line in Path(args.infile).read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(Path(args.infile).read_text(encoding="utf-8").splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        rows.append([int(cell) for cell in stripped.split("\t")])
+        rows.append([_parse_int(cell, args.infile, lineno) for cell in stripped.split("\t")])
     value = fleiss_kappa(rows)
     print(f"kappa={value:.4f}")
     return EXIT_OK
@@ -486,15 +462,7 @@ def cmd_pipeline(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [1, 2, 3, 4, 5]
 
-    raw = read_corpus(args.infile)
-    norm_cfg = NormalizeConfig()
-    normalized = []
-    for sample in raw:
-        text = normalize_text(sample.text, norm_cfg)
-        if is_substantive(text, norm_cfg):
-            normalized.append(replace(sample, text=text))
-    survivors = set(deduplicate([(s.id, s.text) for s in normalized]))
-    clean = [s for s in normalized if s.id in survivors]
+    clean, _, _ = clean_corpus(read_corpus(args.infile))
 
     _write_json(outdir / "stats.json", _stats_payload(corpus_stats(clean)))
     train_set, test_set = split_dataset(

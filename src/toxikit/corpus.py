@@ -260,8 +260,19 @@ def iter_corpus_records(path: str | Path):
 
 
 def read_corpus(path: str | Path) -> list[ToxiSample]:
-    """Read a corpus file, checking the schema header on line 1."""
-    return [parse_sample(record, index=index) for index, record in iter_corpus_records(path)]
+    """Read a corpus file, checking the schema header on line 1.
+
+    Sample ids must be unique within the file.
+    """
+    samples = []
+    seen: set[int] = set()
+    for index, record in iter_corpus_records(path):
+        sample = parse_sample(record, index=index)
+        if sample.id in seen:
+            raise CorpusError(f"{path}: record {index}: duplicate id {sample.id}")
+        seen.add(sample.id)
+        samples.append(sample)
+    return samples
 
 
 def write_corpus(path: str | Path, samples: Iterable[ToxiSample]) -> None:

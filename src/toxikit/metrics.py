@@ -77,47 +77,41 @@ def weighted_prf(
 ) -> PRF:
     """Support-weighted precision/recall/F1 in percent.
 
-    mode="single": preds/golds are class indices.  mode="multilabel":
-    rows of 0/1 flags, each label scored as its own binary problem and
-    weighted by its positive support.  Classes with zero predicted
-    positives contribute precision 0 (counted in zero_division_hits).
+    mode="single": preds/golds are class indices, scored as one-hot rows.
+    mode="multilabel": rows of 0/1 flags.  Each label is scored as its own
+    binary problem and weighted by its positive support.  Classes with
+    zero predicted positives contribute precision 0 (counted in
+    zero_division_hits).
     """
     if len(preds) == 0 or len(preds) != len(golds):
         raise MetricsError(f"need equal, non-empty inputs, got {len(preds)}/{len(golds)}")
     if mode not in ("single", "multilabel"):
         raise MetricsError(f"unknown mode {mode!r}")
 
-    per_class: list[tuple[float, float, float]] = []
-    supports: list[int] = []
-    zero_hits = 0
     if mode == "single":
         p = np.asarray(preds, dtype=np.int64)
         g = np.asarray(golds, dtype=np.int64)
         if p.min() < 0 or p.max() >= n_classes or g.min() < 0 or g.max() >= n_classes:
             raise MetricsError("label out of range")
-        for c in range(n_classes):
-            tp = int(((p == c) & (g == c)).sum())
-            fp = int(((p == c) & (g != c)).sum())
-            fn = int(((p != c) & (g == c)).sum())
-            precision, recall, hit = _binary_prf(tp, fp, fn)
-            zero_hits += hit
-            f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-            per_class.append((precision, recall, f1))
-            supports.append(tp + fn)
-    else:
-        p = np.asarray(preds, dtype=np.float64).reshape(len(preds), -1)
-        g = np.asarray(golds, dtype=np.float64).reshape(len(golds), -1)
-        if p.shape[1] != n_classes or g.shape[1] != n_classes:
-            raise MetricsError(f"multilabel rows must have width {n_classes}")
-        for c in range(n_classes):
-            tp = int(((p[:, c] == 1) & (g[:, c] == 1)).sum())
-            fp = int(((p[:, c] == 1) & (g[:, c] == 0)).sum())
-            fn = int(((p[:, c] == 0) & (g[:, c] == 1)).sum())
-            precision, recall, hit = _binary_prf(tp, fp, fn)
-            zero_hits += hit
-            f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-            per_class.append((precision, recall, f1))
-            supports.append(tp + fn)
+        onehot = np.eye(n_classes)
+        preds, golds = onehot[p], onehot[g]
+
+    p = np.asarray(preds, dtype=np.float64).reshape(len(preds), -1)
+    g = np.asarray(golds, dtype=np.float64).reshape(len(golds), -1)
+    if p.shape[1] != n_classes or g.shape[1] != n_classes:
+        raise MetricsError(f"multilabel rows must have width {n_classes}")
+    per_class: list[tuple[float, float, float]] = []
+    supports: list[int] = []
+    zero_hits = 0
+    for c in range(n_classes):
+        tp = int(((p[:, c] == 1) & (g[:, c] == 1)).sum())
+        fp = int(((p[:, c] == 1) & (g[:, c] == 0)).sum())
+        fn = int(((p[:, c] == 0) & (g[:, c] == 1)).sum())
+        precision, recall, hit = _binary_prf(tp, fp, fn)
+        zero_hits += hit
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        per_class.append((precision, recall, f1))
+        supports.append(tp + fn)
 
     total = sum(supports)
     if total == 0:

@@ -19,7 +19,10 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
+
+from .corpus import ToxiSample
 
 
 @dataclass(frozen=True)
@@ -155,3 +158,22 @@ def deduplicate(corpus: list[tuple[int, str]]) -> list[int]:
             seen.add(text)
             survivors.append(sample_id)
     return survivors
+
+
+def clean_corpus(
+    samples: Sequence[ToxiSample], cfg: NormalizeConfig | None = None
+) -> tuple[list[ToxiSample], int, int]:
+    """Normalize every text, then drop brief samples and repeated texts.
+
+    Returns (kept, dropped_brief, dropped_dup).  A repeated text keeps its
+    first sample; kept samples stay in input order.
+    """
+    cfg = cfg or NormalizeConfig()
+    substantive = []
+    for sample in samples:
+        text = normalize_text(sample.text, cfg)
+        if is_substantive(text, cfg):
+            substantive.append(replace(sample, text=text))
+    firsts = deduplicate([(i, s.text) for i, s in enumerate(substantive)])
+    kept = [substantive[i] for i in firsts]
+    return kept, len(samples) - len(substantive), len(substantive) - len(kept)

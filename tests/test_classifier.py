@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,17 +15,16 @@ from toxikit.classifier import (
     Task,
     TkeConfig,
     Vocab,
+    _batch_loss,
+    _forward_batch,
     class_weights_for,
     eligible_samples,
-    embed_enhanced,
     encode_corpus,
     encode_sample,
-    forward,
     grad_check,
     init_params,
     load_checkpoint,
     loss_and_grads,
-    loss_weighted_ce,
     predict,
     save_checkpoint,
     task_label,
@@ -174,17 +174,35 @@ def _enc(tokens, toxic, label=0):
     )
 
 
+def _cfg(**kw):
+    base = dict(task=Task.TOXIC, d=2, h=2, pad_len=5, seed=1, dropout=0.0)
+    base.update(kw)
+    return TkeConfig(**base)
+
+
+def _embed_rows(enc, params, lam):
+    """Per-token rows W[token_i] + λ·C[toxic_i], read off the batch forward.
+
+    Each token goes in as its own one-token sample, so the mean-pooled
+    vector the forward caches is exactly that token's row.
+    """
+    cfg = _cfg(d=params.W.shape[1], pad_len=1, lam=lam)
+    tok, tox = enc.token_ids[:, None], enc.toxic_ids[:, None]
+    _, (_, _, _, _, pooled, _, _) = _forward_batch(tok, tox, params, cfg)
+    return pooled
+
+
 def test_embed_lambda_zero_is_plain_rows():
     params = _fixture_params()
     enc = _enc([2, 3], [0, 1])
-    np.testing.assert_array_equal(embed_enhanced(enc, params, 0.0), params.W[[2, 3]])
+    np.testing.assert_array_equal(_embed_rows(enc, params, 0.0), params.W[[2, 3]])
 
 
 def test_embed_all_nontoxic_adds_c0():
     params = _fixture_params()
     enc = _enc([2, 3], [0, 0])
     expected = params.W[[2, 3]] + params.C[0]
-    np.testing.assert_allclose(embed_enhanced(enc, params, 1.0), expected, rtol=0, atol=0)
+    np.testing.assert_allclose(_embed_rows(enc, params, 1.0), expected, rtol=0, atol=0)
 
 
 def test_embed_hand_arithmetic():
@@ -192,26 +210,38 @@ def test_embed_hand_arithmetic():
     params.W[2] = (1.0, 0.0)
     params.C[1] = (0.0, 2.0)
     enc = _enc([2, 2], [1, 0])
-    rows = embed_enhanced(enc, params, 0.5)
+    rows = _embed_rows(enc, params, 0.5)
     np.testing.assert_allclose(rows[0], [1.0, 1.0], rtol=0, atol=0)
 
 
 def test_embed_range_checks():
     params = _fixture_params(vocab_size=4)
     with pytest.raises(ClassifierError):
-        embed_enhanced(_enc([9], [0]), params, 0.5)
+        _embed_rows(_enc([9], [0]), params, 0.5)
     with pytest.raises(ClassifierError):
-        embed_enhanced(_enc([2], [7]), params, 0.5)
+        _embed_rows(_enc([2], [7]), params, 0.5)
     with pytest.raises(ClassifierError):
-        embed_enhanced(_enc([-1], [0]), params, 0.5)
+        _embed_rows(_enc([-1], [0]), params, 0.5)
+
+
+def test_predict_rejects_out_of_range_ids():
+    params = _fixture_params(vocab_size=4)
+    bad = [
+        _enc([9, 0, 0, 0, 0], [0, 0, 0, 0, 0]),  # token id past the vocabulary
+        _enc([-1, 2, 0, 0, 0], [0, 0, 0, 0, 0]),  # negative token id
+        _enc([2, 0, 0, 0, 0], [7, 0, 0, 0, 0]),  # category id past C
+    ]
+    for enc in bad:
+        with pytest.raises(ClassifierError, match="out of range"):
+            predict([enc], params, _cfg())
 
 
 # ---------------------------------------------------------------- forward
 
-def _cfg(**kw):
-    base = dict(task=Task.TOXIC, d=2, h=2, pad_len=5, seed=1, dropout=0.0)
-    base.update(kw)
-    return TkeConfig(**base)
+def _scores(enc, params, cfg):
+    """Class scores of one sample through the batch forward."""
+    scores, _ = _forward_batch(enc.token_ids[None], enc.toxic_ids[None], params, cfg)
+    return scores[0]
 
 
 def test_forward_zero_weights_gives_bias():
@@ -225,14 +255,14 @@ def test_forward_zero_weights_gives_bias():
         b=np.array([0.3, -0.7]),
     )
     enc = _enc([2, 3, 0, 0, 0], [0, 0, 0, 0, 0])
-    np.testing.assert_array_equal(forward(enc, params, cfg), [0.3, -0.7])
+    np.testing.assert_array_equal(_scores(enc, params, cfg), [0.3, -0.7])
 
 
 def test_forward_token_permutation_invariant():
     cfg = _cfg()
     params = _fixture_params()
-    a = forward(_enc([2, 3, 2, 0, 0], [0, 1, 0, 0, 0]), params, cfg)
-    b = forward(_enc([3, 2, 2, 0, 0], [1, 0, 0, 0, 0]), params, cfg)
+    a = _scores(_enc([2, 3, 2, 0, 0], [0, 1, 0, 0, 0]), params, cfg)
+    b = _scores(_enc([3, 2, 2, 0, 0], [1, 0, 0, 0, 0]), params, cfg)
     np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
 
 
@@ -240,7 +270,7 @@ def test_forward_matches_hand_computation():
     cfg = _cfg(lam=0.5)
     params = _fixture_params()
     enc = _enc([2, 3, 2, 0, 0], [0, 1, 0, 0, 0])
-    scores = forward(enc, params, cfg)
+    scores = _scores(enc, params, cfg)
 
     # the same arithmetic spelled out scalar by scalar
     r0 = (0.1 + 0.5 * 0.01, -0.2 + 0.5 * 0.02)
@@ -260,51 +290,65 @@ def test_forward_all_pad_rejected():
     cfg = _cfg()
     params = _fixture_params()
     with pytest.raises(ClassifierError, match="empty sequence"):
-        forward(_enc([0, 0, 0, 0, 0], [0, 0, 0, 0, 0]), params, cfg)
+        _scores(_enc([0, 0, 0, 0, 0], [0, 0, 0, 0, 0]), params, cfg)
 
 
 def test_prediction_depends_on_c_only_through_c0_when_nontoxic():
     cfg = TkeConfig(task=Task.TOXIC, d=8, h=8, pad_len=6, lam=0.7, seed=3)
     params = init_params(10, cfg)
     enc = _enc([2, 5, 9, 0, 0, 0], [0, 0, 0, 0, 0, 0])
-    before = forward(enc, params, cfg)
+    before = _scores(enc, params, cfg)
     params.C[1:] += 123.0  # rows for category ids never used by this input
-    np.testing.assert_array_equal(forward(enc, params, cfg), before)
+    np.testing.assert_array_equal(_scores(enc, params, cfg), before)
     params.C[0] += 1.0
-    assert not np.array_equal(forward(enc, params, cfg), before)
+    assert not np.array_equal(_scores(enc, params, cfg), before)
 
 
 # ---------------------------------------------------------------- loss
 
+def _loss(scores, label, class_weights):
+    """Weighted CE of one sample through the batch loss."""
+    return _batch_loss(np.asarray(scores)[None], np.asarray(label)[None], class_weights)[0]
+
+
 def test_loss_probability_one_tends_to_zero():
-    loss = loss_weighted_ce(np.array([40.0, -40.0]), 0, np.array([1.0, 1.0]))
+    loss = _loss(np.array([40.0, -40.0]), 0, np.array([1.0, 1.0]))
     assert 0.0 <= loss < 1e-12
 
 
 def test_loss_weight_linearity():
     scores = np.array([0.2, -0.4, 1.1])
-    base = loss_weighted_ce(scores, 2, np.array([1.0, 1.0, 1.0]))
-    doubled = loss_weighted_ce(scores, 2, np.array([1.0, 1.0, 2.0]))
+    base = _loss(scores, 2, np.array([1.0, 1.0, 1.0]))
+    doubled = _loss(scores, 2, np.array([1.0, 1.0, 2.0]))
     assert math.isclose(doubled, 2 * base, rel_tol=1e-12)
 
 
 def test_loss_uniform_two_class_ln2():
-    loss = loss_weighted_ce(np.array([0.0, 0.0]), 0, np.array([1.0, 1.0]))
+    loss = _loss(np.array([0.0, 0.0]), 0, np.array([1.0, 1.0]))
     assert math.isclose(loss, math.log(2), rel_tol=1e-15)
 
 
 def test_loss_multilabel_mean_of_weighted_bce():
     scores = np.array([0.0, 0.0, 0.0, 0.0])
     label = np.array([1.0, 0.0, 1.0, 0.0])
-    loss = loss_weighted_ce(scores, label, np.array([1.0, 1.0, 1.0, 1.0]))
+    loss = _loss(scores, label, np.array([1.0, 1.0, 1.0, 1.0]))
     assert math.isclose(loss, math.log(2), rel_tol=1e-12)
-    heavier = loss_weighted_ce(scores, label, np.array([2.0, 1.0, 1.0, 1.0]))
+    heavier = _loss(scores, label, np.array([2.0, 1.0, 1.0, 1.0]))
     assert math.isclose(heavier, math.log(2) * 5 / 4, rel_tol=1e-12)
 
 
 def test_loss_rejects_non_finite():
     with pytest.raises(ClassifierError):
-        loss_weighted_ce(np.array([np.inf, 0.0]), 0, np.array([1.0, 1.0]))
+        _loss(np.array([np.inf, 0.0]), 0, np.array([1.0, 1.0]))
+
+
+def test_loss_rejects_bad_weights_and_labels():
+    scores = np.array([0.2, -0.4])
+    with pytest.raises(ClassifierError, match="positive"):
+        _loss(scores, 0, np.array([1.0, 0.0]))
+    for label in (2, -1):
+        with pytest.raises(ClassifierError, match="label out of range"):
+            _loss(scores, label, np.array([1.0, 1.0]))
 
 
 def test_class_weights_inverse_frequency_mean_one():
@@ -424,7 +468,7 @@ def test_train_returns_best_validation_snapshot():
     weights = class_weights_for([s.label for s in enc], cfg)
     losses = []
     for item in val:
-        scores = forward(item, params, cfg)
+        scores = _scores(item, params, cfg)
         logz = np.log(np.exp(scores - scores.max()).sum()) + scores.max()
         losses.append(-weights[item.label] * (scores[item.label] - logz))
     assert math.isclose(float(np.mean(losses)), best, rel_tol=1e-9)
@@ -539,6 +583,19 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     before = predict(enc, params, cfg)
     after = predict(enc, loaded_params, loaded_cfg)
     np.testing.assert_array_equal(before[1], after[1])
+
+
+def test_checkpoint_config_roundtrip_every_field(tmp_path):
+    cfg = TkeConfig(
+        task=Task.GROUP, d=3, h=5, lam=0.25, pad_len=9, epochs=2, batch=7, lr=0.02, dropout=0.25,
+        seed=11, enhancement=False, weight_decay=0.01, val_fraction=0.2, patience=5,
+    )
+    for f in fields(TkeConfig):
+        assert getattr(cfg, f.name) != getattr(TkeConfig(), f.name), f"{f.name} kept its default"
+    vocab = Vocab.build(["文字老黑"])
+    path = tmp_path / "model.json"
+    save_checkpoint(path, init_params(len(vocab), cfg), cfg, vocab)
+    assert load_checkpoint(path)[1] == cfg
 
 
 def test_checkpoint_version_checked(tmp_path):

@@ -1,8 +1,10 @@
 import json
+from dataclasses import fields
 
 import pytest
 
 from synthcorpus import labeled_corpus, separable_corpus
+from toxikit.classifier import TkeConfig, load_checkpoint
 from toxikit.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from toxikit.corpus import write_corpus
 
@@ -80,6 +82,29 @@ def test_normalize_exclude_list(tmp_path, capsys):
         ["normalize", "--in", str(infile), "--out", str(out), "--exclude", str(exclude)]
     ) == EXIT_OK
     assert "kept=1" in capsys.readouterr().out
+
+    exclude.write_text("1\n\nad-7\n", encoding="utf-8")
+    assert main(
+        ["normalize", "--in", str(infile), "--out", str(out), "--exclude", str(exclude)]
+    ) == EXIT_DATA
+    assert f"{exclude}:3: expected an integer, got 'ad-7'" in capsys.readouterr().err
+
+
+def test_normalize_rejects_duplicate_ids(tmp_path, capsys):
+    from toxikit.corpus import Platform, Topic, ToxiSample
+
+    samples = [
+        ToxiSample(i, Platform.ZHIHU, Topic.RACE, "同一条文本内容", 0, 0, frozenset(), None)
+        for i in (1, 1, 2)
+    ]
+    infile = tmp_path / "raw.jsonl"
+    write_corpus(infile, samples)
+    out = tmp_path / "clean.jsonl"
+    assert main(["normalize", "--in", str(infile), "--out", str(out)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert f"{infile}: record 1: duplicate id 1" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- match / derive
@@ -189,6 +214,9 @@ def test_kappa_cli(tmp_path, capsys):
     ratings.write_text("1\t1\n1\t1\n", encoding="utf-8")
     main(["kappa", "--in", str(ratings)])
     assert capsys.readouterr().out.strip() == "kappa=-1.0000"
+    ratings.write_text("# items x categories\n3\t0\n0\tthree\n", encoding="utf-8")
+    assert main(["kappa", "--in", str(ratings)]) == EXIT_DATA
+    assert f"{ratings}:3: expected an integer, got 'three'" in capsys.readouterr().err
 
 
 def test_gradcheck_cli(capsys):
@@ -251,6 +279,33 @@ def test_config_file_errors(tmp_path, capsys):
     cfgfile.write_text("cleverness=11\n", encoding="utf-8")
     assert main(["train", "--config", str(cfgfile), "--task", "toxic", "--in", "x", "--out", "y"]) == EXIT_DATA
     assert "unknown config key" in capsys.readouterr().err
+
+    cfgfile.write_text("# task\ntask=bogus\n", encoding="utf-8")
+    assert main(["train", "--config", str(cfgfile), "--in", "x", "--out", "y"]) == EXIT_DATA
+    assert f"{cfgfile}:2: bad value 'bogus' for task" in capsys.readouterr().err
+
+
+def test_config_file_keys_are_the_tke_config_fields(tmp_path, capsys):
+    values = {
+        "task": "group", "d": "3", "h": "5", "lam": "0.25", "pad_len": "9", "epochs": "2",
+        "batch": "7", "lr": "0.02", "dropout": "0.25", "seed": "11", "enhancement": "false",
+        "weight_decay": "0.01", "val_fraction": "0.2", "patience": "5",
+    }
+    assert set(values) == {f.name for f in fields(TkeConfig)}
+    train_file = tmp_path / "train.jsonl"
+    write_corpus(train_file, labeled_corpus(60, seed=3))
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("".join(f"{k}={v}\n" for k, v in values.items()), encoding="utf-8")
+    model = tmp_path / "m.json"
+    assert main(["train", "--config", str(cfgfile), "--in", str(train_file), "--out", str(model)]) == EXIT_OK
+    capsys.readouterr()
+    _, cfg, _ = load_checkpoint(model)
+    for f in fields(TkeConfig):
+        assert getattr(cfg, f.name) != getattr(TkeConfig(), f.name), f"{f.name} kept its default"
+
+    cfgfile.write_text("n_classes=4\n", encoding="utf-8")  # a TkeConfig property, not a field
+    assert main(["train", "--config", str(cfgfile), "--task", "group", "--in", "x", "--out", "y"]) == EXIT_DATA
+    assert "unknown config key 'n_classes'" in capsys.readouterr().err
 
 
 def test_train_requires_task(tmp_path, capsys):
