@@ -7,7 +7,15 @@ encoder is deliberately minimal — mean pooling over non-pad rows, one
 tanh hidden layer, a linear head — so the enhancement term is isolated
 and every gradient is checkable against finite differences.
 
-Setting λ=0, or flipping ``enhancement`` off, skips the addition
+Mean pooling is linear, so no per-token embedding tensor is built (the
+bag-of-embeddings trick of fastText).  A batch's non-pad token ids are
+reduced to their unique set U; ``bag[i, j]`` counts occurrences of U[j]
+in sample i and ``catbag[i, c]`` counts tokens of category c, so the
+pooled vector is ``(bag @ W[U] + λ·catbag @ C) / n``.  The backward
+pass is the transpose: ``dW[U] = bagᵀ g`` and ``dC = λ·catbagᵀ g`` with
+``g = dpooled / n``.
+
+Setting λ=0, or flipping ``enhancement`` off, skips the category term
 entirely; both builds execute identical floating-point operations and
 consume identical RNG draws (C is always initialized), so their trained
 parameters and predictions agree bitwise.
@@ -21,6 +29,7 @@ dropout on the pooled vector during training only.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -247,16 +256,24 @@ def _forward_batch(
     counts = nonpad.sum(axis=1)
     if (counts == 0).any():
         raise ClassifierError("empty sequence")
-    E = params.W[tok]
+    B = tok.shape[0]
+    rows = np.nonzero(nonpad)[0]
+    uniq, inverse = np.unique(tok[nonpad], return_inverse=True)
+    bag = np.bincount(rows * len(uniq) + inverse, minlength=B * len(uniq))
+    bag = bag.reshape(B, len(uniq)).astype(np.float64)
+    pooled = bag @ params.W[uniq]
+    catbag = None
     if cfg.enhancement and cfg.lam != 0.0:
-        E = E + cfg.lam * params.C[tox]
-    mask = nonpad[:, :, None].astype(np.float64)
-    pooled = (E * mask).sum(axis=1) / counts[:, None]
+        m1 = params.C.shape[0]
+        catbag = np.bincount(rows * m1 + tox[nonpad], minlength=B * m1)
+        catbag = catbag.reshape(B, m1).astype(np.float64)
+        pooled += cfg.lam * (catbag @ params.C)
+    pooled /= counts[:, None]
     dropped = pooled if dropout_mask is None else pooled * dropout_mask
     z = dropped @ params.U + params.b_h
     hidden = np.tanh(z)
     scores = hidden @ params.V + params.b
-    cache = (tok, tox, nonpad, counts, dropped, dropout_mask, hidden)
+    cache = (uniq, bag, catbag, counts, dropped, dropout_mask, hidden)
     return scores, cache
 
 
@@ -341,22 +358,25 @@ def loss_and_grads(
     tok, tox = _stack(batch)
     labels = _stack_labels(batch, cfg)
     scores, cache = _forward_batch(tok, tox, params, cfg, dropout_mask)
-    _, _, nonpad, counts, dropped, dmask, hidden = cache
+    uniq, bag, catbag, counts, dropped, dmask, hidden = cache
     loss, dscores = _batch_loss(scores, labels, class_weights)
 
-    grads = {name: np.zeros_like(arr) for name, arr in params.blocks().items()}
-    grads["V"] = hidden.T @ dscores
-    grads["b"] = dscores.sum(axis=0)
     dhidden = dscores @ params.V.T
     dz = dhidden * (1.0 - hidden * hidden)
-    grads["U"] = dropped.T @ dz
-    grads["b_h"] = dz.sum(axis=0)
     ddropped = dz @ params.U.T
     dpooled = ddropped if dmask is None else ddropped * dmask
-    dE = (dpooled[:, None, :] / counts[:, None, None]) * nonpad[:, :, None]
-    np.add.at(grads["W"], tok.ravel(), dE.reshape(-1, params.W.shape[1]))
-    if cfg.enhancement and cfg.lam != 0.0:
-        np.add.at(grads["C"], tox.ravel(), (cfg.lam * dE).reshape(-1, params.C.shape[1]))
+    g = dpooled / counts[:, None]
+    dW = np.zeros_like(params.W)
+    dW[uniq] = bag.T @ g
+    dC = np.zeros_like(params.C) if catbag is None else cfg.lam * (catbag.T @ g)
+    grads = {
+        "W": dW,
+        "C": dC,
+        "U": dropped.T @ dz,
+        "b_h": dz.sum(axis=0),
+        "V": hidden.T @ dscores,
+        "b": dscores.sum(axis=0),
+    }
     return loss, grads
 
 
@@ -428,6 +448,13 @@ def grad_check(
 
 
 class _AdamW:
+    """AdamW whose moments and parameters update in place.
+
+    Each block gets two scratch buffers up front, so a step allocates
+    nothing; the operations and their order are those of the textbook
+    expression, so the results are bitwise the same.
+    """
+
     def __init__(self, blocks: dict[str, np.ndarray], lr: float, weight_decay: float):
         self.lr = lr
         self.wd = weight_decay
@@ -435,16 +462,33 @@ class _AdamW:
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in blocks.items()}
         self.v = {k: np.zeros_like(v) for k, v in blocks.items()}
+        self.scratch = {k: (np.empty_like(v), np.empty_like(v)) for k, v in blocks.items()}
 
     def step(self, blocks: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
         for name, p in blocks.items():
             g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            mhat = self.m[name] / (1 - self.beta1 ** self.t)
-            vhat = self.v[name] / (1 - self.beta2 ** self.t)
-            p -= self.lr * (mhat / (np.sqrt(vhat) + self.eps) + self.wd * p)
+            m, v = self.m[name], self.v[name]
+            s1, s2 = self.scratch[name]
+            # m = β1·m + (1-β1)·g ;  v = β2·v + (1-β2)·g·g
+            np.multiply(m, self.beta1, out=m)
+            np.multiply(g, 1 - self.beta1, out=s1)
+            np.add(m, s1, out=m)
+            np.multiply(v, self.beta2, out=v)
+            np.multiply(g, 1 - self.beta2, out=s1)
+            np.multiply(s1, g, out=s1)
+            np.add(v, s1, out=v)
+            # p -= lr·(m̂ / (√v̂ + ε) + wd·p)
+            np.divide(m, 1 - self.beta1 ** self.t, out=s1)
+            np.divide(v, 1 - self.beta2 ** self.t, out=s2)
+            np.sqrt(s2, out=s2)
+            np.add(s2, self.eps, out=s2)
+            np.divide(s1, s2, out=s1)
+            if self.wd != 0.0:
+                np.multiply(p, self.wd, out=s2)
+                np.add(s1, s2, out=s1)
+            np.multiply(s1, self.lr, out=s1)
+            np.subtract(p, s1, out=p)
 
 
 @dataclass(frozen=True)
@@ -456,15 +500,27 @@ class EpochStats:
     val_accuracy: float | None
 
 
+def _chunked_scores(
+    encoded: Sequence[EncodedSample], params: ModelParams, cfg: TkeConfig
+) -> np.ndarray:
+    """Scores of a whole set, computed cfg.batch samples at a time so that
+    memory grows with the batch size, not with the set."""
+    return np.concatenate(
+        [
+            _forward_batch(*_stack(encoded[start : start + cfg.batch]), params, cfg)[0]
+            for start in range(0, len(encoded), cfg.batch)
+        ]
+    )
+
+
 def _eval_loss_acc(
     encoded: Sequence[EncodedSample],
     params: ModelParams,
     cfg: TkeConfig,
     class_weights: np.ndarray,
 ) -> tuple[float, float]:
-    tok, tox = _stack(encoded)
     labels = _stack_labels(encoded, cfg)
-    scores, _ = _forward_batch(tok, tox, params, cfg)
+    scores = _chunked_scores(encoded, params, cfg)
     loss, _ = _batch_loss(scores, labels, class_weights, need_grad=False)
     hits = _predict_from_scores(scores, cfg) == labels
     return loss, float(hits.reshape(len(labels), -1).all(axis=1).mean())
@@ -551,12 +607,11 @@ def predict(
     per label for the group task with a highest-probability fallback."""
     if not test_set:
         raise ClassifierError("empty test set")
-    tok, tox = _stack(test_set)
     if params.V.shape[1] != cfg.n_classes:
         raise ClassifierError(
             f"head has {params.V.shape[1]} classes but task {cfg.task.value} needs {cfg.n_classes}"
         )
-    scores, _ = _forward_batch(tok, tox, params, cfg)
+    scores = _chunked_scores(test_set, params, cfg)
     if cfg.multilabel:
         probs = _sigmoid(scores)
     else:
@@ -585,15 +640,55 @@ def save_checkpoint(path: str | Path, params: ModelParams, cfg: TkeConfig, vocab
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, TkeConfig, Vocab]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ClassifierError(f"unsupported checkpoint version {payload.get('version')!r}")
-    raw_cfg = dict(payload["config"])
-    raw_cfg["task"] = Task(raw_cfg["task"])
-    cfg = TkeConfig(**raw_cfg)
-    blocks = {
-        name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        for name, entry in payload["params"].items()
+    """Read a checkpoint written by save_checkpoint.
+
+    Raises ClassifierError naming ``path`` when a top-level key or a
+    parameter block is missing or extra, or a block's data disagrees with
+    its shape, or its shape with the config and vocabulary.
+    """
+
+    def bad(message: str) -> ClassifierError:
+        return ClassifierError(f"{path}: {message}")
+
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise bad(f"not a JSON checkpoint: {exc}") from None
+    if not isinstance(payload, dict):
+        raise bad("not a JSON object")
+    missing = [key for key in ("version", "config", "vocab", "params") if key not in payload]
+    if missing:
+        raise bad(f"missing key(s) {', '.join(missing)}")
+    if payload["version"] != CHECKPOINT_VERSION:
+        raise bad(f"unsupported checkpoint version {payload['version']!r}")
+    raw_cfg = payload["config"]
+    if not isinstance(raw_cfg, dict) or raw_cfg.keys() != {f.name for f in fields(TkeConfig)}:
+        raise bad("config keys must be exactly the TkeConfig fields")
+    try:
+        cfg = TkeConfig(**raw_cfg | {"task": Task(raw_cfg["task"])})
+        vocab = Vocab(token_to_id={tok: i for tok, i in payload["vocab"]})
+    except (TypeError, ValueError) as exc:
+        raise bad(f"bad config or vocab: {exc}") from None
+    shapes = {
+        "W": [len(vocab), cfg.d],
+        "C": [NUM_CATEGORIES + 1, cfg.d],
+        "U": [cfg.d, cfg.h],
+        "b_h": [cfg.h],
+        "V": [cfg.h, cfg.n_classes],
+        "b": [cfg.n_classes],
     }
-    vocab = Vocab(token_to_id={tok: i for tok, i in payload["vocab"]})
+    raw_params = payload["params"]
+    if not isinstance(raw_params, dict) or raw_params.keys() != shapes.keys():
+        raise bad(f"parameter blocks must be exactly {' '.join(shapes)}")
+    blocks = {}
+    for name, shape in shapes.items():
+        entry = raw_params[name]
+        if not isinstance(entry, dict) or entry.keys() != {"shape", "data"}:
+            raise bad(f"parameter block {name} needs exactly the keys shape and data")
+        if entry["shape"] != shape:
+            raise bad(f"parameter block {name} has shape {entry['shape']}, expected {shape}")
+        data = entry["data"]
+        if not isinstance(data, list) or len(data) != math.prod(shape):
+            raise bad(f"parameter block {name} data does not fill its shape {shape}")
+        blocks[name] = np.array(data, dtype=np.float64).reshape(shape)
     return ModelParams(**blocks), cfg, vocab

@@ -157,6 +157,14 @@ def _parse_int(text: str, path: str, lineno: int) -> int:
         raise CorpusError(f"{path}:{lineno}: expected an integer, got {text!r}") from None
 
 
+def _seed_list(text: str) -> list[int]:
+    """argparse type for --seeds: comma-separated integers."""
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
 def _lexicon_from(args) -> Lexicon:
     path = getattr(args, "lexicon", None) or resources.lexicon_path()
     return load_lexicon(path)
@@ -286,9 +294,13 @@ def cmd_pseudolabel(args) -> int:
 def cmd_validate(args) -> int:
     good = 0
     bad = 0
+    seen: set[int] = set()
     for index, record in iter_corpus_records(args.infile):
         try:
-            parse_sample(record, index=index)
+            sample = parse_sample(record, index=index)
+            if sample.id in seen:
+                raise CorpusError(f"{args.infile}: record {index}: duplicate id {sample.id}")
+            seen.add(sample.id)
             good += 1
         except CorpusError as exc:
             print(str(exc))
@@ -460,7 +472,7 @@ def cmd_pipeline(args) -> int:
     lex = _lexicon_from(args)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [1, 2, 3, 4, 5]
+    seeds = args.seeds or [1, 2, 3, 4, 5]
 
     clean, _, _ = clean_corpus(read_corpus(args.infile))
 
@@ -475,9 +487,10 @@ def cmd_pipeline(args) -> int:
     if not train_selected:
         raise CorpusError(f"no training samples usable for task {cfg_base.task.value}")
     vocab = Vocab.build(s.text for s in train_selected)
+    # encoding reads pad_len and task, never the seed
+    encoded = encode_corpus(train_selected, vocab, lex, cfg_base)
     for seed in seeds:
         cfg = replace(cfg_base, seed=seed)
-        encoded = encode_corpus(train_selected, vocab, lex, cfg)
         params, _ = train(encoded, cfg, vocab_size=len(vocab))
         save_checkpoint(outdir / f"model_seed_{seed}.json", params, cfg, vocab)
         payload = _evaluate(test_set, params, cfg, vocab, lex)
@@ -572,7 +585,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--lexicon", default=None)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--outdir", required=True)
-    p.add_argument("--seeds", default=None, help="comma-separated, default 1,2,3,4,5")
+    p.add_argument("--seeds", type=_seed_list, default=None, help="comma-separated, default 1,2,3,4,5")
     p.add_argument("--train-ratio", type=float, default=0.8)
     p.add_argument("--split-seed", type=int, default=0)
     p.add_argument("--stratify", action="store_true")

@@ -2,14 +2,17 @@
 
 Everything here is deliberately naive and written from the textbook
 definition, sharing no code with the package: a quadratic substring
-scanner, an exact-rational Fleiss' kappa, and a by-hand
-precision/recall/F1 tally.
+scanner, an exact-rational Fleiss' kappa, a by-hand
+precision/recall/F1 tally, and the TKE forward and backward pass over a
+padded per-token embedding tensor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 
 def naive_find_matches(text: str, patterns: Sequence[str]) -> set[tuple[int, int, str]]:
@@ -61,3 +64,44 @@ def prf_by_hand(preds: Sequence[int], golds: Sequence[int], n_classes: int) -> t
         total_support += support
     scale = 100.0 / total_support
     return weighted_p * scale, weighted_r * scale, weighted_f * scale
+
+
+def padded_tke_forward(tok, tox, W, C, U, b_h, V, b, lam, dropout_mask=None):
+    """TKE class scores by gathering every token's row into a (B, L, d) tensor.
+
+    Row i of the pooled matrix is the mean over non-pad positions (token id
+    0 is pad) of W[tok] + lam·C[tox]; pass lam=0 for the ablated build.
+    Returns the scores and the intermediates padded_tke_backward needs.
+    """
+    nonpad = tok != 0
+    counts = nonpad.sum(axis=1)
+    E = W[tok]
+    if lam != 0.0:
+        E = E + lam * C[tox]
+    pooled = (E * nonpad[:, :, None]).sum(axis=1) / counts[:, None]
+    dropped = pooled if dropout_mask is None else pooled * dropout_mask
+    hidden = np.tanh(dropped @ U + b_h)
+    return hidden @ V + b, (nonpad, counts, dropped, hidden)
+
+
+def padded_tke_backward(tok, tox, W, C, U, V, lam, cache, dscores, dropout_mask=None):
+    """Gradients of every parameter block given the loss gradient in the
+    scores, scattering the per-token gradient back with np.add.at."""
+    nonpad, counts, dropped, hidden = cache
+    dz = (dscores @ V.T) * (1.0 - hidden * hidden)
+    ddropped = dz @ U.T
+    dpooled = ddropped if dropout_mask is None else ddropped * dropout_mask
+    dE = (dpooled[:, None, :] / counts[:, None, None]) * nonpad[:, :, None]
+    dW = np.zeros_like(W)
+    np.add.at(dW, tok.ravel(), dE.reshape(-1, W.shape[1]))
+    dC = np.zeros_like(C)
+    if lam != 0.0:
+        np.add.at(dC, tox.ravel(), (lam * dE).reshape(-1, C.shape[1]))
+    return {
+        "W": dW,
+        "C": dC,
+        "U": dropped.T @ dz,
+        "b_h": dz.sum(axis=0),
+        "V": hidden.T @ dscores,
+        "b": dscores.sum(axis=0),
+    }

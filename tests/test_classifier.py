@@ -1,12 +1,17 @@
+import json
 import math
-from dataclasses import fields
+import re
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from oracles import padded_tke_backward, padded_tke_forward
 from synthcorpus import labeled_corpus
 from toxikit.classifier import (
     GROUP_ORDER,
+    NUM_CATEGORIES,
     PAD_ID,
     UNK_ID,
     ClassifierError,
@@ -15,7 +20,9 @@ from toxikit.classifier import (
     Task,
     TkeConfig,
     Vocab,
+    _AdamW,
     _batch_loss,
+    _eval_loss_acc,
     _forward_batch,
     class_weights_for,
     eligible_samples,
@@ -414,6 +421,123 @@ def test_grad_check_batch_cap():
         grad_check(params, batch, cfg)
 
 
+# ---------------------------------------------------------------- bag-of-counts hot path
+
+def _random_batch(rng, cfg, vocab_size, size):
+    """Random samples of 1..pad_len tokens; a small vocab_size makes tokens
+    repeat within and across samples."""
+    batch = []
+    for _ in range(size):
+        n = int(rng.integers(1, cfg.pad_len + 1))
+        tok = np.zeros(cfg.pad_len, dtype=np.int64)
+        tok[:n] = rng.integers(1, vocab_size, size=n)
+        tox = np.zeros(cfg.pad_len, dtype=np.int64)
+        tox[:n] = rng.integers(0, NUM_CATEGORIES + 1, size=n)
+        if cfg.multilabel:
+            label = (rng.random(cfg.n_classes) < 0.5).astype(np.float64)
+        else:
+            label = int(rng.integers(cfg.n_classes))
+        batch.append(_enc(tok, tox, label))
+    return batch
+
+
+def _rel_err(a, b):
+    """Largest entry-wise difference relative to the largest reference entry."""
+    scale = np.abs(b).max()
+    return float(np.abs(a - b).max() / scale) if scale else float(np.abs(a).max())
+
+
+@pytest.mark.parametrize("task", [Task.TOXIC, Task.GROUP])
+@pytest.mark.parametrize("lam,enhancement", [(0.0, True), (0.5, True), (1.0, True), (0.5, False)])
+def test_bag_forward_backward_match_padded_reference(task, lam, enhancement):
+    rng = np.random.default_rng(17)
+    cfg = TkeConfig(task=task, d=6, h=5, pad_len=12, lam=lam, enhancement=enhancement, seed=3)
+    vocab_size = 7
+    params = init_params(vocab_size, cfg)
+    P = params.blocks()
+    ref_lam = lam if enhancement else 0.0
+    weights = rng.uniform(0.5, 2.0, size=cfg.n_classes)
+    for trial in range(6):
+        batch = _random_batch(rng, cfg, vocab_size, size=int(rng.integers(1, 10)))
+        tok = np.stack([s.token_ids for s in batch])
+        tox = np.stack([s.toxic_ids for s in batch])
+        labels = np.array([s.label for s in batch])
+        mask = None if trial % 2 else (rng.random((len(batch), cfg.d)) >= 0.3) / 0.7
+
+        ref_scores, ref_cache = padded_tke_forward(
+            tok, tox, P["W"], P["C"], P["U"], P["b_h"], P["V"], P["b"], ref_lam, mask
+        )
+        scores, _ = _forward_batch(tok, tox, params, cfg, mask)
+        assert _rel_err(scores, ref_scores) <= 1e-12
+
+        _, dscores = _batch_loss(ref_scores, labels, weights)
+        ref_grads = padded_tke_backward(
+            tok, tox, P["W"], P["C"], P["U"], P["V"], ref_lam, ref_cache, dscores, mask
+        )
+        _, grads = loss_and_grads(batch, params, cfg, weights, mask)
+        assert list(grads) == list(ref_grads)
+        for name, ref in ref_grads.items():
+            assert _rel_err(grads[name], ref) <= 1e-12, name
+
+
+@pytest.mark.parametrize("task", [Task.TOXIC, Task.GROUP])
+def test_chunked_scoring_matches_one_batch(task):
+    rng = np.random.default_rng(23)
+    cfg = TkeConfig(task=task, d=6, h=5, pad_len=12, batch=8, seed=4)
+    whole = replace(cfg, batch=1000)  # one chunk holds the whole set
+    params = init_params(30, cfg)
+    test_set = _random_batch(rng, cfg, 30, size=53)
+
+    labels, probs = predict(test_set, params, cfg)
+    ref_labels, ref_probs = predict(test_set, params, whole)
+    np.testing.assert_array_equal(labels, ref_labels)
+    assert _rel_err(probs, ref_probs) <= 1e-12
+
+    weights = rng.uniform(0.5, 2.0, size=cfg.n_classes)
+    loss, acc = _eval_loss_acc(test_set, params, cfg, weights)
+    ref_loss, ref_acc = _eval_loss_acc(test_set, params, whole, weights)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    assert acc == ref_acc
+
+
+def test_predict_memory_grows_with_batch_not_set_size():
+    rng = np.random.default_rng(29)
+    cfg = TkeConfig(task=Task.TOXIC, d=32, h=16, pad_len=50, batch=64, seed=1)
+    params = init_params(400, cfg)
+    test_set = _random_batch(rng, cfg, 400, size=2000)
+    # one (2000, pad_len, d) float64 intermediate of a whole-set padded forward
+    padded_bytes = len(test_set) * cfg.pad_len * cfg.d * 8
+    tracemalloc.start()
+    try:
+        predict(test_set, params, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < padded_bytes / 8, f"peak {peak} bytes"
+
+
+def test_adamw_in_place_matches_textbook_expression():
+    rng = np.random.default_rng(31)
+    lr = 1e-2
+    for wd in (0.0, 0.01):
+        params = {"W": rng.normal(size=(6, 3)), "b": rng.normal(size=3)}
+        ref = {k: v.copy() for k, v in params.items()}
+        m = {k: np.zeros_like(v) for k, v in params.items()}
+        v = {k: np.zeros_like(v) for k, v in params.items()}
+        optimizer = _AdamW(params, lr=lr, weight_decay=wd)
+        for t in range(1, 21):
+            grads = {k: rng.normal(size=p.shape) * (rng.random(p.shape) < 0.5) for k, p in params.items()}
+            optimizer.step(params, grads)
+            for k, g in grads.items():
+                m[k] = 0.9 * m[k] + (1 - 0.9) * g
+                v[k] = 0.999 * v[k] + (1 - 0.999) * g * g
+                mhat = m[k] / (1 - 0.9 ** t)
+                vhat = v[k] / (1 - 0.999 ** t)
+                ref[k] -= lr * (mhat / (np.sqrt(vhat) + 1e-8) + wd * ref[k])
+        for k in ref:
+            np.testing.assert_array_equal(params[k], ref[k])
+
+
 # ---------------------------------------------------------------- training
 
 def _train_corpus(lex, n=40, seed=0):
@@ -613,6 +737,54 @@ def test_checkpoint_version_checked(tmp_path):
     path.write_text(json.dumps(blob), encoding="utf-8")
     with pytest.raises(ClassifierError, match="version"):
         load_checkpoint(path)
+
+
+def _saved_checkpoint(tmp_path):
+    cfg = TkeConfig(task=Task.EXPRESSION, d=3, h=4, pad_len=8, seed=2)
+    vocab = Vocab.build(["文字老黑很"])
+    path = tmp_path / "model.json"
+    save_checkpoint(path, init_params(len(vocab), cfg), cfg, vocab)
+    return path, json.loads(path.read_text(encoding="utf-8"))
+
+
+def _rejected(path, blob):
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    with pytest.raises(ClassifierError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["version", "config", "vocab", "params", "W", "C", "U", "b_h", "V", "b"])
+def test_checkpoint_missing_key_rejected(tmp_path, key):
+    path, blob = _saved_checkpoint(tmp_path)
+    del (blob if key in blob else blob["params"])[key]
+    _rejected(path, blob)
+
+
+def test_checkpoint_extra_block_rejected(tmp_path):
+    path, blob = _saved_checkpoint(tmp_path)
+    blob["params"]["Z"] = {"shape": [1], "data": [0.0]}
+    _rejected(path, blob)
+
+
+@pytest.mark.parametrize("section,key,value", [("config", "d", "x"), ("config", "task", "bogus"), ("vocab", 0, ["文"])])
+def test_checkpoint_bad_config_or_vocab_rejected(tmp_path, section, key, value):
+    path, blob = _saved_checkpoint(tmp_path)
+    blob[section][key] = value
+    _rejected(path, blob)
+
+
+@pytest.mark.parametrize("block", ["W", "C", "U", "b_h", "V", "b"])
+def test_checkpoint_corrupt_shape_rejected(tmp_path, block):
+    path, blob = _saved_checkpoint(tmp_path)
+    entry = blob["params"][block]
+    entry["data"].pop()  # data no longer fills its shape
+    _rejected(path, blob)
+
+    path, blob = _saved_checkpoint(tmp_path)
+    entry = blob["params"][block]
+    entry["shape"][0] += 1  # self-consistent, but disagrees with config/vocab
+    entry["data"] = [0.0] * math.prod(entry["shape"])
+    _rejected(path, blob)
 
 
 # ---------------------------------------------------------------- config

@@ -192,6 +192,21 @@ def test_validate_clean_corpus_exits_0(corpus_file, capsys):
     assert "invalid=0" in capsys.readouterr().out
 
 
+def test_validate_reports_duplicate_ids(tmp_path, capsys):
+    from toxikit.corpus import Platform, Topic, ToxiSample
+
+    samples = [
+        ToxiSample(i, Platform.ZHIHU, Topic.RACE, "同一条文本内容", 0, 0, frozenset(), None)
+        for i in (1, 2, 1)
+    ]
+    infile = tmp_path / "dup.jsonl"
+    write_corpus(infile, samples)
+    assert main(["validate", "--in", str(infile)]) == EXIT_DATA
+    out = capsys.readouterr().out
+    assert f"{infile}: record 2: duplicate id 1" in out
+    assert "records=3 invalid=1" in out
+
+
 def test_stats_table_and_json(tmp_path, corpus_file, capsys):
     json_out = tmp_path / "stats.json"
     assert main(["stats", "--in", str(corpus_file), "--json", str(json_out)]) == EXIT_OK
@@ -252,6 +267,22 @@ def test_train_then_eval(tmp_path, capsys):
     assert payload["task"] == "toxic"
     assert payload["n_test"] == 30
     assert "expression_accuracy" in payload
+
+
+def test_eval_rejects_malformed_checkpoint(tmp_path, capsys):
+    corpus = separable_corpus(40, seed=4)
+    train_file = tmp_path / "train.jsonl"
+    write_corpus(train_file, corpus)
+    model = tmp_path / "model.json"
+    argv = ["train", "--task", "toxic", "--in", str(train_file), "--out", str(model), "--d", "4", "--h", "4",
+            "--pad-len", "8", "--epochs", "1"]
+    assert main(argv) == EXIT_OK
+    blob = json.loads(model.read_text(encoding="utf-8"))
+    del blob["params"]["V"]
+    model.write_text(json.dumps(blob), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--test", str(train_file)]) == EXIT_DATA
+    assert f"error: {model}: parameter blocks must be exactly W C U b_h V b" in capsys.readouterr().err
 
 
 def test_train_config_file_with_cli_override(tmp_path, capsys):
@@ -343,3 +374,9 @@ def test_pipeline_end_to_end_and_rerun_identical(tmp_path, capsys):
     assert main(argv) == EXIT_OK
     capsys.readouterr()
     assert (outdir / "aggregate.json").read_bytes() == first
+
+
+def test_pipeline_bad_seeds_is_a_usage_error(tmp_path, capsys):
+    argv = ["pipeline", "--task", "toxic", "--in", str(tmp_path / "raw.jsonl"), "--outdir", str(tmp_path)]
+    assert main(argv + ["--seeds", "1,x"]) == EXIT_USAGE
+    assert "--seeds" in capsys.readouterr().err
