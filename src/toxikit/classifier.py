@@ -643,8 +643,10 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, TkeConfig, Vocab]:
     """Read a checkpoint written by save_checkpoint.
 
     Raises ClassifierError naming ``path`` when a top-level key or a
-    parameter block is missing or extra, or a block's data disagrees with
-    its shape, or its shape with the config and vocabulary.
+    parameter block is missing or extra, a vocab entry is not a
+    (character, id) pair or the ids are not exactly 2..|V|-1, or a block's
+    data disagrees with its shape, or its shape with the config and
+    vocabulary.
     """
 
     def bad(message: str) -> ClassifierError:
@@ -666,9 +668,17 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, TkeConfig, Vocab]:
         raise bad("config keys must be exactly the TkeConfig fields")
     try:
         cfg = TkeConfig(**raw_cfg | {"task": Task(raw_cfg["task"])})
-        vocab = Vocab(token_to_id={tok: i for tok, i in payload["vocab"]})
     except (TypeError, ValueError) as exc:
-        raise bad(f"bad config or vocab: {exc}") from None
+        raise bad(f"bad config: {exc}") from None
+    entries = payload["vocab"]
+    if not isinstance(entries, list) or not all(
+        isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and len(e[0]) == 1 and type(e[1]) is int
+        for e in entries
+    ):
+        raise bad("vocab entries must be [single-character string, integer id] pairs")
+    vocab = Vocab(token_to_id=dict(entries))
+    if len(vocab.token_to_id) != len(entries) or sorted(vocab.token_to_id.values()) != list(range(2, len(vocab))):
+        raise bad(f"vocab must map distinct characters to the ids 2..{len(entries) + 1}, each once")
     shapes = {
         "W": [len(vocab), cfg.d],
         "C": [NUM_CATEGORIES + 1, cfg.d],

@@ -40,6 +40,7 @@ from .classifier import (
 from .corpus import (
     CorpusError,
     SplitSpec,
+    ToxiSample,
     corpus_stats,
     iter_corpus_records,
     parse_sample,
@@ -55,7 +56,7 @@ from .metrics import (
     weighted_prf,
 )
 from .normalize import NormalizeConfig, clean_corpus
-from .pseudolabel import extract_candidates, iterate_to_fixpoint
+from .pseudolabel import iterate_to_fixpoint
 from .variants import (
     DerivationRule,
     GlyphTable,
@@ -163,6 +164,16 @@ def _seed_list(text: str) -> list[int]:
         return [int(s) for s in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 def _lexicon_from(args) -> Lexicon:
@@ -274,13 +285,9 @@ def cmd_pseudolabel(args) -> int:
                 + "\n"
             )
     if args.report:
-        leftovers = extract_candidates(
-            result.labels, pairs, min_freq=args.min_freq, min_score=args.min_score,
-            max_n=args.max_n, lex=result.lexicon,
-        )
         with Path(args.report).open("w", encoding="utf-8") as fh:
             fh.write("term\ttoxic_freq\tclean_freq\tscore\n")
-            for cand in leftovers:
+            for cand in result.candidates:
                 fh.write(f"{cand.term}\t{cand.toxic_freq}\t{cand.clean_freq}\t{cand.score:.6f}\n")
     toxic = sum(1 for row in result.labels if row.pseudo_label.value == "toxic")
     added = sum(len(batch) for batch in result.added_per_round)
@@ -359,11 +366,15 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _evaluate(samples, params, cfg, vocab, lex) -> dict:
+def _encode_test(samples, vocab, lex, cfg) -> tuple[list[ToxiSample], list[EncodedSample]]:
+    """The samples usable for cfg's task, and their encodings."""
     selected = eligible_samples(samples, cfg.task)
     if not selected:
         raise CorpusError(f"no samples usable for task {cfg.task.value}")
-    encoded = encode_corpus(selected, vocab, lex, cfg)
+    return selected, encode_corpus(selected, vocab, lex, cfg)
+
+
+def _evaluate(selected, encoded, params, cfg) -> dict:
     labels, _ = predict(encoded, params, cfg)
     golds = [task_label(s, cfg.task) for s in selected]
     if cfg.multilabel:
@@ -391,7 +402,7 @@ def cmd_eval(args) -> int:
     params, cfg, vocab = load_checkpoint(args.model)
     lex = _lexicon_from(args)
     samples = read_corpus(args.test)
-    payload = _evaluate(samples, params, cfg, vocab, lex)
+    payload = _evaluate(*_encode_test(samples, vocab, lex, cfg), params, cfg)
     print(
         f"task={payload['task']} n={payload['n_test']} "
         f"P={payload['precision']:.1f} R={payload['recall']:.1f} F1={payload['f1']:.1f}"
@@ -489,11 +500,12 @@ def cmd_pipeline(args) -> int:
     vocab = Vocab.build(s.text for s in train_selected)
     # encoding reads pad_len and task, never the seed
     encoded = encode_corpus(train_selected, vocab, lex, cfg_base)
+    test_selected, test_encoded = _encode_test(test_set, vocab, lex, cfg_base)
     for seed in seeds:
         cfg = replace(cfg_base, seed=seed)
         params, _ = train(encoded, cfg, vocab_size=len(vocab))
         save_checkpoint(outdir / f"model_seed_{seed}.json", params, cfg, vocab)
-        payload = _evaluate(test_set, params, cfg, vocab, lex)
+        payload = _evaluate(test_selected, test_encoded, params, cfg)
         payload["seed"] = seed
         _write_json(outdir / f"report_seed_{seed}.json", payload)
 
@@ -544,7 +556,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--report", default=None, help="candidates TSV")
     p.add_argument("--min-freq", type=int, default=3)
     p.add_argument("--min-score", type=float, default=3.0)
-    p.add_argument("--max-n", type=int, default=4)
+    p.add_argument("--max-n", type=_positive_int, default=4)
     p.set_defaults(func=cmd_pseudolabel)
 
     p = sub.add_parser("validate", help="check every record against the label hierarchy")

@@ -3,8 +3,9 @@
 Everything here is deliberately naive and written from the textbook
 definition, sharing no code with the package: a quadratic substring
 scanner, an exact-rational Fleiss' kappa, a by-hand
-precision/recall/F1 tally, and the TKE forward and backward pass over a
-padded per-token embedding tensor.
+precision/recall/F1 tally, the TKE forward and backward pass over a
+padded per-token embedding tensor, and candidate n-gram mining that tests
+every gram against every match span.
 """
 
 from __future__ import annotations
@@ -23,6 +24,49 @@ def naive_find_matches(text: str, patterns: Sequence[str]) -> set[tuple[int, int
             if text.startswith(pattern, start):
                 hits.add((start, start + len(pattern), pattern))
     return hits
+
+
+def naive_doc_ngrams(text: str, spans: Sequence[tuple[int, int]], max_n: int) -> set[str]:
+    """Distinct n-grams with ≥1 occurrence not fully inside a match span.
+
+    Whitespace-bearing n-grams are skipped; they straddle what the
+    normalizer already decided are separate fragments.
+    """
+    grams: set[str] = set()
+    for n in range(1, max_n + 1):
+        for i in range(len(text) - n + 1):
+            j = i + n
+            if any(s <= i and j <= e for s, e in spans):
+                continue
+            gram = text[i:j]
+            if any(ch.isspace() for ch in gram):
+                continue
+            grams.add(gram)
+    return grams
+
+
+def naive_candidates(
+    docs: Sequence[tuple[bool, str, Sequence[tuple[int, int]]]],
+    known: set[str],
+    min_freq: int,
+    min_score: float,
+    max_n: int,
+) -> list[tuple[str, int, int, float]]:
+    """(term, toxic df, clean df, add-one score) for each candidate, best first,
+    counted from scratch over (is_toxic, text, match spans) documents."""
+    toxic_df: dict[str, int] = {}
+    clean_df: dict[str, int] = {}
+    for is_toxic, text, spans in docs:
+        table = toxic_df if is_toxic else clean_df
+        for gram in naive_doc_ngrams(text, spans, max_n):
+            table[gram] = table.get(gram, 0) + 1
+    ranked = []
+    for gram, tf in toxic_df.items():
+        cf = clean_df.get(gram, 0)
+        score = (tf + 1) / (cf + 1)
+        if gram not in known and tf >= min_freq and score >= min_score:
+            ranked.append((gram, tf, cf, score))
+    return sorted(ranked, key=lambda row: (-row[3], -row[1], row[0]))
 
 
 def fleiss_kappa_exact(counts: Sequence[Sequence[int]]) -> Fraction | None:

@@ -773,6 +773,24 @@ def test_checkpoint_bad_config_or_vocab_rejected(tmp_path, section, key, value):
     _rejected(path, blob)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [["甲", 2], ["甲", 10**6], ["甲", 1], ["甲", "3"], ["甲", True], ["甲乙", 3], [7, 3], ["甲", 3, 0]],
+    ids=["repeated-id", "id-past-table", "reserved-id", "string-id", "bool-id", "two-chars", "non-str", "triple"],
+)
+def test_checkpoint_bad_vocab_entry_rejected(tmp_path, entry):
+    # the saved vocab is 字 2, 很 3, 文 4, 老 5, 黑 6; 甲 is a fresh character
+    path, blob = _saved_checkpoint(tmp_path)
+    blob["vocab"][1] = entry
+    _rejected(path, blob)
+
+
+def test_checkpoint_repeated_token_rejected(tmp_path):
+    path, blob = _saved_checkpoint(tmp_path)
+    blob["vocab"][1][0] = blob["vocab"][0][0]
+    _rejected(path, blob)
+
+
 @pytest.mark.parametrize("block", ["W", "C", "U", "b_h", "V", "b"])
 def test_checkpoint_corrupt_shape_rejected(tmp_path, block):
     path, blob = _saved_checkpoint(tmp_path)

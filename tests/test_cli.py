@@ -4,9 +4,13 @@ from dataclasses import fields
 import pytest
 
 from synthcorpus import labeled_corpus, separable_corpus
+from toxikit import cli
 from toxikit.classifier import TkeConfig, load_checkpoint
 from toxikit.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from toxikit.corpus import write_corpus
+from toxikit.lexicon import load_lexicon
+from toxikit.pseudolabel import extract_candidates, iterate_to_fixpoint
+from toxikit.resources import lexicon_path
 
 
 @pytest.fixture
@@ -175,6 +179,36 @@ def test_pseudolabel_end_to_end(tmp_path, capsys):
     assert report.read_text(encoding="utf-8").startswith("term\ttoxic_freq\tclean_freq\tscore")
 
 
+def test_pseudolabel_report_is_the_final_rounds_candidates(tmp_path, capsys):
+    samples = labeled_corpus(200, seed=11)
+    infile = tmp_path / "c.jsonl"
+    write_corpus(infile, samples)
+    pairs = [(s.id, s.text) for s in samples]
+    grams = sorted({text[i:i + 2] for _, text in pairs for i in range(len(text) - 1)})
+    accept = tmp_path / "accept.txt"
+    accept.write_text("\n".join(grams) + "\n", encoding="utf-8")
+    report = tmp_path / "cand.tsv"
+    argv = ["pseudolabel", "--in", str(infile), "--accept", str(accept), "--out", str(tmp_path / "labels.jsonl"),
+            "--report", str(report), "--min-score", "2.0"]
+    assert main(argv) == EXIT_OK
+    assert "iterations=3 " in capsys.readouterr().out
+
+    final = iterate_to_fixpoint(pairs, load_lexicon(lexicon_path()), grams, min_freq=3, min_score=2.0)
+    expected = extract_candidates(final.labels, pairs, min_freq=3, min_score=2.0, lex=final.lexicon)
+    rows = [line.split("\t") for line in report.read_text(encoding="utf-8").splitlines()[1:]]
+    assert expected and [row[0] for row in rows] == [c.term for c in expected]
+    assert [(int(row[1]), int(row[2])) for row in rows] == [(c.toxic_freq, c.clean_freq) for c in expected]
+
+
+def test_pseudolabel_max_n_below_one_is_a_usage_error(tmp_path, capsys):
+    # rejected while parsing the flags, before the corpus is read
+    argv = ["pseudolabel", "--in", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path / "labels.jsonl")]
+    assert main(argv + ["--max-n", "0"]) == EXIT_USAGE
+    assert "--max-n" in capsys.readouterr().err
+    assert main(argv + ["--max-n", "two"]) == EXIT_USAGE
+    assert "--max-n" in capsys.readouterr().err
+
+
 def test_validate_reports_each_bad_record(tmp_path, capsys):
     good = '{"id": 1, "platform": "zhihu", "topic": "race", "text": "字", "toxic": 0, "hate": 0, "groups": [], "expression": null}'
     bad1 = '{"id": 2, "platform": "zhihu", "topic": "race", "text": "字", "toxic": 0, "hate": 1, "groups": [], "expression": null}'
@@ -285,6 +319,23 @@ def test_eval_rejects_malformed_checkpoint(tmp_path, capsys):
     assert f"error: {model}: parameter blocks must be exactly W C U b_h V b" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("corrupt", ["repeated id", "id past the table"])
+def test_eval_rejects_bad_vocab_ids(tmp_path, capsys, corrupt):
+    corpus = separable_corpus(40, seed=4)
+    train_file = tmp_path / "train.jsonl"
+    write_corpus(train_file, corpus)
+    model = tmp_path / "model.json"
+    argv = ["train", "--task", "toxic", "--in", str(train_file), "--out", str(model), "--d", "4", "--h", "4",
+            "--pad-len", "8", "--epochs", "1"]
+    assert main(argv) == EXIT_OK
+    blob = json.loads(model.read_text(encoding="utf-8"))
+    blob["vocab"][1][1] = blob["vocab"][0][1] if corrupt == "repeated id" else 10**6
+    model.write_text(json.dumps(blob), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--test", str(train_file)]) == EXIT_DATA
+    assert f"error: {model}: vocab must map distinct characters to the ids" in capsys.readouterr().err
+
+
 def test_train_config_file_with_cli_override(tmp_path, capsys):
     corpus = separable_corpus(40, seed=6)
     train_file = tmp_path / "train.jsonl"
@@ -374,6 +425,22 @@ def test_pipeline_end_to_end_and_rerun_identical(tmp_path, capsys):
     assert main(argv) == EXIT_OK
     capsys.readouterr()
     assert (outdir / "aggregate.json").read_bytes() == first
+
+
+def test_pipeline_encodes_each_split_once(tmp_path, capsys, monkeypatch):
+    infile = tmp_path / "raw.jsonl"
+    write_corpus(infile, separable_corpus(60, seed=8))
+    encoded = []
+    real = cli.encode_corpus
+    monkeypatch.setattr(cli, "encode_corpus", lambda samples, *rest: encoded.append(len(samples)) or real(samples, *rest))
+    outdir = tmp_path / "run"
+    argv = ["pipeline", "--task", "toxic", "--in", str(infile), "--outdir", str(outdir), "--seeds", "1,2,3",
+            "--d", "4", "--h", "4", "--pad-len", "8", "--epochs", "1"]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    n_clean = json.loads((outdir / "stats.json").read_text(encoding="utf-8"))["overall"]["total"]
+    assert len(encoded) == 2
+    assert sum(encoded) == n_clean
 
 
 def test_pipeline_bad_seeds_is_a_usage_error(tmp_path, capsys):

@@ -1,8 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import naive_candidates, naive_doc_ngrams
+from synthcorpus import labeled_corpus
+from toxikit import pseudolabel
 from toxikit.lexicon import Category, InsultEntry, Lexicon, Surface, load_lexicon
+from toxikit.normalize import normalize_text
 from toxikit.pseudolabel import (
     PseudoLabel,
     extract_candidates,
@@ -200,3 +206,177 @@ def test_accept_terms_are_normalized():
     corpus = [(0, "骂sb一"), (1, "骂sb二"), (2, "骂sb三"), (3, "平静文字")]
     result = iterate_to_fixpoint(corpus, seed, ["ｓｂ"], min_freq=2, min_score=1.5, max_n=2)
     assert "sb" in result.lexicon
+
+
+def test_fixpoint_rejects_max_n_below_one():
+    corpus, seed, accept = chained_fixture()
+    with pytest.raises(ValueError):
+        iterate_to_fixpoint(corpus, seed, accept, max_n=0)
+
+
+# ---------------------------------------------------------------- incremental mining vs the brute-force reference
+
+# CJK, ASCII, a character outside the BMP, a lone surrogate and three kinds of whitespace
+_MINING_ALPHABET = "骂蛆虫老黑甲乙ab1\U0001F600\ud800 \t\u3000"
+
+
+@st.composite
+def _text_spans_n(draw):
+    text = draw(st.text(alphabet=_MINING_ALPHABET, max_size=24))
+    bound = st.integers(0, len(text))
+    spans = draw(st.lists(st.tuples(bound, bound).map(sorted).map(tuple), max_size=5))
+    return text, spans, draw(st.integers(1, 5))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_text_spans_n())
+def test_doc_ngrams_matches_bruteforce(case):
+    # spans overlap, nest, touch and may be empty; whitespace splits the grams
+    text, spans, max_n = case
+    grams = {pseudolabel._term(key) for key in pseudolabel._doc_ngrams(text, spans, max_n)}
+    assert grams == naive_doc_ngrams(text, spans, max_n)
+
+
+def swallowed_fixture():
+    """Admitting 蛆虫 puts 蛆 and 虫 inside its spans in the only toxic texts
+    that held them: their toxic counts fall to zero, but the keys remain."""
+    return [(0, "骂蛆虫"), (1, "骂蛆虫"), (2, "平常话")], lex_of("骂"), ["蛆虫"]
+
+
+def _general(terms):
+    return (InsultEntry(term=t, category=Category.GENERAL, surface=Surface.EXPLICIT) for t in terms)
+
+
+def _replay_fixpoint(corpus, seed_lex, accept, min_freq, min_score, max_n):
+    """The fixpoint recomputed from scratch each round with the brute-force
+    miner: (final lexicon, final labels, added per round, candidates per round)."""
+    accepted = {normalize_text(t) for t in accept} - {""}
+    lex, added, ranked = seed_lex, [], []
+    while True:
+        labels = pseudo_label(corpus, lex)
+        docs = [
+            (row.pseudo_label is PseudoLabel.TOXIC, text, [(m.start, m.end) for m in row.matches])
+            for row, (_, text) in zip(labels, corpus)
+        ]
+        ranked.append(naive_candidates(docs, {e.term for e in lex}, min_freq, min_score, max_n))
+        new = tuple(term for term, *_ in ranked[-1] if term in accepted)
+        if not new:
+            return lex, labels, added, ranked
+        added.append(new)
+        lex = lex.extended(_general(new))
+
+
+def _random_fixpoint_case(seed):
+    """A small corpus over a few characters whose every 2-gram is accepted, so
+    admitted terms swallow single characters that then drop out of the counts."""
+    rng = random.Random(seed)
+    corpus = [(i, "".join(rng.choice("骂蛆虫甲乙丙a ") for _ in range(rng.randint(0, 10)))) for i in range(40)]
+    accept = sorted({text[i:i + 2] for _, text in corpus for i in range(len(text) - 1)})
+    return corpus, lex_of("骂"), accept
+
+
+def _labeled_fixpoint_case(n=200, seed=11):
+    """The bundled lexicon over labeled_corpus texts, accepting every 1- and 2-gram."""
+    corpus = [(s.id, s.text) for s in labeled_corpus(n, seed=seed)]
+    accept = sorted({text[i:i + k] for _, text in corpus for k in (1, 2) for i in range(len(text) - k + 1)})
+    return corpus, load_lexicon(lexicon_path()), accept
+
+
+_REPLAY_CASES = [
+    ("chained", chained_fixture, 2, 1.5),
+    ("chained-min-freq-0", chained_fixture, 0, 1.0),
+    ("swallowed-min-freq-0", swallowed_fixture, 0, 0.5),
+    ("labeled", lambda: _labeled_fixpoint_case(120), 3, 2.0),
+    ("labeled-min-freq-1", lambda: _labeled_fixpoint_case(120), 1, 2.0),
+    *[(f"random-{seed}-min-freq-{mf}", lambda seed=seed: _random_fixpoint_case(seed), mf, ms)
+      for seed in range(6) for mf, ms in ((0, 0.5), (1, 1.5), (3, 2.0))],
+]
+
+
+@pytest.mark.parametrize("name,make,min_freq,min_score", _REPLAY_CASES, ids=[c[0] for c in _REPLAY_CASES])
+def test_incremental_fixpoint_matches_from_scratch_replay(monkeypatch, name, make, min_freq, min_score):
+    corpus, seed_lex, accept = make()
+    ranked = []
+    real_rank = pseudolabel._rank
+
+    def recording_rank(*args):
+        ranked.append(real_rank(*args))
+        return ranked[-1]
+
+    monkeypatch.setattr(pseudolabel, "_rank", recording_rank)
+    result = iterate_to_fixpoint(corpus, seed_lex, accept, min_freq=min_freq, min_score=min_score, max_n=3)
+    lex, labels, added, expected = _replay_fixpoint(corpus, seed_lex, accept, min_freq, min_score, 3)
+    assert result.added_per_round == tuple(added)
+    assert list(result.labels) == labels
+    assert [e.term for e in result.lexicon] == [e.term for e in lex]
+    assert [[(c.term, c.toxic_freq, c.clean_freq, c.score) for c in rows] for rows in ranked] == expected
+    assert list(result.candidates) == ranked[-1]
+
+
+def test_replay_cases_exercise_several_rounds():
+    rounds = [
+        iterate_to_fixpoint(*make(), min_freq=min_freq, min_score=min_score, max_n=3).iterations
+        for _, make, min_freq, min_score in _REPLAY_CASES
+    ]
+    assert max(rounds) >= 4
+    assert sum(r >= 3 for r in rounds) >= len(rounds) // 2
+
+
+def test_gram_whose_toxic_count_drops_to_zero_is_no_candidate():
+    corpus, seed, accept = swallowed_fixture()
+    result = iterate_to_fixpoint(corpus, seed, accept, min_freq=0, min_score=0.5)
+    assert result.added_per_round == (("蛆虫",),)
+    terms = {c.term for c in result.candidates}
+    assert "骂蛆" in terms
+    assert not terms & {"蛆", "虫"}
+    assert list(result.candidates) == extract_candidates(
+        result.labels, corpus, min_freq=0, min_score=0.5, lex=result.lexicon
+    )
+
+
+@pytest.mark.parametrize("make,min_freq,min_score", [(chained_fixture, 2, 1.5), (_labeled_fixpoint_case, 3, 2.0)])
+def test_final_candidates_equal_a_from_scratch_extraction(make, min_freq, min_score):
+    corpus, seed_lex, accept = make()
+    result = iterate_to_fixpoint(corpus, seed_lex, accept, min_freq=min_freq, min_score=min_score)
+    assert result.iterations >= 3
+    assert list(result.candidates) == extract_candidates(
+        result.labels, corpus, min_freq=min_freq, min_score=min_score, lex=result.lexicon
+    )
+
+
+# ---------------------------------------------------------------- how much the fixpoint mines
+
+def _changed_documents(corpus, seed_lex, added_per_round):
+    """Documents whose matches differ between consecutive rounds, summed over rounds."""
+    lex = seed_lex
+    before = pseudo_label(corpus, lex)
+    changed = 0
+    for added in added_per_round:
+        lex = lex.extended(_general(added))
+        after = pseudo_label(corpus, lex)
+        changed += sum(old.matches != new.matches for old, new in zip(before, after))
+        before = after
+    return changed
+
+
+@pytest.mark.parametrize("make,min_freq,min_score", [(chained_fixture, 2, 1.5), (_labeled_fixpoint_case, 3, 2.0)])
+def test_fixpoint_mines_each_document_once_plus_twice_per_change(monkeypatch, make, min_freq, min_score):
+    corpus, seed_lex, accept = make()
+    calls = []
+    real = pseudolabel._doc_ngrams
+    monkeypatch.setattr(pseudolabel, "_doc_ngrams", lambda *args: calls.append(args) or real(*args))
+    result = iterate_to_fixpoint(corpus, seed_lex, accept, min_freq=min_freq, min_score=min_score)
+    changed = _changed_documents(corpus, seed_lex, result.added_per_round)
+    assert result.iterations >= 3
+    assert 0 < changed
+    assert len(calls) == len(corpus) + 2 * changed
+
+
+def test_labeled_fixpoint_mines_less_than_once_per_round(monkeypatch):
+    corpus, seed_lex, accept = _labeled_fixpoint_case()
+    calls = []
+    real = pseudolabel._doc_ngrams
+    monkeypatch.setattr(pseudolabel, "_doc_ngrams", lambda *args: calls.append(args) or real(*args))
+    result = iterate_to_fixpoint(corpus, seed_lex, accept, min_freq=3, min_score=2.0)
+    assert result.iterations == 3
+    assert len(calls) < len(corpus) * result.iterations
