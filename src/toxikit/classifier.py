@@ -3,14 +3,15 @@
 Each character token i contributes W[token_i] + λ·C[toxic_i] to the
 sample representation, where C holds one embedding per insult category
 (row 0 = non-toxic) and toxic_i comes from lexicon.token_category.  The
-encoder is deliberately minimal — mean pooling over non-pad rows, one
-tanh hidden layer, a linear head — so the enhancement term is isolated
-and every gradient is checkable against finite differences.
+encoder is deliberately minimal — mean pooling over the sample's
+tokens, one tanh hidden layer, a linear head — so the enhancement term is
+isolated and every gradient is checkable against finite differences.
 
 Mean pooling is linear, so no per-token embedding tensor is built (the
-bag-of-embeddings trick of fastText).  A batch's non-pad token ids are
-reduced to their unique set U; ``bag[i, j]`` counts occurrences of U[j]
-in sample i and ``catbag[i, c]`` counts tokens of category c, so the
+bag-of-embeddings trick of fastText).  A sample is encoded as its own
+tokens only, cut to ``pad_len``; nothing is padded.  A batch's token ids
+are reduced to their unique set U; ``bag[i, j]`` counts occurrences of
+U[j] in sample i and ``catbag[i, c]`` counts tokens of category c, so the
 pooled vector is ``(bag @ W[U] + λ·catbag @ C) / n``.  The backward
 pass is the transpose: ``dW[U] = bagᵀ g`` and ``dC = λ·catbagᵀ g`` with
 ``g = dpooled / n``.
@@ -41,8 +42,7 @@ from .corpus import Expression, TargetGroup, ToxiSample
 from .lexicon import Lexicon, token_category
 
 NUM_CATEGORIES = 5  # four targeted-group categories + general swearwords
-PAD_ID = 0
-UNK_ID = 1
+UNK_ID = 1  # id 0 is reserved and never emitted
 
 GROUP_ORDER = (
     TargetGroup.SEXISM,
@@ -110,7 +110,7 @@ class TkeConfig:
 
 @dataclass(frozen=True)
 class Vocab:
-    """Character → id. Ids 0/1 are reserved for pad/unknown."""
+    """Character → id. Id 0 is reserved (no token has it), id 1 is unknown."""
 
     token_to_id: dict[str, int]
 
@@ -134,8 +134,8 @@ class Vocab:
 
 @dataclass
 class EncodedSample:
-    token_ids: np.ndarray  # (pad_len,) int64
-    toxic_ids: np.ndarray  # (pad_len,) int64, values in [0, NUM_CATEGORIES]
+    token_ids: np.ndarray  # (n,) int64, n = min(len(text), pad_len)
+    toxic_ids: np.ndarray  # (n,) int64, values in [0, NUM_CATEGORIES]
     label: int | np.ndarray
 
 
@@ -193,11 +193,8 @@ def task_label(sample: ToxiSample, task: Task) -> int | np.ndarray:
 
 
 def encode_sample(sample: ToxiSample, vocab: Vocab, lex: Lexicon, cfg: TkeConfig) -> EncodedSample:
-    ids = vocab.encode(sample.text)[: cfg.pad_len]
-    cats = token_category(sample.text, lex)[: cfg.pad_len]
-    pad = cfg.pad_len - len(ids)
-    token_ids = np.array(ids + [PAD_ID] * pad, dtype=np.int64)
-    toxic_ids = np.array(cats + [0] * pad, dtype=np.int64)
+    token_ids = np.array(vocab.encode(sample.text)[: cfg.pad_len], dtype=np.int64)
+    toxic_ids = np.array(token_category(sample.text, lex)[: cfg.pad_len], dtype=np.int64)
     return EncodedSample(token_ids=token_ids, toxic_ids=toxic_ids, label=task_label(sample, cfg.task))
 
 
@@ -225,10 +222,12 @@ def init_params(vocab_size: int, cfg: TkeConfig) -> ModelParams:
     )
 
 
-def _stack(batch: Sequence[EncodedSample]) -> tuple[np.ndarray, np.ndarray]:
-    tok = np.stack([s.token_ids for s in batch])
-    tox = np.stack([s.toxic_ids for s in batch])
-    return tok, tox
+def _stack(batch: Sequence[EncodedSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The batch's token ids and category ids end to end, and each sample's length."""
+    tok = np.concatenate([s.token_ids for s in batch])
+    tox = np.concatenate([s.toxic_ids for s in batch])
+    counts = np.array([len(s.token_ids) for s in batch], dtype=np.int64)
+    return tok, tox, counts
 
 
 def _stack_labels(batch: Sequence[EncodedSample], cfg: TkeConfig) -> np.ndarray:
@@ -240,32 +239,32 @@ def _stack_labels(batch: Sequence[EncodedSample], cfg: TkeConfig) -> np.ndarray:
 def _forward_batch(
     tok: np.ndarray,
     tox: np.ndarray,
+    counts: np.ndarray,
     params: ModelParams,
     cfg: TkeConfig,
     dropout_mask: np.ndarray | None = None,
 ):
-    """Class scores for a padded batch, and the cache the backward pass reads."""
+    """Class scores for a batch laid out by ``_stack``, and the cache the
+    backward pass reads."""
     if (
-        tok.min(initial=0) < 0
-        or tok.max(initial=0) >= params.W.shape[0]
+        tok.min(initial=UNK_ID) < UNK_ID
+        or tok.max(initial=UNK_ID) >= params.W.shape[0]
         or tox.min(initial=0) < 0
         or tox.max(initial=0) >= params.C.shape[0]
     ):
         raise ClassifierError("token or toxic id out of range for the parameter tables")
-    nonpad = tok != PAD_ID
-    counts = nonpad.sum(axis=1)
     if (counts == 0).any():
         raise ClassifierError("empty sequence")
-    B = tok.shape[0]
-    rows = np.nonzero(nonpad)[0]
-    uniq, inverse = np.unique(tok[nonpad], return_inverse=True)
+    B = len(counts)
+    rows = np.repeat(np.arange(B), counts)
+    uniq, inverse = np.unique(tok, return_inverse=True)
     bag = np.bincount(rows * len(uniq) + inverse, minlength=B * len(uniq))
     bag = bag.reshape(B, len(uniq)).astype(np.float64)
     pooled = bag @ params.W[uniq]
     catbag = None
     if cfg.enhancement and cfg.lam != 0.0:
         m1 = params.C.shape[0]
-        catbag = np.bincount(rows * m1 + tox[nonpad], minlength=B * m1)
+        catbag = np.bincount(rows * m1 + tox, minlength=B * m1)
         catbag = catbag.reshape(B, m1).astype(np.float64)
         pooled += cfg.lam * (catbag @ params.C)
     pooled /= counts[:, None]
@@ -355,9 +354,8 @@ def loss_and_grads(
     dropout_mask: np.ndarray | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean weighted CE over the batch plus analytic gradients for every block."""
-    tok, tox = _stack(batch)
     labels = _stack_labels(batch, cfg)
-    scores, cache = _forward_batch(tok, tox, params, cfg, dropout_mask)
+    scores, cache = _forward_batch(*_stack(batch), params, cfg, dropout_mask)
     uniq, bag, catbag, counts, dropped, dmask, hidden = cache
     loss, dscores = _batch_loss(scores, labels, class_weights)
 
@@ -388,11 +386,11 @@ def finite_diff_grads(
     step: float = 1e-5,
 ) -> dict[str, np.ndarray]:
     """Central-difference gradients; the independent oracle for loss_and_grads."""
-    tok, tox = _stack(batch)
+    stacked = _stack(batch)
     labels = _stack_labels(batch, cfg)
 
     def batch_loss() -> float:
-        scores, _ = _forward_batch(tok, tox, params, cfg)
+        scores, _ = _forward_batch(*stacked, params, cfg)
         return _batch_loss(scores, labels, class_weights, need_grad=False)[0]
 
     numeric = {}
@@ -539,10 +537,7 @@ def train(
     if not train_set:
         raise ClassifierError("empty training set")
     params = init_params(vocab_size, cfg)
-    class_weights = class_weights_for(
-        [s.label for s in train_set] if not cfg.multilabel else [np.asarray(s.label) for s in train_set],
-        cfg,
-    )
+    class_weights = class_weights_for(_stack_labels(train_set, cfg), cfg)
     loop_rng = np.random.default_rng([cfg.seed, 1])
 
     order = loop_rng.permutation(len(train_set))

@@ -418,10 +418,8 @@ def _random_check_batch(rng, cfg: TkeConfig, vocab_size: int, size: int) -> list
     batch = []
     for _ in range(size):
         n_real = int(rng.integers(1, cfg.pad_len + 1))
-        tok = np.zeros(cfg.pad_len, dtype=np.int64)
-        tok[:n_real] = rng.integers(1, vocab_size, size=n_real)
-        tox = np.zeros(cfg.pad_len, dtype=np.int64)
-        tox[:n_real] = rng.integers(0, 6, size=n_real)
+        tok = rng.integers(1, vocab_size, size=n_real)
+        tox = rng.integers(0, 6, size=n_real)
         if cfg.multilabel:
             label = (rng.random(cfg.n_classes) < 0.5).astype(np.float64)
             if label.sum() == 0:

@@ -231,14 +231,13 @@ def find_matches(text: str, lex: Lexicon) -> list[LexiconMatch]:
     return matches
 
 
-def token_category(tokens: str | Sequence[str], lex: Lexicon) -> list[int]:
-    """Category id (0..5) per character token.
+def token_category(text: str, lex: Lexicon) -> list[int]:
+    """Category id (0..5) per character of ``text``.
 
     A token covered by a match gets that match's category; when several
     matches cover it, the longest wins, ties broken by the smallest
     category id.  Uncovered tokens get 0 (non-toxic).
     """
-    text = tokens if isinstance(tokens, str) else "".join(tokens)
     cats = [0] * len(text)
     best_len = [0] * len(text)
     for match in find_matches(text, lex):

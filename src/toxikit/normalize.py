@@ -30,9 +30,6 @@ class NormalizeConfig:
     """Cleaning knobs; defaults reproduce the full pipeline."""
 
     min_content_chars: int = 4
-    strip_mentions: bool = True
-    strip_urls: bool = True
-    collapse_whitespace: bool = True
 
 
 # Placeholders that platforms substitute for inline images.
@@ -114,9 +111,8 @@ def _strip_placeholders(text: str) -> str:
     return text
 
 
-def normalize_text(raw: str, cfg: NormalizeConfig | None = None) -> str:
+def normalize_text(raw: str) -> str:
     """Normalize one comment. Total: never raises on valid Unicode."""
-    cfg = cfg or NormalizeConfig()
     text = _fold_fullwidth(raw)
 
     # Iterate removals to a fixpoint; each pass strictly shrinks the text
@@ -124,16 +120,12 @@ def normalize_text(raw: str, cfg: NormalizeConfig | None = None) -> str:
     while True:
         before = text
         text = _strip_placeholders(text)
-        if cfg.strip_urls:
-            text = _URL_RE.sub("", text)
-        if cfg.strip_mentions:
-            text = _strip_mentions(text)
+        text = _URL_RE.sub("", text)
+        text = _strip_mentions(text)
         if text == before:
             break
 
-    if cfg.collapse_whitespace:
-        text = _WS_RE.sub(" ", text)
-    return text.strip()
+    return _WS_RE.sub(" ", text).strip()
 
 
 def is_substantive(text: str, cfg: NormalizeConfig | None = None) -> bool:
@@ -171,7 +163,7 @@ def clean_corpus(
     cfg = cfg or NormalizeConfig()
     substantive = []
     for sample in samples:
-        text = normalize_text(sample.text, cfg)
+        text = normalize_text(sample.text)
         if is_substantive(text, cfg):
             substantive.append(replace(sample, text=text))
     firsts = deduplicate([(i, s.text) for i, s in enumerate(substantive)])

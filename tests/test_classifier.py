@@ -12,7 +12,6 @@ from synthcorpus import labeled_corpus
 from toxikit.classifier import (
     GROUP_ORDER,
     NUM_CATEGORIES,
-    PAD_ID,
     UNK_ID,
     ClassifierError,
     EncodedSample,
@@ -24,6 +23,7 @@ from toxikit.classifier import (
     _batch_loss,
     _eval_loss_acc,
     _forward_batch,
+    _stack,
     class_weights_for,
     eligible_samples,
     encode_corpus,
@@ -100,15 +100,27 @@ def test_encode_pads_and_truncates():
     cfg = TkeConfig(task=Task.TOXIC, pad_len=6)
     vocab = Vocab.build(["文字老黑文"])
     enc = encode_sample(sample(), vocab, tiny_lex(), cfg)
-    assert enc.token_ids.shape == (6,)
-    assert enc.token_ids[-1] == PAD_ID
-    assert list(enc.toxic_ids[:5]) == [0, 0, 2, 2, 0]
+    # the text's 5 tokens and nothing after them
+    assert enc.token_ids.shape == (5,)
+    assert list(enc.token_ids) == vocab.encode("文字老黑文")
+    assert list(enc.toxic_ids) == [0, 0, 2, 2, 0]
     assert enc.label == 1
 
     short_cfg = TkeConfig(task=Task.TOXIC, pad_len=3)
     enc = encode_sample(sample(), vocab, tiny_lex(), short_cfg)
     assert enc.token_ids.shape == (3,)
     assert list(enc.toxic_ids) == [0, 0, 2]
+
+
+def test_encodings_hold_only_the_texts_tokens():
+    lex = load_lexicon(lexicon_path())
+    corpus = labeled_corpus(300, seed=11, lex=lex)
+    cfg = TkeConfig(task=Task.TOXIC, pad_len=24)
+    vocab = Vocab.build(s.text for s in corpus)
+    encoded = encode_corpus(corpus, vocab, lex, cfg)
+    held = sum(e.token_ids.nbytes + e.toxic_ids.nbytes for e in encoded)
+    # two int64 ids per kept character, none for padding
+    assert held == 16 * sum(min(len(s.text), cfg.pad_len) for s in corpus)
 
 
 def test_eligible_samples_gold_cascade():
@@ -194,8 +206,8 @@ def _embed_rows(enc, params, lam):
     vector the forward caches is exactly that token's row.
     """
     cfg = _cfg(d=params.W.shape[1], pad_len=1, lam=lam)
-    tok, tox = enc.token_ids[:, None], enc.toxic_ids[:, None]
-    _, (_, _, _, _, pooled, _, _) = _forward_batch(tok, tox, params, cfg)
+    counts = np.ones(len(enc.token_ids), dtype=np.int64)
+    _, (_, _, _, _, pooled, _, _) = _forward_batch(enc.token_ids, enc.toxic_ids, counts, params, cfg)
     return pooled
 
 
@@ -234,9 +246,10 @@ def test_embed_range_checks():
 def test_predict_rejects_out_of_range_ids():
     params = _fixture_params(vocab_size=4)
     bad = [
-        _enc([9, 0, 0, 0, 0], [0, 0, 0, 0, 0]),  # token id past the vocabulary
-        _enc([-1, 2, 0, 0, 0], [0, 0, 0, 0, 0]),  # negative token id
-        _enc([2, 0, 0, 0, 0], [7, 0, 0, 0, 0]),  # category id past C
+        _enc([9], [0]),  # token id past the vocabulary
+        _enc([-1, 2], [0, 0]),  # negative token id
+        _enc([2], [7]),  # category id past C
+        _enc([0, 2], [0, 0]),  # id 0 is reserved and never encoded
     ]
     for enc in bad:
         with pytest.raises(ClassifierError, match="out of range"):
@@ -247,7 +260,7 @@ def test_predict_rejects_out_of_range_ids():
 
 def _scores(enc, params, cfg):
     """Class scores of one sample through the batch forward."""
-    scores, _ = _forward_batch(enc.token_ids[None], enc.toxic_ids[None], params, cfg)
+    scores, _ = _forward_batch(*_stack([enc]), params, cfg)
     return scores[0]
 
 
@@ -261,22 +274,22 @@ def test_forward_zero_weights_gives_bias():
         V=np.zeros((2, 2)),
         b=np.array([0.3, -0.7]),
     )
-    enc = _enc([2, 3, 0, 0, 0], [0, 0, 0, 0, 0])
+    enc = _enc([2, 3], [0, 0])
     np.testing.assert_array_equal(_scores(enc, params, cfg), [0.3, -0.7])
 
 
 def test_forward_token_permutation_invariant():
     cfg = _cfg()
     params = _fixture_params()
-    a = _scores(_enc([2, 3, 2, 0, 0], [0, 1, 0, 0, 0]), params, cfg)
-    b = _scores(_enc([3, 2, 2, 0, 0], [1, 0, 0, 0, 0]), params, cfg)
+    a = _scores(_enc([2, 3, 2], [0, 1, 0]), params, cfg)
+    b = _scores(_enc([3, 2, 2], [1, 0, 0]), params, cfg)
     np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
 
 
 def test_forward_matches_hand_computation():
     cfg = _cfg(lam=0.5)
     params = _fixture_params()
-    enc = _enc([2, 3, 2, 0, 0], [0, 1, 0, 0, 0])
+    enc = _enc([2, 3, 2], [0, 1, 0])
     scores = _scores(enc, params, cfg)
 
     # the same arithmetic spelled out scalar by scalar
@@ -297,13 +310,13 @@ def test_forward_all_pad_rejected():
     cfg = _cfg()
     params = _fixture_params()
     with pytest.raises(ClassifierError, match="empty sequence"):
-        _scores(_enc([0, 0, 0, 0, 0], [0, 0, 0, 0, 0]), params, cfg)
+        _scores(_enc([], []), params, cfg)
 
 
 def test_prediction_depends_on_c_only_through_c0_when_nontoxic():
     cfg = TkeConfig(task=Task.TOXIC, d=8, h=8, pad_len=6, lam=0.7, seed=3)
     params = init_params(10, cfg)
-    enc = _enc([2, 5, 9, 0, 0, 0], [0, 0, 0, 0, 0, 0])
+    enc = _enc([2, 5, 9], [0, 0, 0])
     before = _scores(enc, params, cfg)
     params.C[1:] += 123.0  # rows for category ids never used by this input
     np.testing.assert_array_equal(_scores(enc, params, cfg), before)
@@ -384,10 +397,8 @@ def test_gradients_match_finite_differences():
         batch = []
         for _ in range(3):
             n = int(rng.integers(1, 6))
-            tok = np.zeros(5, dtype=np.int64)
-            tok[:n] = rng.integers(2, 8, size=n)
-            tox = np.zeros(5, dtype=np.int64)
-            tox[:n] = rng.integers(0, 6, size=n)
+            tok = rng.integers(2, 8, size=n)
+            tox = rng.integers(0, 6, size=n)
             if task is Task.GROUP:
                 label = np.zeros(4)
                 label[rng.integers(4)] = 1.0
@@ -401,14 +412,14 @@ def test_gradients_match_finite_differences():
 def test_grad_check_corrupt_self_test():
     cfg = _cfg(d=4, h=3)
     params = init_params(6, cfg)
-    batch = [_enc([2, 3, 4, 0, 0], [0, 1, 0, 0, 0], 1)]
+    batch = [_enc([2, 3, 4], [0, 1, 0], 1)]
     assert grad_check(params, batch, cfg, corrupt=True) > 1e-1
 
 
 def test_lambda_zero_c_gradient_exactly_zero():
     cfg = _cfg(d=4, h=3, lam=0.0)
     params = init_params(6, cfg)
-    batch = [_enc([2, 3, 0, 0, 0], [1, 2, 0, 0, 0], 1)]
+    batch = [_enc([2, 3], [1, 2], 1)]
     _, grads = loss_and_grads(batch, params, cfg, np.ones(2))
     assert np.all(grads["C"] == 0.0)
 
@@ -416,7 +427,7 @@ def test_lambda_zero_c_gradient_exactly_zero():
 def test_grad_check_batch_cap():
     cfg = _cfg()
     params = init_params(4, cfg)
-    batch = [_enc([2, 0, 0, 0, 0], [0, 0, 0, 0, 0], 0)] * 9
+    batch = [_enc([2], [0], 0)] * 9
     with pytest.raises(ClassifierError):
         grad_check(params, batch, cfg)
 
@@ -429,10 +440,8 @@ def _random_batch(rng, cfg, vocab_size, size):
     batch = []
     for _ in range(size):
         n = int(rng.integers(1, cfg.pad_len + 1))
-        tok = np.zeros(cfg.pad_len, dtype=np.int64)
-        tok[:n] = rng.integers(1, vocab_size, size=n)
-        tox = np.zeros(cfg.pad_len, dtype=np.int64)
-        tox[:n] = rng.integers(0, NUM_CATEGORIES + 1, size=n)
+        tok = rng.integers(1, vocab_size, size=n)
+        tox = rng.integers(0, NUM_CATEGORIES + 1, size=n)
         if cfg.multilabel:
             label = (rng.random(cfg.n_classes) < 0.5).astype(np.float64)
         else:
@@ -459,15 +468,19 @@ def test_bag_forward_backward_match_padded_reference(task, lam, enhancement):
     weights = rng.uniform(0.5, 2.0, size=cfg.n_classes)
     for trial in range(6):
         batch = _random_batch(rng, cfg, vocab_size, size=int(rng.integers(1, 10)))
-        tok = np.stack([s.token_ids for s in batch])
-        tox = np.stack([s.toxic_ids for s in batch])
+        # the reference reads a (B, pad_len) batch padded with id 0
+        tok = np.zeros((len(batch), cfg.pad_len), dtype=np.int64)
+        tox = np.zeros_like(tok)
+        for i, s in enumerate(batch):
+            tok[i, : len(s.token_ids)] = s.token_ids
+            tox[i, : len(s.toxic_ids)] = s.toxic_ids
         labels = np.array([s.label for s in batch])
         mask = None if trial % 2 else (rng.random((len(batch), cfg.d)) >= 0.3) / 0.7
 
         ref_scores, ref_cache = padded_tke_forward(
             tok, tox, P["W"], P["C"], P["U"], P["b_h"], P["V"], P["b"], ref_lam, mask
         )
-        scores, _ = _forward_batch(tok, tox, params, cfg, mask)
+        scores, _ = _forward_batch(*_stack(batch), params, cfg, mask)
         assert _rel_err(scores, ref_scores) <= 1e-12
 
         _, dscores = _batch_loss(ref_scores, labels, weights)
@@ -627,7 +640,7 @@ def test_predict_single_label_argmax():
         V=np.zeros((2, 2)),
         b=np.array([2.0, -1.0]),
     )
-    labels, probs = predict([_enc([2, 0, 0, 0, 0], [0] * 5, 0)], params, cfg)
+    labels, probs = predict([_enc([2], [0], 0)], params, cfg)
     assert labels.tolist() == [0]
     assert probs.shape == (1, 2)
     assert math.isclose(probs[0].sum(), 1.0)
@@ -646,7 +659,7 @@ def test_predict_group_threshold_and_fallback():
             b=np.array(bias),
         )
 
-    enc = [_enc([2, 0, 0], [0, 0, 0], np.array([1.0, 0, 0, 0]))]
+    enc = [_enc([2], [0], np.array([1.0, 0, 0, 0]))]
     # sigmoid: 0.9, 0.6, 0.1, 0.2 ≈ logits 2.2, 0.4, -2.2, -1.4
     labels, _ = predict(enc, with_bias([2.2, 0.4, -2.2, -1.4]), cfg)
     assert labels[0].tolist() == [1.0, 1.0, 0.0, 0.0]
@@ -660,7 +673,7 @@ def test_predict_shape_mismatch_rejected():
     cfg = TkeConfig(task=Task.EXPRESSION, d=2, h=2, pad_len=3, seed=1)
     params = init_params(4, _cfg())  # toxic head: 2 classes, expression needs 3
     with pytest.raises(ClassifierError):
-        predict([_enc([2, 0, 0], [0, 0, 0], 0)], params, cfg)
+        predict([_enc([2], [0], 0)], params, cfg)
 
 
 # ---------------------------------------------------------------- ablation

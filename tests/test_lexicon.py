@@ -89,11 +89,6 @@ def test_token_category_tie_breaks_to_smaller_id():
     assert token_category("女拳师", lex) == [1, 1, 3]
 
 
-def test_token_category_accepts_token_sequence():
-    lex = lex_of(("老黑", Category.RACISM),)
-    assert token_category(["老", "黑"], lex) == [2, 2]
-
-
 def test_token_category_uncovered_is_zero():
     assert token_category("和平文字", lex_of(("骂", Category.GENERAL))) == [0, 0, 0, 0]
 

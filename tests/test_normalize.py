@@ -46,15 +46,6 @@ def test_mention_stops_at_emoji():
     assert normalize_text("@张三👍不错") == "👍不错"
 
 
-def test_flags_independent():
-    cfg = NormalizeConfig(strip_mentions=False)
-    assert "@user" in normalize_text("@user 你好", cfg)
-    cfg = NormalizeConfig(strip_urls=False)
-    assert "http://a.b" in normalize_text("看 http://a.b", cfg)
-    cfg = NormalizeConfig(collapse_whitespace=False)
-    assert "a  b" in normalize_text("a  b", cfg)
-
-
 def test_is_substantive():
     assert not is_substantive("啊啊")
     assert is_substantive("河南人经常偷井盖")
