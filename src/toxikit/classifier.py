@@ -155,24 +155,11 @@ class ModelParams:
         return ModelParams(**{name: arr.copy() for name, arr in self.blocks().items()})
 
 
-def eligible_samples(
-    samples: Sequence[ToxiSample], task: Task, upstream: Sequence[int] | None = None
-) -> list[ToxiSample]:
-    """The subset a task is defined on.
-
-    By default the cascade is gold-filtered (type on gold-toxic samples,
-    group/expression on gold-hate).  Passing ``upstream`` — one 0/1
-    prediction per sample from the preceding cascade stage — switches to
-    predicted-cascade filtering instead.
-    """
-    if upstream is not None and len(upstream) != len(samples):
-        raise ClassifierError(
-            f"upstream predictions ({len(upstream)}) do not align with samples ({len(samples)})"
-        )
+def eligible_samples(samples: Sequence[ToxiSample], task: Task) -> list[ToxiSample]:
+    """The subset a task is defined on: the cascade is gold-filtered (type
+    on gold-toxic samples, group/expression on gold-hate)."""
     if task is Task.TOXIC:
         return list(samples)
-    if upstream is not None:
-        return [s for s, keep in zip(samples, upstream) if keep == 1]
     if task is Task.TYPE:
         return [s for s in samples if s.toxic == 1]
     return [s for s in samples if s.hate == 1]

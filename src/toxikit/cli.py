@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 from dataclasses import asdict, fields, replace
@@ -98,7 +99,7 @@ _CONFIG_FIELDS = {f.name: type(getattr(TkeConfig(), f.name)) for f in fields(Tke
 
 def _parse_config_file(path: str) -> dict:
     values: dict = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -166,14 +167,36 @@ def _seed_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
+def _int_at_least(minimum: int):
+    """argparse type for integers no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= minimum:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer ≥ {minimum}, got {text!r}")
+
+    return parse
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for thresholds: a float that is neither NaN nor infinite."""
     try:
-        if int(text) >= 1:
-            return int(text)
+        if math.isfinite(float(text)):
+            return float(text)
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
+def _read_text(path: str) -> str:
+    """A whole UTF-8 file; a file that does not decode is a data error naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 def _lexicon_from(args) -> Lexicon:
@@ -191,7 +214,7 @@ def cmd_normalize(args) -> int:
     cfg = NormalizeConfig() if args.min_chars is None else NormalizeConfig(min_content_chars=args.min_chars)
     exclude: set[int] = set()
     if args.exclude:
-        for lineno, line in enumerate(Path(args.exclude).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(_read_text(args.exclude).splitlines(), 1):
             if line.strip():
                 exclude.add(_parse_int(line, args.exclude, lineno))
     samples = [s for s in read_corpus(args.infile) if s.id not in exclude]
@@ -262,7 +285,7 @@ def cmd_pseudolabel(args) -> int:
     if args.accept:
         accept = [
             line.strip()
-            for line in Path(args.accept).read_text(encoding="utf-8").splitlines()
+            for line in _read_text(args.accept).splitlines()
             if line.strip() and not line.startswith("#")
         ]
     result = iterate_to_fixpoint(
@@ -466,7 +489,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_kappa(args) -> int:
     rows = []
-    for lineno, line in enumerate(Path(args.infile).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_read_text(args.infile).splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -552,9 +575,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--accept", default=None, help="reviewed terms, one per line")
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None, help="candidates TSV")
-    p.add_argument("--min-freq", type=int, default=3)
-    p.add_argument("--min-score", type=float, default=3.0)
-    p.add_argument("--max-n", type=_positive_int, default=4)
+    p.add_argument("--min-freq", type=_int_at_least(0), default=3)
+    p.add_argument("--min-score", type=_finite_float, default=3.0)
+    p.add_argument("--max-n", type=_int_at_least(1), default=4)
     p.set_defaults(func=cmd_pseudolabel)
 
     p = sub.add_parser("validate", help="check every record against the label hierarchy")

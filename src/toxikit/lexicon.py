@@ -217,6 +217,11 @@ def load_lexicon(path: str | Path) -> Lexicon:
     return Lexicon(entries)
 
 
+def _match_order(match: LexiconMatch) -> tuple[int, int]:
+    """Sort key of ``find_matches``: start ascending, then length descending."""
+    return match.start, match.start - match.end
+
+
 def find_matches(text: str, lex: Lexicon) -> list[LexiconMatch]:
     """All occurrences of all terms, overlaps included.
 
@@ -227,7 +232,7 @@ def find_matches(text: str, lex: Lexicon) -> list[LexiconMatch]:
         LexiconMatch(start=start, end=start + len(lex.entries[idx].term), entry=lex.entries[idx])
         for start, idx in lex._automaton.scan(text)
     ]
-    matches.sort(key=lambda m: (m.start, m.start - m.end))
+    matches.sort(key=_match_order)
     return matches
 
 

@@ -7,24 +7,27 @@ the pseudo-toxic set; a human reviews them into an accept list, and
 accepted term is newly discoverable.  Because the lexicon only ever
 grows, the pseudo-toxic set grows monotonically and the loop terminates.
 
-The fixpoint counts n-gram document frequencies once, in its first
-round, and keeps the toxic and clean tables across rounds: a later round
-recounts only the documents whose matches changed, subtracting the grams
-they gave under their old spans and label and adding those under the new.
-Its final, quiet round's ranking is returned as ``candidates``, the same
-list ``extract_candidates`` computes from scratch on the final labels.
+Gram counts live in NumPy arrays (``_GramTables``): the corpus is
+encoded once as dense character ids, and for each n a sorted table of
+exact int64 gram codes carries the toxic and clean document frequencies.
+The fixpoint labels and counts the whole corpus in its first round only.
+A term admitted later can change only the documents that contain it, so
+a later round scans just those with an automaton over the new terms,
+merges the new matches in, and moves their grams from the counts under
+the old spans and label to those under the new.  Its final, quiet
+round's ranking is returned as ``candidates``, the same list
+``extract_candidates`` computes from scratch on the final labels.
 """
 
 from __future__ import annotations
 
-import re
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .lexicon import Category, InsultEntry, Lexicon, LexiconMatch, RuleTag, Surface, find_matches
+import numpy as np
+
+from .lexicon import Category, InsultEntry, Lexicon, LexiconMatch, RuleTag, Surface, _match_order, find_matches
 from .normalize import normalize_text
 
 
@@ -69,85 +72,133 @@ def pseudo_label(
     return out
 
 
-_WORD = re.compile(r"\S+")
+def _code_points(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
 
 
-# The gram tables key each n-gram by its UTF-32 bytes, four per character.
-# A 1-4 character CJK str object takes 80-96 bytes and these bytes 48-64,
-# and a 12k-comment corpus has over a million distinct grams.
-def _key(term: str) -> bytes:
-    return term.encode("utf-32-le", "surrogatepass")
+class _GramTables:
+    """Toxic and clean document frequencies of a corpus's n-grams, n = 1..max_n.
 
-
-def _term(key: bytes) -> str:
-    return key.decode("utf-32-le", "surrogatepass")
-
-
-def _doc_ngrams(text: str, spans: Sequence[tuple[int, int]], max_n: int) -> set[bytes]:
-    """Keys of the distinct n-grams with ≥1 occurrence not fully inside a match span.
-
-    Whitespace-bearing n-grams are skipped; they straddle what the
-    normalizer already decided are separate fragments.  ``reach[i]`` is
-    the furthest end of any span starting at or before ``i``, so the gram
-    ``text[i:j]`` lies inside a span exactly when ``j <= reach[i]``; each
-    whitespace-free run is then walked once, with no per-gram span test.
+    Characters get dense ids (their index in the sorted ``alphabet``).  An
+    n-gram's code is the dense rank of its (n−1)-character prefix among
+    ``codes[n-2]`` times the alphabet size, plus the id of its last
+    character (a 1-gram's prefix rank is 0).  Codes are exact and stay
+    below corpus length × alphabet size, so they fit int64 for every n.
+    ``codes[n-1]`` lists, sorted, the code of every whitespace-free n-gram
+    of the corpus, masked or not, so that every prefix has a rank and any
+    document of the corpus can later be looked up in the tables;
+    ``toxic[n-1]`` and ``clean[n-1]`` are the int32 counts beside it.
     """
-    reach = [0] * len(text)
-    for s, e in spans:
-        if s < len(text) and e > reach[s]:
-            reach[s] = e
-    if spans:
-        reach = list(accumulate(reach, max))
-    data = _key(text)
-    grams: set[bytes] = set()
-    add = grams.add
-    for word in _WORD.finditer(text):
-        start, end = word.span()
-        for i in range(start, end):
-            # plain comparisons rather than min()/max()/range(): this loop is the hot path
-            stop = i + max_n
-            if stop > end:
-                stop = end
-            j = reach[i] + 1 if reach[i] > i else i + 1
-            head, j, stop = 4 * i, 4 * j, 4 * stop  # character offsets to byte offsets
-            while j <= stop:
-                add(data[head:j])
-                j += 4
-    return grams
+
+    def __init__(self, texts: Sequence[str], rows: Sequence[PseudoLabeledSample], max_n: int):
+        if max_n < 1:
+            raise ValueError(f"max_n must be ≥ 1, got {max_n}")
+        self.max_n = max_n
+        self.alphabet = np.unique(_code_points(" " + "".join(texts)))
+        self.space = np.array([chr(c).isspace() for c in self.alphabet.tolist()])
+        self.codes: list[np.ndarray] = []
+        self.toxic: list[np.ndarray] = []
+        self.clean: list[np.ndarray] = []
+        self.tally(texts, rows, 1)
+
+    def tally(self, texts: Sequence[str], rows: Sequence[PseudoLabeledSample], sign: int) -> None:
+        """Add ``sign`` to the toxic or clean count of each row's grams."""
+        toxic = np.array([row.pseudo_label is PseudoLabel.TOXIC for row in rows], bool)
+        for n, docs, grams in self.grams(texts, rows):
+            is_toxic = toxic[docs]
+            np.add.at(self.toxic[n - 1], grams[is_toxic], sign)
+            np.add.at(self.clean[n - 1], grams[~is_toxic], sign)
+
+    def grams(
+        self, texts: Sequence[str], rows: Sequence[PseudoLabeledSample]
+    ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """Yield (n, document index, gram table index) for each distinct
+        (document, n-gram) pair with ≥1 occurrence not fully inside a match span.
+
+        Whitespace-bearing n-grams are skipped; they straddle what the
+        normalizer already decided are separate fragments.  Documents are
+        laid end to end, each followed by a space, so no gram crosses two.
+        ``reach[i]`` is the furthest end of any match starting at or before
+        ``i``, so the gram at ``i..j`` lies inside a match exactly when
+        ``j <= reach[i]``.  The n-gram tables are built from the first texts
+        given, which are the whole corpus; later texts are looked up.
+        """
+        lengths = np.fromiter((len(t) + 1 for t in texts), np.int64, len(texts))
+        starts = np.cumsum(lengths) - lengths
+        ids = np.searchsorted(self.alphabet, _code_points(" ".join(texts) + " "))
+        space = self.space[ids]
+        doc = np.repeat(np.arange(len(texts)), lengths)
+        reach = np.zeros(len(ids), np.int64)
+        spans = [(start + m.start, start + m.end) for start, row in zip(starts.tolist(), rows) for m in row.matches]
+        if spans:
+            at, end = np.array(spans, np.int64).T
+            np.maximum.at(reach, at, end)
+            reach = np.maximum.accumulate(reach)
+        size = len(self.alphabet)
+        pos = np.flatnonzero(~space)
+        prefix = np.zeros(len(pos), np.int64)
+        for n in range(1, self.max_n + 1):
+            if not len(pos):
+                return
+            rank = self._index(n, prefix * size + ids[pos + n - 1])
+            counted = pos + n > reach[pos]
+            yield (n, *_distinct_pairs(doc[pos[counted]], rank[counted], len(texts)))
+            # an (n+1)-gram is whitespace-free when its n-prefix and its last character are
+            longer = ~space[pos + n]
+            pos, prefix = pos[longer], rank[longer]
+
+    def _index(self, n: int, code: np.ndarray) -> np.ndarray:
+        """Each code's index in the n-gram table; the first codes given build the table."""
+        if len(self.codes) < n:
+            table, index = np.unique(code, return_inverse=True)
+            self.codes.append(table)
+            self.toxic.append(np.zeros(len(table), np.int32))
+            self.clean.append(np.zeros(len(table), np.int32))
+            return index
+        return np.searchsorted(self.codes[n - 1], code)
+
+    def decode(self, n: int, index: np.ndarray) -> list[str]:
+        """The n-grams at ``index`` of the n-gram table, by following prefix ranks down."""
+        size = len(self.alphabet)
+        ids = []
+        for k in range(n, 0, -1):
+            code = self.codes[k - 1][index]
+            ids.append(code % size)
+            index = code // size
+        flat = self.alphabet[np.stack(ids[::-1], axis=1)].tobytes().decode("utf-32-le", "surrogatepass")
+        return [flat[i:i + n] for i in range(0, len(flat), n)]
 
 
-def _row_grams(row: PseudoLabeledSample, text: str, max_n: int) -> set[bytes]:
-    return _doc_ngrams(text, [(m.start, m.end) for m in row.matches], max_n)
+def _distinct_pairs(docs: np.ndarray, grams: np.ndarray, n_docs: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (document, gram) pairs.
+
+    One sort of the keys gram × n_docs + document puts repeats side by
+    side; the keys stay below (distinct grams) × n_docs, within int64.
+    """
+    pairs = np.sort(grams * n_docs + docs)
+    first = np.ones(len(pairs), bool)
+    first[1:] = pairs[1:] != pairs[:-1]
+    pairs = pairs[first]
+    return pairs % n_docs, pairs // n_docs
 
 
-def _count(rows: Iterable[tuple[PseudoLabeledSample, str]], max_n: int) -> dict[PseudoLabel, Counter[bytes]]:
-    """Document frequency of each gram key among the toxic and among the clean rows."""
-    if max_n < 1:
-        raise ValueError(f"max_n must be ≥ 1, got {max_n}")
-    df: dict[PseudoLabel, Counter[bytes]] = {label: Counter() for label in PseudoLabel}
-    for row, text in rows:
-        df[row.pseudo_label].update(_row_grams(row, text, max_n))
-    return df
-
-
-def _rank(
-    df: dict[PseudoLabel, Counter[bytes]], known: Iterable[str], min_freq: int, min_score: float
-) -> list[CandidateTerm]:
+def _rank(tables: _GramTables, known: Iterable[str], min_freq: int, min_score: float) -> list[CandidateTerm]:
     """Candidates from per-label document-frequency tables; see extract_candidates.
 
-    A gram whose toxic count fell to zero (``Counter.subtract`` keeps the
-    key) is no candidate, whatever ``min_freq`` is.
+    A gram whose toxic count is zero — never seen in a toxic document, or
+    fallen to zero as matches grew — is no candidate, whatever ``min_freq`` is.
     """
-    known_keys = {_key(term) for term in known}
-    clean_df = df[PseudoLabel.NON_TOXIC]
+    known = set(known)
     candidates = []
-    for gram, tf in df[PseudoLabel.TOXIC].items():
-        if tf == 0 or tf < min_freq or gram in known_keys:
-            continue
-        cf = clean_df[gram]
+    for n, (tf, cf) in enumerate(zip(tables.toxic, tables.clean), start=1):
         score = (tf + 1) / (cf + 1)
-        if score >= min_score:
-            candidates.append(CandidateTerm(term=_term(gram), toxic_freq=tf, clean_freq=cf, score=score))
+        keep = np.flatnonzero((tf >= max(min_freq, 1)) & (score >= min_score))
+        rows = zip(tables.decode(n, keep), tf[keep].tolist(), cf[keep].tolist(), score[keep].tolist())
+        candidates.extend(
+            CandidateTerm(term=term, toxic_freq=t, clean_freq=c, score=s)
+            for term, t, c, s in rows
+            if term not in known
+        )
     candidates.sort(key=lambda c: (-c.score, -c.toxic_freq, c.term))
     return candidates
 
@@ -168,11 +219,11 @@ def extract_candidates(
     and score ≥ min_score; ties rank by toxic_freq, then term.
     """
     by_id = dict(texts)
-    df = _count(((row, by_id[row.sample_id]) for row in labeled), max_n)
+    tables = _GramTables([by_id[row.sample_id] for row in labeled], labeled, max_n)
     known_terms = {m.entry.term for row in labeled for m in row.matches}
     if lex is not None:
         known_terms.update(e.term for e in lex)
-    return _rank(df, known_terms, min_freq, min_score)
+    return _rank(tables, known_terms, min_freq, min_score)
 
 
 def iterate_to_fixpoint(
@@ -191,17 +242,18 @@ def iterate_to_fixpoint(
     list.  Admitted terms enter as general-category base entries — the
     accept list carries no category metadata.  Stops the first round that
     admits nothing; the round count includes that final quiet round.
-    Only the first round mines every document; later rounds recount the
-    documents whose matches changed.
+    Only the first round matches and mines every document; later rounds
+    relabel and recount the documents that contain a newly admitted term.
     """
     accepted = {normalize_text(t) for t in accept_list}
     accepted.discard("")
     lex = seed_lex
+    texts = [text for _, text in corpus]
     labels = pseudo_label(corpus, lex)
-    df = _count(zip(labels, (text for _, text in corpus)), max_n)
+    tables = _GramTables(texts, labels, max_n)
     added_rounds: list[tuple[str, ...]] = []
     while True:
-        candidates = _rank(df, (e.term for e in lex), min_freq, min_score)
+        candidates = _rank(tables, (e.term for e in lex), min_freq, min_score)
         new_terms = tuple(c.term for c in candidates if c.term in accepted)
         if not new_terms:
             return FixpointResult(
@@ -212,13 +264,22 @@ def iterate_to_fixpoint(
                 candidates=tuple(candidates),
             )
         added_rounds.append(new_terms)
-        lex = lex.extended(
+        entries = [
             InsultEntry(term=t, category=Category.GENERAL, surface=Surface.EXPLICIT, rule_tag=RuleTag.NONE)
             for t in new_terms
-        )
-        relabeled = pseudo_label(corpus, lex)
-        for old, new, (_, text) in zip(labels, relabeled, corpus):
-            if old.matches != new.matches:
-                df[old.pseudo_label].subtract(_row_grams(old, text, max_n))
-                df[new.pseudo_label].update(_row_grams(new, text, max_n))
-        labels = relabeled
+        ]
+        lex = lex.extended(entries)
+        # matches are only ever added, so exactly the documents holding a new term change
+        fresh = Lexicon(entries)
+        changed = [i for i, text in enumerate(texts) if any(t in text for t in new_terms)]
+        before = [labels[i] for i in changed]
+        for i in changed:
+            matches = labels[i].matches + tuple(find_matches(texts[i], fresh))
+            labels[i] = PseudoLabeledSample(
+                sample_id=labels[i].sample_id,
+                pseudo_label=PseudoLabel.TOXIC,
+                matches=tuple(sorted(matches, key=_match_order)),
+            )
+        changed_texts = [texts[i] for i in changed]
+        tables.tally(changed_texts, before, -1)
+        tables.tally(changed_texts, [labels[i] for i in changed], 1)

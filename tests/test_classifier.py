@@ -141,14 +141,6 @@ def test_eligible_samples_gold_cascade():
     assert [s.id for s in eligible_samples(samples, Task.EXPRESSION)] == [2]
 
 
-def test_eligible_samples_predicted_cascade():
-    samples = [sample(0, toxic=0), sample(1, toxic=1), sample(2, toxic=1)]
-    kept = eligible_samples(samples, Task.TYPE, upstream=[1, 0, 1])
-    assert [s.id for s in kept] == [0, 2]
-    with pytest.raises(ClassifierError, match="align"):
-        eligible_samples(samples, Task.TYPE, upstream=[1])
-
-
 def test_task_label_values_and_errors():
     hate = sample(
         0,

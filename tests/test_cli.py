@@ -209,6 +209,29 @@ def test_pseudolabel_max_n_below_one_is_a_usage_error(tmp_path, capsys):
     assert "--max-n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag,value", [("--min-score", "nan"), ("--min-score", "inf"), ("--min-score", "-inf"), ("--min-score", "x"),
+                   ("--min-freq", "-1"), ("--min-freq", "1.5")],
+)
+def test_pseudolabel_bad_thresholds_are_usage_errors(tmp_path, capsys, flag, value):
+    # a NaN --min-score used to admit nothing and exit 0: a silent wrong answer
+    argv = ["pseudolabel", "--in", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path / "labels.jsonl")]
+    assert main(argv + [f"{flag}={value}"]) == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pseudolabel", "normalize"])
+def test_non_utf8_side_file_names_the_file(tmp_path, capsys, corpus_file, command):
+    side = tmp_path / "side.txt"
+    side.write_bytes(b"\xff\xfe1\n")
+    argv = {
+        "pseudolabel": ["pseudolabel", "--in", str(corpus_file), "--accept", str(side)],
+        "normalize": ["normalize", "--in", str(corpus_file), "--exclude", str(side)],
+    }[command]
+    assert main(argv + ["--out", str(tmp_path / "out.jsonl")]) == EXIT_DATA
+    assert str(side) in capsys.readouterr().err
+
+
 def test_validate_reports_each_bad_record(tmp_path, capsys):
     good = '{"id": 1, "platform": "zhihu", "topic": "race", "text": "字", "toxic": 0, "hate": 0, "groups": [], "expression": null}'
     bad1 = '{"id": 2, "platform": "zhihu", "topic": "race", "text": "字", "toxic": 0, "hate": 1, "groups": [], "expression": null}'

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from oracles import naive_candidates, naive_doc_ngrams
 from synthcorpus import labeled_corpus
 from toxikit import pseudolabel
-from toxikit.lexicon import Category, InsultEntry, Lexicon, Surface, load_lexicon
+from toxikit.lexicon import Category, InsultEntry, Lexicon, LexiconMatch, Surface, load_lexicon
 from toxikit.normalize import normalize_text
 from toxikit.pseudolabel import (
     PseudoLabel,
+    PseudoLabeledSample,
     extract_candidates,
     iterate_to_fixpoint,
     pseudo_label,
@@ -233,8 +234,69 @@ def _text_spans_n(draw):
 def test_doc_ngrams_matches_bruteforce(case):
     # spans overlap, nest, touch and may be empty; whitespace splits the grams
     text, spans, max_n = case
-    grams = {pseudolabel._term(key) for key in pseudolabel._doc_ngrams(text, spans, max_n)}
+    entry = InsultEntry(term="x", category=Category.GENERAL, surface=Surface.EXPLICIT)
+    row = PseudoLabeledSample(0, PseudoLabel.TOXIC, tuple(LexiconMatch(s, e, entry) for s, e in spans))
+    grams = {c.term for c in pseudolabel._rank(pseudolabel._GramTables([text], [row], max_n), (), 1, 0.0)}
     assert grams == naive_doc_ngrams(text, spans, max_n)
+
+
+# characters outside the BMP from a block wider than 2^13, so a corpus can
+# outgrow any fixed number of bits per character
+_WIDE = st.characters(min_codepoint=0x20000, max_codepoint=0x2A6DF)
+
+
+@st.composite
+def _mining_case(draw):
+    chars = st.one_of(st.sampled_from(_MINING_ALPHABET), _WIDE)
+    texts = draw(st.lists(st.text(alphabet=chars, max_size=16), max_size=12))
+    pieces = [text[i:j] for text in texts for i in range(len(text)) for j in range(i + 1, min(i + 3, len(text)) + 1)]
+    terms = draw(st.lists(st.sampled_from(pieces), max_size=3, unique=True)) if pieces else []
+    return (
+        list(enumerate(texts)),
+        lex_of(*terms),
+        draw(st.integers(1, 6)),
+        draw(st.integers(0, 3)),
+        draw(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])),
+    )
+
+
+def _naive_extraction(labeled, corpus, lex, min_freq, min_score, max_n):
+    docs = [
+        (row.pseudo_label is PseudoLabel.TOXIC, text, [(m.start, m.end) for m in row.matches])
+        for row, (_, text) in zip(labeled, corpus)
+    ]
+    known = {e.term for e in lex} | {m.entry.term for row in labeled for m in row.matches}
+    return naive_candidates(docs, known, min_freq, min_score, max_n)
+
+
+def _as_rows(candidates):
+    return [(c.term, c.toxic_freq, c.clean_freq, c.score) for c in candidates]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mining_case())
+def test_extract_candidates_matches_bruteforce(case):
+    # empty documents, an empty corpus, non-BMP text, lone surrogates, tab and U+3000
+    corpus, lex, max_n, min_freq, min_score = case
+    labeled = pseudo_label(corpus, lex)
+    found = extract_candidates(labeled, corpus, min_freq, min_score, max_n=max_n, lex=lex)
+    assert _as_rows(found) == _naive_extraction(labeled, corpus, lex, min_freq, min_score, max_n)
+
+
+def test_extract_candidates_over_an_alphabet_wider_than_2_to_the_13():
+    rng = random.Random(5)
+    common = [chr(0x4E00 + i) for i in range(40)]
+    rare = [chr(0x4E00 + i) for i in range(40, 2**13 + 500)]
+    rng.shuffle(rare)
+    # every rare character once, each followed by a common one
+    texts = ["".join(ch + rng.choice(common) for ch in rare[k:k + 24]) for k in range(0, len(rare), 24)]
+    corpus = list(enumerate(texts + ["", ""]))
+    assert len({ch for _, text in corpus for ch in text}) > 2**13
+    lex = lex_of(*common[:3])
+    labeled = pseudo_label(corpus, lex)
+    found = extract_candidates(labeled, corpus, 1, 1.0, max_n=6, lex=lex)
+    assert len(found) > 0
+    assert _as_rows(found) == _naive_extraction(labeled, corpus, lex, 1, 1.0, 6)
 
 
 def swallowed_fixture():
@@ -254,11 +316,7 @@ def _replay_fixpoint(corpus, seed_lex, accept, min_freq, min_score, max_n):
     lex, added, ranked = seed_lex, [], []
     while True:
         labels = pseudo_label(corpus, lex)
-        docs = [
-            (row.pseudo_label is PseudoLabel.TOXIC, text, [(m.start, m.end) for m in row.matches])
-            for row, (_, text) in zip(labels, corpus)
-        ]
-        ranked.append(naive_candidates(docs, {e.term for e in lex}, min_freq, min_score, max_n))
+        ranked.append(_naive_extraction(labels, corpus, lex, min_freq, min_score, max_n))
         new = tuple(term for term, *_ in ranked[-1] if term in accepted)
         if not new:
             return lex, labels, added, ranked
@@ -359,24 +417,53 @@ def _changed_documents(corpus, seed_lex, added_per_round):
     return changed
 
 
+def _record_mined(monkeypatch):
+    """Patch the gram miner to log how many documents each call mines."""
+    mined = []
+    real = pseudolabel._GramTables.grams
+
+    def recording(self, texts, rows):
+        mined.append(len(texts))
+        return real(self, texts, rows)
+
+    monkeypatch.setattr(pseudolabel._GramTables, "grams", recording)
+    return mined
+
+
 @pytest.mark.parametrize("make,min_freq,min_score", [(chained_fixture, 2, 1.5), (_labeled_fixpoint_case, 3, 2.0)])
 def test_fixpoint_mines_each_document_once_plus_twice_per_change(monkeypatch, make, min_freq, min_score):
     corpus, seed_lex, accept = make()
-    calls = []
-    real = pseudolabel._doc_ngrams
-    monkeypatch.setattr(pseudolabel, "_doc_ngrams", lambda *args: calls.append(args) or real(*args))
+    mined = _record_mined(monkeypatch)
     result = iterate_to_fixpoint(corpus, seed_lex, accept, min_freq=min_freq, min_score=min_score)
     changed = _changed_documents(corpus, seed_lex, result.added_per_round)
     assert result.iterations >= 3
     assert 0 < changed
-    assert len(calls) == len(corpus) + 2 * changed
+    assert sum(mined) == len(corpus) + 2 * changed
 
 
 def test_labeled_fixpoint_mines_less_than_once_per_round(monkeypatch):
     corpus, seed_lex, accept = _labeled_fixpoint_case()
-    calls = []
-    real = pseudolabel._doc_ngrams
-    monkeypatch.setattr(pseudolabel, "_doc_ngrams", lambda *args: calls.append(args) or real(*args))
+    mined = _record_mined(monkeypatch)
     result = iterate_to_fixpoint(corpus, seed_lex, accept, min_freq=3, min_score=2.0)
     assert result.iterations == 3
-    assert len(calls) < len(corpus) * result.iterations
+    assert sum(mined) < len(corpus) * result.iterations
+
+
+@pytest.mark.parametrize("make,min_freq,min_score", [(chained_fixture, 2, 1.5), (_labeled_fixpoint_case, 3, 2.0)])
+def test_fixpoint_matches_each_document_against_the_full_lexicon_once(monkeypatch, make, min_freq, min_score):
+    corpus, seed_lex, accept = make()
+    seed_term = seed_lex.entries[0].term
+    full = []
+    real = pseudolabel.find_matches
+
+    def recording(text, lex):
+        if seed_term in lex:
+            full.append(text)
+        return real(text, lex)
+
+    # later rounds scan only the documents holding a new term, with a lexicon of the new terms alone
+    monkeypatch.setattr(pseudolabel, "find_matches", recording)
+    result = iterate_to_fixpoint(corpus, seed_lex, accept, min_freq=min_freq, min_score=min_score)
+    assert result.iterations >= 3
+    assert len(full) == len(corpus)
+    assert list(result.labels) == pseudo_label(corpus, result.lexicon)
