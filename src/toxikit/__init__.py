@@ -58,7 +58,7 @@ from .metrics import (
     fleiss_kappa,
     weighted_prf,
 )
-from .normalize import NormalizeConfig, clean_corpus, deduplicate, is_substantive, normalize_text
+from .normalize import clean_corpus, deduplicate, is_substantive, normalize_text
 from .pseudolabel import (
     CandidateTerm,
     FixpointResult,

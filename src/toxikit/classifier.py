@@ -624,11 +624,11 @@ def save_checkpoint(path: str | Path, params: ModelParams, cfg: TkeConfig, vocab
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, TkeConfig, Vocab]:
     """Read a checkpoint written by save_checkpoint.
 
-    Raises ClassifierError naming ``path`` when a top-level key or a
-    parameter block is missing or extra, a vocab entry is not a
-    (character, id) pair or the ids are not exactly 2..|V|-1, or a block's
-    data disagrees with its shape, or its shape with the config and
-    vocabulary.
+    Raises ClassifierError naming ``path`` when the file is not UTF-8
+    JSON, a top-level key or a parameter block is missing or extra, a
+    vocab entry is not a (character, id) pair or the ids are not exactly
+    2..|V|-1, or a block's data holds a non-number or disagrees with its
+    shape, or its shape with the config and vocabulary.
     """
 
     def bad(message: str) -> ClassifierError:
@@ -636,7 +636,9 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, TkeConfig, Vocab]:
 
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise bad(f"not UTF-8: {exc.reason} at byte {exc.start}") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise bad(f"not a JSON checkpoint: {exc}") from None
     if not isinstance(payload, dict):
         raise bad("not a JSON object")
@@ -682,5 +684,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, TkeConfig, Vocab]:
         data = entry["data"]
         if not isinstance(data, list) or len(data) != math.prod(shape):
             raise bad(f"parameter block {name} data does not fill its shape {shape}")
+        if not set(map(type, data)) <= {float, int}:  # np.array would read None as NaN, "1" as 1.0
+            raise bad(f"parameter block {name} data must be numbers")
         blocks[name] = np.array(data, dtype=np.float64).reshape(shape)
     return ModelParams(**blocks), cfg, vocab

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import resources
 from .classifier import (
-    ClassifierError,
     EncodedSample,
     Task,
     TkeConfig,
@@ -46,23 +45,18 @@ from .corpus import (
     iter_corpus_records,
     parse_sample,
     read_corpus,
+    read_lines,
     split_dataset,
     write_corpus,
 )
-from .lexicon import LexiconError, Lexicon, find_matches, load_lexicon
-from .metrics import (
-    MetricsError,
-    expression_accuracy_breakdown,
-    fleiss_kappa,
-    weighted_prf,
-)
-from .normalize import NormalizeConfig, clean_corpus
+from .lexicon import Lexicon, find_matches, load_lexicon
+from .metrics import expression_accuracy_breakdown, fleiss_kappa, weighted_prf
+from .normalize import clean_corpus
 from .pseudolabel import iterate_to_fixpoint
 from .variants import (
     DerivationRule,
     GlyphTable,
     PinyinTable,
-    VariantError,
     compose_deformation,
     detect_code_mixing,
     expand_deformation,
@@ -77,8 +71,6 @@ EXIT_CHECK = 3
 
 GRAD_TOLERANCE = 1e-4
 CORRUPT_FLOOR = 1e-1
-
-_DATA_ERRORS = (CorpusError, LexiconError, VariantError, MetricsError, ClassifierError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,17 +91,14 @@ _CONFIG_FIELDS = {f.name: type(getattr(TkeConfig(), f.name)) for f in fields(Tke
 
 def _parse_config_file(path: str) -> dict:
     values: dict = {}
-    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise CorpusError(f"{path}:{lineno}: expected key=value")
-        key, _, raw = stripped.partition("=")
+    for where, line in read_lines(path):
+        if "=" not in line:
+            raise CorpusError(f"{where}: expected key=value")
+        key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
         if key not in _CONFIG_FIELDS:
-            raise CorpusError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise CorpusError(f"{where}: unknown config key {key!r}")
         kind = _CONFIG_FIELDS[key]
         try:
             if kind is bool:
@@ -119,7 +108,7 @@ def _parse_config_file(path: str) -> dict:
             else:
                 values[key] = kind(raw)
         except ValueError:
-            raise CorpusError(f"{path}:{lineno}: bad value {raw!r} for {key}") from None
+            raise CorpusError(f"{where}: bad value {raw!r} for {key}") from None
     return values
 
 
@@ -152,11 +141,11 @@ def _assemble_config(args) -> TkeConfig:
     return TkeConfig(**merged)
 
 
-def _parse_int(text: str, path: str, lineno: int) -> int:
+def _parse_int(text: str, where: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise CorpusError(f"{path}:{lineno}: expected an integer, got {text!r}") from None
+        raise CorpusError(f"{where}: expected an integer, got {text!r}") from None
 
 
 def _seed_list(text: str) -> list[int]:
@@ -191,14 +180,6 @@ def _finite_float(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
-def _read_text(path: str) -> str:
-    """A whole UTF-8 file; a file that does not decode is a data error naming it."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
-
-
 def _lexicon_from(args) -> Lexicon:
     path = getattr(args, "lexicon", None) or resources.lexicon_path()
     return load_lexicon(path)
@@ -211,14 +192,9 @@ def _write_json(path: str | Path, payload) -> None:
 # ---------------------------------------------------------------- commands
 
 def cmd_normalize(args) -> int:
-    cfg = NormalizeConfig() if args.min_chars is None else NormalizeConfig(min_content_chars=args.min_chars)
-    exclude: set[int] = set()
-    if args.exclude:
-        for lineno, line in enumerate(_read_text(args.exclude).splitlines(), 1):
-            if line.strip():
-                exclude.add(_parse_int(line, args.exclude, lineno))
+    exclude = {_parse_int(line, where) for where, line in read_lines(args.exclude)} if args.exclude else set()
     samples = [s for s in read_corpus(args.infile) if s.id not in exclude]
-    kept, dropped_brief, dropped_dup = clean_corpus(samples, cfg)
+    kept, dropped_brief, dropped_dup = clean_corpus(samples, args.min_chars)
     write_corpus(args.out, kept)
     print(f"kept={len(kept)} dropped_brief={dropped_brief} dropped_dup={dropped_dup}")
     return EXIT_OK
@@ -281,13 +257,7 @@ def cmd_pseudolabel(args) -> int:
     lex = _lexicon_from(args)
     samples = read_corpus(args.infile)
     pairs = [(s.id, s.text) for s in samples]
-    accept: list[str] = []
-    if args.accept:
-        accept = [
-            line.strip()
-            for line in _read_text(args.accept).splitlines()
-            if line.strip() and not line.startswith("#")
-        ]
+    accept = [line for _, line in read_lines(args.accept)] if args.accept else []
     result = iterate_to_fixpoint(
         pairs, lex, accept, min_freq=args.min_freq, min_score=args.min_score, max_n=args.max_n
     )
@@ -488,12 +458,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_kappa(args) -> int:
-    rows = []
-    for lineno, line in enumerate(_read_text(args.infile).splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append([_parse_int(cell, args.infile, lineno) for cell in stripped.split("\t")])
+    rows = [[_parse_int(cell, where) for cell in line.split("\t")] for where, line in read_lines(args.infile)]
     value = fleiss_kappa(rows)
     print(f"kappa={value:.4f}")
     return EXIT_OK
@@ -552,7 +517,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("normalize", help="clean texts, drop brief and duplicate samples")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-chars", type=int, default=None)
+    p.add_argument("--min-chars", type=int, default=4, help="content characters a kept text needs")
     p.add_argument("--exclude", help="file of sample ids to drop (ad filtering)")
     p.set_defaults(func=cmd_normalize)
 
@@ -639,10 +604,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # every data-error class is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

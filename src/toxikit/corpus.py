@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 SCHEMA_KEY = "toxicn_schema"
 SCHEMA_VERSION = 1
@@ -234,27 +234,54 @@ def sample_to_record(sample: ToxiSample) -> dict:
     }
 
 
+def _decode(raw: bytes, path, lineno: int) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}:{lineno}: not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[str, str]]:
+    """Yield ("path:line", line) for each content line of a UTF-8 text file.
+
+    The one reader of the line-oriented input files.  The file is streamed
+    and split at each newline byte; each line is stripped of surrounding
+    whitespace, and blank lines and lines starting with '#' are skipped.
+    A line that is not UTF-8 raises CorpusError naming its path and line.
+    """
+    with Path(path).open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = _decode(raw, path, lineno).strip()
+            if line and not line.startswith("#"):
+                yield f"{path}:{lineno}", line
+
+
 def iter_corpus_records(path: str | Path):
-    """Yield (record index, raw JSON object) after validating the header line."""
+    """Yield (record index, raw JSON object) after validating the header line.
+
+    Lines are streamed and decoded one at a time, as in ``read_lines``, but
+    only blank lines are skipped: a JSONL line has no comment syntax.
+    """
     path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        first = fh.readline()
+    with path.open("rb") as fh:
+        first = _decode(fh.readline(), path, 1)
         if not first.strip():
             raise CorpusError(f"{path}: empty file, expected schema header")
         try:
             header = json.loads(first)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise CorpusError(f"{path}: line 1: malformed JSON header: {exc}") from None
         if not isinstance(header, dict) or header.get(SCHEMA_KEY) != SCHEMA_VERSION:
             raise CorpusError(
                 f"{path}: line 1 must be the header object {{\"{SCHEMA_KEY}\": {SCHEMA_VERSION}}}"
             )
-        for lineno, line in enumerate(fh, start=2):
+        for lineno, raw in enumerate(fh, start=2):
+            line = _decode(raw, path, lineno)
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise CorpusError(f"{path}: line {lineno}: malformed JSON: {exc}") from None
             yield lineno - 2, record
 

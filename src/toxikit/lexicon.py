@@ -19,6 +19,7 @@ from enum import Enum, IntEnum
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+from .corpus import read_lines
 from .normalize import normalize_text
 
 
@@ -182,38 +183,32 @@ def _parse_enum(enum_cls, raw: str, what: str, where: str):
 def load_lexicon(path: str | Path) -> Lexicon:
     """Load a TSV lexicon: columns term, category, surface, rule_tag.
 
-    '#' lines are comments; there is no header row.  Terms are run
-    through normalize_text so they match against normalized corpus text.
-    Duplicate terms and unknown enum values are load errors carrying the
-    line number.
+    Lines are read by ``read_lines``; there is no header row.  Terms are
+    run through normalize_text so they match against normalized corpus
+    text.  Duplicate terms and unknown enum values are load errors
+    carrying the line number.
     """
-    path = Path(path)
     entries: list[InsultEntry] = []
     seen: set[str] = set()
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            where = f"{path}:{lineno}"
-            stripped = line.strip("\n")
-            if not stripped.strip() or stripped.lstrip().startswith("#"):
-                continue
-            columns = stripped.split("\t")
-            if len(columns) != 4:
-                raise LexiconError(f"{where}: expected 4 tab-separated columns, got {len(columns)}")
-            raw_term, raw_cat, raw_surface, raw_tag = columns
-            term = normalize_text(raw_term)
-            if not term:
-                raise LexiconError(f"{where}: term is empty after normalization")
-            if term in seen:
-                raise LexiconError(f"{where}: duplicate term {term!r}")
-            seen.add(term)
-            entries.append(
-                InsultEntry(
-                    term=term,
-                    category=_parse_category(raw_cat, where),
-                    surface=_parse_enum(Surface, raw_surface, "surface", where),
-                    rule_tag=_parse_enum(RuleTag, raw_tag, "rule_tag", where),
-                )
+    for where, line in read_lines(path):
+        columns = line.split("\t")
+        if len(columns) != 4:
+            raise LexiconError(f"{where}: expected 4 tab-separated columns, got {len(columns)}")
+        raw_term, raw_cat, raw_surface, raw_tag = columns
+        term = normalize_text(raw_term)
+        if not term:
+            raise LexiconError(f"{where}: term is empty after normalization")
+        if term in seen:
+            raise LexiconError(f"{where}: duplicate term {term!r}")
+        seen.add(term)
+        entries.append(
+            InsultEntry(
+                term=term,
+                category=_parse_category(raw_cat, where),
+                surface=_parse_enum(Surface, raw_surface, "surface", where),
+                rule_tag=_parse_enum(RuleTag, raw_tag, "rule_tag", where),
             )
+        )
     return Lexicon(entries)
 
 

@@ -53,6 +53,8 @@ class RatingMatrix:
             raise MetricsError("every item must be rated by the same number of raters")
         if any(cell < 0 for row in self.counts for cell in row):
             raise MetricsError("negative rating count")
+        if self.raters > 2**53:  # counts are scored as float64
+            raise MetricsError("more than 2**53 raters per item")
         if self.raters < 2:
             raise MetricsError("need at least 2 raters per item")
 

@@ -19,17 +19,10 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 from .corpus import ToxiSample
-
-
-@dataclass(frozen=True)
-class NormalizeConfig:
-    """Cleaning knobs; defaults reproduce the full pipeline."""
-
-    min_content_chars: int = 4
 
 
 # Placeholders that platforms substitute for inline images.
@@ -128,14 +121,12 @@ def normalize_text(raw: str) -> str:
     return _WS_RE.sub(" ", text).strip()
 
 
-def is_substantive(text: str, cfg: NormalizeConfig | None = None) -> bool:
-    """True iff the text has enough content characters to carry meaning.
+def is_substantive(text: str, min_chars: int = 4) -> bool:
+    """True iff the text has at least ``min_chars`` content characters.
 
     Content characters are letters (CJK ideographs included) and digits.
     """
-    cfg = cfg or NormalizeConfig()
-    count = sum(1 for ch in text if ch.isalnum())
-    return count >= cfg.min_content_chars
+    return sum(1 for ch in text if ch.isalnum()) >= min_chars
 
 
 def deduplicate(corpus: list[tuple[int, str]]) -> list[int]:
@@ -153,18 +144,18 @@ def deduplicate(corpus: list[tuple[int, str]]) -> list[int]:
 
 
 def clean_corpus(
-    samples: Sequence[ToxiSample], cfg: NormalizeConfig | None = None
+    samples: Sequence[ToxiSample], min_chars: int = 4
 ) -> tuple[list[ToxiSample], int, int]:
     """Normalize every text, then drop brief samples and repeated texts.
 
-    Returns (kept, dropped_brief, dropped_dup).  A repeated text keeps its
-    first sample; kept samples stay in input order.
+    Brief means fewer than ``min_chars`` content characters (see
+    ``is_substantive``).  Returns (kept, dropped_brief, dropped_dup).  A
+    repeated text keeps its first sample; kept samples stay in input order.
     """
-    cfg = cfg or NormalizeConfig()
     substantive = []
     for sample in samples:
         text = normalize_text(sample.text)
-        if is_substantive(text, cfg):
+        if is_substantive(text, min_chars):
             substantive.append(replace(sample, text=text))
     firsts = deduplicate([(i, s.text) for i, s in enumerate(substantive)])
     kept = [substantive[i] for i in firsts]

@@ -15,6 +15,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .corpus import read_lines
+
 
 class VariantError(ValueError):
     """Unusable table row or an unmapped character where one is required."""
@@ -39,6 +41,19 @@ class VariantCandidate:
             raise VariantError(f"variant equals source term {self.variant!r}")
 
 
+def _load_table(path: str | Path, sep: str, what: str) -> dict[str, list[str]]:
+    """Rows ``char<TAB>items`` of a pinyin or glyph table, items split on ``sep``; each char once."""
+    mapping: dict[str, list[str]] = {}
+    for where, line in read_lines(path):
+        columns = line.split("\t")
+        if len(columns) != 2:
+            raise VariantError(f"{where}: expected char<TAB>{what}")
+        if columns[0] in mapping:
+            raise VariantError(f"{where}: duplicate character {columns[0]!r}")
+        mapping[columns[0]] = columns[1].split(sep)
+    return mapping
+
+
 class PinyinTable:
     """character → toneless syllables; first listed is the canonical reading."""
 
@@ -54,17 +69,7 @@ class PinyinTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "PinyinTable":
-        mapping: dict[str, Sequence[str]] = {}
-        with Path(path).open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                columns = stripped.split("\t")
-                if len(columns) != 2:
-                    raise VariantError(f"{path}:{lineno}: expected char<TAB>syllables")
-                mapping[columns[0]] = columns[1].split(",")
-        return cls(mapping)
+        return cls(_load_table(path, ",", "syllables"))
 
     def __contains__(self, ch: str) -> bool:
         return ch in self._map
@@ -91,17 +96,7 @@ class GlyphTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "GlyphTable":
-        mapping: dict[str, Sequence[str]] = {}
-        with Path(path).open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                columns = stripped.split("\t")
-                if len(columns) != 2:
-                    raise VariantError(f"{path}:{lineno}: expected char<TAB>components")
-                mapping[columns[0]] = columns[1].split("+")
-        return cls(mapping)
+        return cls(_load_table(path, "+", "components"))
 
     def __contains__(self, ch: str) -> bool:
         return ch in self._map

@@ -810,6 +810,13 @@ def test_checkpoint_corrupt_shape_rejected(tmp_path, block):
     _rejected(path, blob)
 
 
+@pytest.mark.parametrize("value", [None, "0.5", True, [0.5], {}], ids=["null", "string", "bool", "list", "object"])
+def test_checkpoint_non_number_data_rejected(tmp_path, value):
+    path, blob = _saved_checkpoint(tmp_path)
+    blob["params"]["W"]["data"][0] = value
+    _rejected(path, blob)
+
+
 # ---------------------------------------------------------------- config
 
 def test_config_validation():

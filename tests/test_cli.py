@@ -1,7 +1,10 @@
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from synthcorpus import labeled_corpus, separable_corpus
 from toxikit import cli
@@ -92,6 +95,12 @@ def test_normalize_exclude_list(tmp_path, capsys):
         ["normalize", "--in", str(infile), "--out", str(out), "--exclude", str(exclude)]
     ) == EXIT_DATA
     assert f"{exclude}:3: expected an integer, got 'ad-7'" in capsys.readouterr().err
+
+    exclude.write_text("# ads\n1\n", encoding="utf-8")  # '#' lines are comments
+    assert main(
+        ["normalize", "--in", str(infile), "--out", str(out), "--exclude", str(exclude)]
+    ) == EXIT_OK
+    assert "kept=1" in capsys.readouterr().out
 
 
 def test_normalize_rejects_duplicate_ids(tmp_path, capsys):
@@ -220,16 +229,64 @@ def test_pseudolabel_bad_thresholds_are_usage_errors(tmp_path, capsys, flag, val
     assert flag in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["pseudolabel", "normalize"])
+def _reader_argv(kind: str, path, corpus_file, out) -> list[str]:
+    """argv of the command that reads ``path`` as an input file of the given kind."""
+    path, corpus, folder = str(path), str(corpus_file), str(Path(path).parent)
+    return {
+        "pseudolabel": ["pseudolabel", "--in", corpus, "--accept", path, "--out", out],
+        "normalize": ["normalize", "--in", corpus, "--exclude", path, "--out", out],
+        "match": ["match", "--lexicon", path, "--in", corpus, "--out", out],
+        "derive-pinyin": ["derive", "--term", "南蛮", "--rule", "abbreviation", "--resources", folder],
+        "derive-glyph": ["derive", "--term", "默", "--rule", "deformation", "--resources", folder],
+        "train": ["train", "--config", path, "--task", "toxic", "--in", corpus, "--out", out],
+        "kappa": ["kappa", "--in", path],
+        "validate": ["validate", "--in", path],
+        "stats": ["stats", "--in", path],
+        "eval": ["eval", "--model", path, "--test", corpus],
+    }[kind]
+
+
+_READERS = ["pseudolabel", "normalize", "match", "derive-pinyin", "derive-glyph", "train", "kappa", "validate",
+            "stats", "eval"]
+_READER_FILE = {"derive-pinyin": "pinyin.tsv", "derive-glyph": "glyph.tsv"}
+
+
+@pytest.mark.parametrize("command", _READERS)
 def test_non_utf8_side_file_names_the_file(tmp_path, capsys, corpus_file, command):
-    side = tmp_path / "side.txt"
-    side.write_bytes(b"\xff\xfe1\n")
-    argv = {
-        "pseudolabel": ["pseudolabel", "--in", str(corpus_file), "--accept", str(side)],
-        "normalize": ["normalize", "--in", str(corpus_file), "--exclude", str(side)],
-    }[command]
-    assert main(argv + ["--out", str(tmp_path / "out.jsonl")]) == EXIT_DATA
-    assert str(side) in capsys.readouterr().err
+    side = tmp_path / _READER_FILE.get(command, "side.txt")
+    if command in ("validate", "stats"):  # a bad byte after 40 good records
+        side.write_bytes(corpus_file.read_bytes() + b"\xff\n")
+    else:
+        side.write_bytes(b"\xff\xfe1\n")
+    assert main(_reader_argv(command, side, corpus_file, str(tmp_path / "out.jsonl"))) == EXIT_DATA
+    last_line = len(side.read_bytes().splitlines())  # the bad one
+    where = str(side) if command == "eval" else f"{side}:{last_line}"
+    assert f"error: {where}: not UTF-8" in capsys.readouterr().err
+
+
+# arbitrary bytes, and byte strings spliced from fragments of every input format
+_FRAGMENTS = [b"\n", b"\r\n", b"\t", b" ", b"#", b"=", b",", b"+", b"0", b"1", b"2", b"-1", b"\xff", b"\xe9",
+              "骂南蛮默".encode(), b"general", b"explicit", b"none", b"task", b"toxic", b"d", b'{"toxicn_schema": 1}',
+              b"{", b"}", b"[", b"]", b'"', b":", b"null"]
+_FUZZ_BYTES = st.binary(max_size=200) | st.lists(st.sampled_from(_FRAGMENTS), max_size=40).map(b"".join)
+
+
+@pytest.mark.parametrize("kind", _READERS)
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_FUZZ_BYTES)
+@example(data=b"[" * 100_000)  # JSON nested past the recursion limit
+@example(data=(b"9" * 400 + b"\t0\n") * 2)  # counts too large for a float
+def test_every_reader_exits_0_or_2_on_arbitrary_bytes(tmp_path, corpus_file, kind, data):
+    path = tmp_path / _READER_FILE.get(kind, "input")
+    path.write_bytes(data)
+    if kind == "train":  # the config is parsed only: a fuzzed d, h or epochs must not allocate or train
+        args = cli._build_parser().parse_args(["train", "--in", "x", "--out", "y", "--config", str(path)])
+        try:
+            cli._assemble_config(args)
+        except (ValueError, OSError):  # what main reports with exit 2
+            pass
+        return
+    assert main(_reader_argv(kind, path, corpus_file, str(tmp_path / "out"))) in (EXIT_OK, EXIT_DATA)
 
 
 def test_validate_reports_each_bad_record(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -15,6 +16,7 @@ from toxikit.corpus import (
     corpus_stats,
     parse_sample,
     read_corpus,
+    read_lines,
     sample_to_record,
     split_dataset,
     validate_hierarchy,
@@ -163,6 +165,9 @@ def test_file_roundtrip_and_stability(tmp_path):
     again = tmp_path / "c2.jsonl"
     write_corpus(again, loaded)
     assert path.read_bytes() == again.read_bytes()
+    crlf = tmp_path / "crlf.jsonl"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert read_corpus(crlf) == _tiny_corpus()
 
 
 def test_header_required(tmp_path):
@@ -180,6 +185,40 @@ def test_malformed_line_reports_lineno(tmp_path):
     path.write_text('{"toxicn_schema": 1}\n{not json\n', encoding="utf-8")
     with pytest.raises(CorpusError, match="line 2: malformed JSON"):
         read_corpus(path)
+    record = json.dumps(sample_to_record(make()))
+    path.write_text('{"toxicn_schema": 1}\n' + record + "\r" + record + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match="line 2: malformed JSON: Extra data"):  # a lone CR ends no line
+        read_corpus(path)
+    path.write_text('{"toxicn_schema": 1}\n' + "[" * 100_000 + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match="line 2: malformed JSON: maximum recursion depth"):
+        read_corpus(path)
+    path.write_bytes(b'{"toxicn_schema": 1}\n\n"\xff"\n')
+    with pytest.raises(CorpusError, match=r"c\.jsonl:3: not UTF-8: invalid start byte at byte 1"):
+        read_corpus(path)
+
+
+def test_read_lines_one_rule_for_every_line_oriented_file(tmp_path):
+    path = tmp_path / "side.txt"
+    path.write_bytes(
+        b"# comment\r\n"
+        b"  # indented comment\n"
+        b"\n"
+        b" \t \r\n"
+        b"  a b\t\r\n"  # surrounding whitespace goes, inner whitespace stays
+        + "甲\x0b乙\u2028丙\x1c丁\r戊\n".encode()  # split at newline bytes only
+        + b"last"  # no final newline
+    )
+    assert list(read_lines(path)) == [
+        (f"{path}:5", "a b"),
+        (f"{path}:6", "甲\x0b乙\u2028丙\x1c丁\r戊"),
+        (f"{path}:7", "last"),
+    ]
+    path.write_bytes("一\n二\n".encode() + b"\xe4\xb8\n")  # a character cut short
+    lines = read_lines(path)
+    assert next(lines) == (f"{path}:1", "一")
+    assert next(lines) == (f"{path}:2", "二")
+    with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}:3: not UTF-8: "):
+        next(lines)
 
 
 # ---------------------------------------------------------------- split

@@ -138,6 +138,13 @@ def test_load_parses_columns(tmp_path):
     assert lex.get("小仙女").category is Category.SEXISM
     assert lex.get("小仙女").surface is Surface.IMPLICIT
 
+    # CRLF ends, an indented comment and a line's surrounding whitespace
+    # (here a trailing tab) are all dropped before the tab split
+    path.write_bytes(
+        "  # comment line\r\n老黑\tracism\texplicit\tnone\r\n\r\n 小仙女\t1\timplicit\tirony\t\r\n".encode()
+    )
+    assert load_lexicon(path).entries == lex.entries
+
 
 def test_load_normalizes_terms(tmp_path):
     path = tmp_path / "lex.tsv"

@@ -2,7 +2,6 @@ import random
 import unicodedata
 
 from toxikit.normalize import (
-    NormalizeConfig,
     deduplicate,
     is_emoji,
     is_substantive,
@@ -50,8 +49,8 @@ def test_is_substantive():
     assert not is_substantive("啊啊")
     assert is_substantive("河南人经常偷井盖")
     assert not is_substantive("")
-    assert is_substantive("啊啊", NormalizeConfig(min_content_chars=2))
-    assert not is_substantive("！？。…", NormalizeConfig(min_content_chars=1))
+    assert is_substantive("啊啊", min_chars=2)
+    assert not is_substantive("！？。…", min_chars=1)
 
 
 def test_deduplicate_first_wins():

@@ -162,7 +162,13 @@ def test_tables_load_errors(tmp_path):
     bad.write_text("南\tNAN!\n", encoding="utf-8")
     with pytest.raises(VariantError):
         PinyinTable.load(bad)
+    bad.write_text("南\tnan\n# 南 again\n南\tnam\n", encoding="utf-8")
+    with pytest.raises(VariantError, match=r"p\.tsv:3: duplicate character '南'"):
+        PinyinTable.load(bad)
     badg = tmp_path / "g.tsv"
     badg.write_text("默\t黑犬+口\n", encoding="utf-8")
     with pytest.raises(VariantError):
+        GlyphTable.load(badg)
+    badg.write_text("默\t黑+犬\n默\t黑+口\n", encoding="utf-8")
+    with pytest.raises(VariantError, match=r"g\.tsv:2: duplicate character '默'"):
         GlyphTable.load(badg)
