@@ -14,7 +14,7 @@ are reduced to their unique set U; ``bag[i, j]`` counts occurrences of
 U[j] in sample i and ``catbag[i, c]`` counts tokens of category c, so the
 pooled vector is ``(bag @ W[U] + λ·catbag @ C) / n``.  The backward
 pass is the transpose: ``dW[U] = bagᵀ g`` and ``dC = λ·catbagᵀ g`` with
-``g = dpooled / n``.
+``g = dpooled / n``, and W's gradient is kept as those rows alone.
 
 Setting λ=0, or flipping ``enhancement`` off, skips the category term
 entirely; both builds execute identical floating-point operations and
@@ -24,7 +24,11 @@ parameters and predictions agree bitwise.
 Training: AdamW on weighted cross-entropy (class weights = inverse
 label frequency, normalized to mean 1), deterministic per seed, early
 stopping on an internal validation carve-out with patience 3, inverted
-dropout on the pooled vector during training only.
+dropout on the pooled vector during training only.  AdamW is lazy on W:
+a step updates only the rows of the tokens its batch holds (the small
+dense blocks update in full).  An epoch's training loss and accuracy are
+the size-weighted means over its minibatches, taken with dropout on;
+only the validation carve-out is re-scored after each epoch.
 """
 
 from __future__ import annotations
@@ -339,8 +343,14 @@ def loss_and_grads(
     cfg: TkeConfig,
     class_weights: np.ndarray,
     dropout_mask: np.ndarray | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean weighted CE over the batch plus analytic gradients for every block."""
+) -> tuple[float, dict, np.ndarray]:
+    """Mean weighted CE over the batch, analytic gradients for every block,
+    and the batch's class scores.
+
+    W's gradient is row-sparse: the pair ``(rows, values)`` of the batch's
+    distinct token ids, ascending, and their gradient rows; every other
+    row of it is zero.  The other blocks' gradients are dense arrays.
+    """
     labels = _stack_labels(batch, cfg)
     scores, cache = _forward_batch(*_stack(batch), params, cfg, dropout_mask)
     uniq, bag, catbag, counts, dropped, dmask, hidden = cache
@@ -351,18 +361,24 @@ def loss_and_grads(
     ddropped = dz @ params.U.T
     dpooled = ddropped if dmask is None else ddropped * dmask
     g = dpooled / counts[:, None]
-    dW = np.zeros_like(params.W)
-    dW[uniq] = bag.T @ g
     dC = np.zeros_like(params.C) if catbag is None else cfg.lam * (catbag.T @ g)
     grads = {
-        "W": dW,
+        "W": (uniq, bag.T @ g),
         "C": dC,
         "U": dropped.T @ dz,
         "b_h": dz.sum(axis=0),
         "V": hidden.T @ dscores,
         "b": dscores.sum(axis=0),
     }
-    return loss, grads
+    return loss, grads, scores
+
+
+def _dense_grads(grads: dict, params: ModelParams) -> dict[str, np.ndarray]:
+    """``grads`` with the row-sparse W gradient scattered into a dense array."""
+    rows, values = grads["W"]
+    dW = np.zeros_like(params.W)
+    dW[rows] = values
+    return grads | {"W": dW}
 
 
 def finite_diff_grads(
@@ -416,7 +432,7 @@ def grad_check(
         raise ClassifierError("grad_check batches are capped at 8 samples")
     if class_weights is None:
         class_weights = np.ones(cfg.n_classes)
-    _, analytic = loss_and_grads(batch, params, cfg, class_weights)
+    analytic = _dense_grads(loss_and_grads(batch, params, cfg, class_weights)[1], params)
     numeric = finite_diff_grads(batch, params, cfg, class_weights, step=step)
     if corrupt:
         name = max(analytic, key=lambda n: np.abs(analytic[n]).max())
@@ -435,9 +451,17 @@ def grad_check(
 class _AdamW:
     """AdamW whose moments and parameters update in place.
 
-    Each block gets two scratch buffers up front, so a step allocates
-    nothing; the operations and their order are those of the textbook
-    expression, so the results are bitwise the same.
+    A block's gradient is either a dense array or, as ``loss_and_grads``
+    gives W's, the row-sparse pair ``(rows, values)`` with distinct rows.
+    A row-sparse step is the lazy update (LazyAdam, torch's SparseAdam):
+    only the listed rows of m, v and the block move, the bias correction
+    uses the global step t, and weight decay reaches those rows only.
+
+    Each dense block gets two scratch buffers on its first step, so later
+    steps allocate nothing; a row-sparse step allocates only row-sized
+    arrays.  The operations and their order are those of the textbook
+    expression, so a dense block, or a row listed at every step, gets
+    bitwise the textbook update.
     """
 
     def __init__(self, blocks: dict[str, np.ndarray], lr: float, weight_decay: float):
@@ -447,33 +471,42 @@ class _AdamW:
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in blocks.items()}
         self.v = {k: np.zeros_like(v) for k, v in blocks.items()}
-        self.scratch = {k: (np.empty_like(v), np.empty_like(v)) for k, v in blocks.items()}
+        self.scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def step(self, blocks: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, blocks: dict[str, np.ndarray], grads: dict) -> None:
         self.t += 1
         for name, p in blocks.items():
             g = grads[name]
-            m, v = self.m[name], self.v[name]
-            s1, s2 = self.scratch[name]
-            # m = β1·m + (1-β1)·g ;  v = β2·v + (1-β2)·g·g
-            np.multiply(m, self.beta1, out=m)
-            np.multiply(g, 1 - self.beta1, out=s1)
-            np.add(m, s1, out=m)
-            np.multiply(v, self.beta2, out=v)
-            np.multiply(g, 1 - self.beta2, out=s1)
-            np.multiply(s1, g, out=s1)
-            np.add(v, s1, out=v)
-            # p -= lr·(m̂ / (√v̂ + ε) + wd·p)
-            np.divide(m, 1 - self.beta1 ** self.t, out=s1)
-            np.divide(v, 1 - self.beta2 ** self.t, out=s2)
-            np.sqrt(s2, out=s2)
-            np.add(s2, self.eps, out=s2)
-            np.divide(s1, s2, out=s1)
-            if self.wd != 0.0:
-                np.multiply(p, self.wd, out=s2)
-                np.add(s1, s2, out=s1)
-            np.multiply(s1, self.lr, out=s1)
-            np.subtract(p, s1, out=p)
+            if isinstance(g, tuple):
+                rows, g = g
+                m, v, q = self.m[name][rows], self.v[name][rows], p[rows]
+                self._update(m, v, q, g, np.empty_like(g), np.empty_like(g))
+                self.m[name][rows], self.v[name][rows], p[rows] = m, v, q
+            else:
+                if name not in self.scratch:
+                    self.scratch[name] = (np.empty_like(p), np.empty_like(p))
+                self._update(self.m[name], self.v[name], p, g, *self.scratch[name])
+
+    def _update(self, m, v, p, g, s1, s2) -> None:
+        # m = β1·m + (1-β1)·g ;  v = β2·v + (1-β2)·g·g
+        np.multiply(m, self.beta1, out=m)
+        np.multiply(g, 1 - self.beta1, out=s1)
+        np.add(m, s1, out=m)
+        np.multiply(v, self.beta2, out=v)
+        np.multiply(g, 1 - self.beta2, out=s1)
+        np.multiply(s1, g, out=s1)
+        np.add(v, s1, out=v)
+        # p -= lr·(m̂ / (√v̂ + ε) + wd·p)
+        np.divide(m, 1 - self.beta1 ** self.t, out=s1)
+        np.divide(v, 1 - self.beta2 ** self.t, out=s2)
+        np.sqrt(s2, out=s2)
+        np.add(s2, self.eps, out=s2)
+        np.divide(s1, s2, out=s1)
+        if self.wd != 0.0:
+            np.multiply(p, self.wd, out=s2)
+            np.add(s1, s2, out=s1)
+        np.multiply(s1, self.lr, out=s1)
+        np.subtract(p, s1, out=p)
 
 
 @dataclass(frozen=True)
@@ -507,8 +540,13 @@ def _eval_loss_acc(
     labels = _stack_labels(encoded, cfg)
     scores = _chunked_scores(encoded, params, cfg)
     loss, _ = _batch_loss(scores, labels, class_weights, need_grad=False)
+    return loss, _hits(scores, labels, cfg) / len(labels)
+
+
+def _hits(scores: np.ndarray, labels: np.ndarray, cfg: TkeConfig) -> int:
+    """How many samples get every label right."""
     hits = _predict_from_scores(scores, cfg) == labels
-    return loss, float(hits.reshape(len(labels), -1).all(axis=1).mean())
+    return int(hits.reshape(len(labels), -1).all(axis=1).sum())
 
 
 def train(
@@ -520,6 +558,9 @@ def train(
     the set has ≥ 5 samples) is carved off the end of a seeded shuffle
     and drives early stopping: no improvement for cfg.patience epochs
     stops the run, and the best-validation-loss snapshot is returned.
+    Each epoch's training loss and accuracy are the size-weighted means
+    over its minibatches, scored as they were trained (dropout on, each
+    before its own step).
     """
     if not train_set:
         raise ClassifierError("empty training set")
@@ -534,6 +575,7 @@ def train(
     val_idx = order[len(order) - n_val :]
     fit = [train_set[i] for i in fit_idx]
     val = [train_set[i] for i in val_idx]
+    fit_labels = _stack_labels(fit, cfg)
 
     history: list[EpochStats] = []
     best_loss = np.inf
@@ -542,16 +584,21 @@ def train(
     optimizer = _AdamW(params.blocks(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     for epoch in range(cfg.epochs):
         perm = loop_rng.permutation(len(fit))
+        loss_sum = 0.0
+        hits = 0
         for start in range(0, len(fit), cfg.batch):
-            chunk = [fit[i] for i in perm[start : start + cfg.batch]]
+            picked = perm[start : start + cfg.batch]
+            chunk = [fit[i] for i in picked]
             dropout_mask = None
             if cfg.dropout > 0.0:
                 keep = loop_rng.random((len(chunk), cfg.d)) >= cfg.dropout
                 dropout_mask = keep.astype(np.float64) / (1.0 - cfg.dropout)
-            _, grads = loss_and_grads(chunk, params, cfg, class_weights, dropout_mask)
+            loss, grads, scores = loss_and_grads(chunk, params, cfg, class_weights, dropout_mask)
             optimizer.step(params.blocks(), grads)
+            loss_sum += loss * len(chunk)
+            hits += _hits(scores, fit_labels[picked], cfg)
 
-        train_loss, train_acc = _eval_loss_acc(fit, params, cfg, class_weights)
+        train_loss, train_acc = loss_sum / len(fit), hits / len(fit)
         if val:
             val_loss, val_acc = _eval_loss_acc(val, params, cfg, class_weights)
             history.append(EpochStats(epoch, train_loss, train_acc, val_loss, val_acc))

@@ -42,15 +42,14 @@ from .corpus import (
     SplitSpec,
     ToxiSample,
     corpus_stats,
-    iter_corpus_records,
-    parse_sample,
+    iter_corpus_samples,
     read_corpus,
     read_lines,
     split_dataset,
     write_corpus,
 )
 from .lexicon import Lexicon, find_matches, load_lexicon
-from .metrics import expression_accuracy_breakdown, fleiss_kappa, weighted_prf
+from .metrics import MetricsError, expression_accuracy_breakdown, fleiss_kappa, weighted_prf
 from .normalize import clean_corpus
 from .pseudolabel import iterate_to_fixpoint
 from .variants import (
@@ -294,17 +293,12 @@ def cmd_pseudolabel(args) -> int:
 def cmd_validate(args) -> int:
     good = 0
     bad = 0
-    seen: set[int] = set()
-    for index, record in iter_corpus_records(args.infile):
-        try:
-            sample = parse_sample(record, index=index)
-            if sample.id in seen:
-                raise CorpusError(f"{args.infile}: record {index}: duplicate id {sample.id}")
-            seen.add(sample.id)
-            good += 1
-        except CorpusError as exc:
-            print(str(exc))
+    for item in iter_corpus_samples(args.infile):
+        if isinstance(item, CorpusError):
+            print(str(item))
             bad += 1
+        else:
+            good += 1
     print(f"records={good + bad} invalid={bad}")
     return EXIT_OK if bad == 0 else EXIT_DATA
 
@@ -458,8 +452,14 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_kappa(args) -> int:
-    rows = [[_parse_int(cell, where) for cell in line.split("\t")] for where, line in read_lines(args.infile)]
-    value = fleiss_kappa(rows)
+    wheres, rows = [], []
+    for where, line in read_lines(args.infile):
+        wheres.append(where)
+        rows.append([_parse_int(cell, where) for cell in line.split("\t")])
+    try:
+        value = fleiss_kappa(rows)
+    except MetricsError as exc:
+        raise MetricsError(f"{args.infile if exc.item is None else wheres[exc.item]}: {exc}") from None
     print(f"kappa={value:.4f}")
     return EXIT_OK
 

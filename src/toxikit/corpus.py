@@ -256,13 +256,19 @@ def read_lines(path: str | Path) -> Iterator[tuple[str, str]]:
                 yield f"{path}:{lineno}", line
 
 
-def iter_corpus_records(path: str | Path):
-    """Yield (record index, raw JSON object) after validating the header line.
+def iter_corpus_samples(path: str | Path) -> Iterator[ToxiSample | CorpusError]:
+    """Yield each record of a corpus file as a ToxiSample, or as the
+    CorpusError that rejects it.
 
-    Lines are streamed and decoded one at a time, as in ``read_lines``, but
-    only blank lines are skipped: a JSONL line has no comment syntax.
+    The header on line 1 is checked first.  Lines are streamed and decoded
+    one at a time, as in ``read_lines``, but only blank lines are skipped:
+    a JSONL line has no comment syntax.  A record that breaks the schema
+    or the hierarchy is rejected with its path and line; a repeated sample
+    id is rejected with its path and record index.  A missing header, a
+    line that is not UTF-8 or not JSON raises instead, ending the file.
     """
     path = Path(path)
+    seen: set[int] = set()
     with path.open("rb") as fh:
         first = _decode(fh.readline(), path, 1)
         if not first.strip():
@@ -283,22 +289,30 @@ def iter_corpus_records(path: str | Path):
                 record = json.loads(line)
             except (json.JSONDecodeError, RecursionError) as exc:
                 raise CorpusError(f"{path}: line {lineno}: malformed JSON: {exc}") from None
-            yield lineno - 2, record
+            index = lineno - 2
+            try:
+                sample = parse_sample(record, index=index)
+            except CorpusError as exc:
+                yield CorpusError(f"{path}:{lineno}: {exc}")
+                continue
+            if sample.id in seen:
+                yield CorpusError(f"{path}: record {index}: duplicate id {sample.id}")
+                continue
+            seen.add(sample.id)
+            yield sample
 
 
 def read_corpus(path: str | Path) -> list[ToxiSample]:
     """Read a corpus file, checking the schema header on line 1.
 
-    Sample ids must be unique within the file.
+    Sample ids must be unique within the file.  The first rejected record
+    raises its CorpusError (see ``iter_corpus_samples``).
     """
     samples = []
-    seen: set[int] = set()
-    for index, record in iter_corpus_records(path):
-        sample = parse_sample(record, index=index)
-        if sample.id in seen:
-            raise CorpusError(f"{path}: record {index}: duplicate id {sample.id}")
-        seen.add(sample.id)
-        samples.append(sample)
+    for item in iter_corpus_samples(path):
+        if isinstance(item, CorpusError):
+            raise item
+        samples.append(item)
     return samples
 
 

@@ -14,7 +14,15 @@ from .corpus import Expression, ToxiSample
 
 
 class MetricsError(ValueError):
-    """Empty input, shape mismatch, or a degenerate rating matrix."""
+    """Empty input, shape mismatch, or a degenerate rating matrix.
+
+    ``item`` is the index of the rating-matrix row at fault when the error
+    is about one row, else None.
+    """
+
+    def __init__(self, message: str, item: int | None = None):
+        super().__init__(message)
+        self.item = item
 
 
 @dataclass(frozen=True)
@@ -45,17 +53,19 @@ class RatingMatrix:
     def __post_init__(self):
         if not self.counts:
             raise MetricsError("empty rating matrix")
-        widths = {len(row) for row in self.counts}
-        if len(widths) != 1 or widths == {0} or len(self.counts[0]) < 2:
+        width, raters = len(self.counts[0]), self.raters
+        for item, row in enumerate(self.counts):
+            if len(row) != width:
+                raise MetricsError("rating matrix rows must share a width of ≥ 2 categories", item)
+            if sum(row) != raters:
+                raise MetricsError("every item must be rated by the same number of raters", item)
+            if any(cell < 0 for cell in row):
+                raise MetricsError("negative rating count", item)
+        if width < 2:
             raise MetricsError("rating matrix rows must share a width of ≥ 2 categories")
-        sums = {sum(row) for row in self.counts}
-        if len(sums) != 1:
-            raise MetricsError("every item must be rated by the same number of raters")
-        if any(cell < 0 for row in self.counts for cell in row):
-            raise MetricsError("negative rating count")
-        if self.raters > 2**53:  # counts are scored as float64
+        if raters > 2**53:  # counts are scored as float64
             raise MetricsError("more than 2**53 raters per item")
-        if self.raters < 2:
+        if raters < 2:
             raise MetricsError("need at least 2 raters per item")
 
     @property

@@ -21,6 +21,7 @@ from toxikit.classifier import (
     Vocab,
     _AdamW,
     _batch_loss,
+    _dense_grads,
     _eval_loss_acc,
     _forward_batch,
     _stack,
@@ -412,7 +413,7 @@ def test_lambda_zero_c_gradient_exactly_zero():
     cfg = _cfg(d=4, h=3, lam=0.0)
     params = init_params(6, cfg)
     batch = [_enc([2, 3], [1, 2], 1)]
-    _, grads = loss_and_grads(batch, params, cfg, np.ones(2))
+    _, grads, _ = loss_and_grads(batch, params, cfg, np.ones(2))
     assert np.all(grads["C"] == 0.0)
 
 
@@ -479,7 +480,7 @@ def test_bag_forward_backward_match_padded_reference(task, lam, enhancement):
         ref_grads = padded_tke_backward(
             tok, tox, P["W"], P["C"], P["U"], P["V"], ref_lam, ref_cache, dscores, mask
         )
-        _, grads = loss_and_grads(batch, params, cfg, weights, mask)
+        grads = _dense_grads(loss_and_grads(batch, params, cfg, weights, mask)[1], params)
         assert list(grads) == list(ref_grads)
         for name, ref in ref_grads.items():
             assert _rel_err(grads[name], ref) <= 1e-12, name
@@ -521,7 +522,9 @@ def test_predict_memory_grows_with_batch_not_set_size():
     assert peak < padded_bytes / 8, f"peak {peak} bytes"
 
 
-def test_adamw_in_place_matches_textbook_expression():
+def _check_adamw_against_textbook(sparse_w: bool):
+    """20 AdamW steps against the textbook expression, bitwise; with
+    ``sparse_w`` W's gradient comes row-sparse, listing every row."""
     rng = np.random.default_rng(31)
     lr = 1e-2
     for wd in (0.0, 0.01):
@@ -532,7 +535,7 @@ def test_adamw_in_place_matches_textbook_expression():
         optimizer = _AdamW(params, lr=lr, weight_decay=wd)
         for t in range(1, 21):
             grads = {k: rng.normal(size=p.shape) * (rng.random(p.shape) < 0.5) for k, p in params.items()}
-            optimizer.step(params, grads)
+            optimizer.step(params, grads | {"W": (np.arange(6), grads["W"])} if sparse_w else grads)
             for k, g in grads.items():
                 m[k] = 0.9 * m[k] + (1 - 0.9) * g
                 v[k] = 0.999 * v[k] + (1 - 0.999) * g * g
@@ -543,10 +546,63 @@ def test_adamw_in_place_matches_textbook_expression():
             np.testing.assert_array_equal(params[k], ref[k])
 
 
+def test_adamw_in_place_matches_textbook_expression():
+    _check_adamw_against_textbook(sparse_w=False)
+
+
+def test_adamw_lazy_step_on_every_row_matches_textbook_expression():
+    _check_adamw_against_textbook(sparse_w=True)
+
+
+def test_adamw_lazy_step_leaves_untouched_rows_alone():
+    rng = np.random.default_rng(37)
+    params = {"W": rng.normal(size=(8, 3))}
+    init = params["W"].copy()
+    optimizer = _AdamW(params, lr=1e-2, weight_decay=0.01)
+    for _ in range(10):
+        rows = np.flatnonzero(rng.random(7) < 0.5)  # row 7 is never listed
+        before = [a.copy() for a in (params["W"], optimizer.m["W"], optimizer.v["W"])]
+        optimizer.step(params, {"W": (rows, rng.normal(size=(len(rows), 3)))})
+        still = np.setdiff1d(np.arange(8), rows)
+        for old, new in zip(before, (params["W"], optimizer.m["W"], optimizer.v["W"])):
+            np.testing.assert_array_equal(new[still], old[still])
+    np.testing.assert_array_equal(params["W"][7], init[7])
+    assert not optimizer.m["W"][7].any() and not optimizer.v["W"][7].any()
+
+
 # ---------------------------------------------------------------- training
 
 def _train_corpus(lex, n=40, seed=0):
     return labeled_corpus(n, seed, lex)
+
+
+def test_train_loss_is_size_weighted_minibatch_mean(monkeypatch):
+    import toxikit.classifier as classifier
+
+    lex = load_lexicon(lexicon_path())
+    corpus = _train_corpus(lex, n=45)
+    cfg = TkeConfig(task=Task.TOXIC, d=8, h=8, pad_len=12, epochs=3, batch=8, seed=4)
+    vocab = Vocab.build(s.text for s in corpus)
+    enc = encode_corpus(corpus, vocab, lex, cfg)
+    calls = []
+
+    def recording(batch, *args, **kwargs):
+        result = loss_and_grads(batch, *args, **kwargs)
+        calls.append((result[0], len(batch)))
+        return result
+
+    monkeypatch.setattr(classifier, "loss_and_grads", recording)
+    _, history = train(enc, cfg, vocab_size=len(vocab))
+    n_fit = len(enc) - max(1, int(len(enc) * cfg.val_fraction))
+    per_epoch = math.ceil(n_fit / cfg.batch)  # the last minibatch is short
+    assert len(history) == cfg.epochs and len(calls) == cfg.epochs * per_epoch
+    for stats in history:
+        epoch = calls[stats.epoch * per_epoch : (stats.epoch + 1) * per_epoch]
+        assert sum(n for _, n in epoch) == n_fit
+        loss_sum = 0.0
+        for loss, n in epoch:
+            loss_sum += loss * n
+        assert stats.train_loss == loss_sum / n_fit
 
 
 def test_train_deterministic_per_seed():

@@ -301,6 +301,16 @@ def test_validate_reports_each_bad_record(tmp_path, capsys):
     assert "records=3 invalid=2" in out
 
 
+def test_bad_record_names_file_and_line(tmp_path, capsys):
+    path = tmp_path / "arr.jsonl"
+    path.write_text('{"toxicn_schema": 1}\n\n[1]\n', encoding="utf-8")
+    expected = f"{path}:3: record 1: expected a JSON object, got list"
+    assert main(["stats", "--in", str(path)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert main(["validate", "--in", str(path)]) == EXIT_DATA
+    assert capsys.readouterr().out == f"{expected}\nrecords=1 invalid=1\n"
+
+
 def test_validate_clean_corpus_exits_0(corpus_file, capsys):
     assert main(["validate", "--in", str(corpus_file)]) == EXIT_OK
     assert "invalid=0" in capsys.readouterr().out
@@ -346,6 +356,17 @@ def test_kappa_cli(tmp_path, capsys):
     ratings.write_text("# items x categories\n3\t0\n0\tthree\n", encoding="utf-8")
     assert main(["kappa", "--in", str(ratings)]) == EXIT_DATA
     assert f"{ratings}:3: expected an integer, got 'three'" in capsys.readouterr().err
+    # an error about one row names its line; one about the whole matrix names the file
+    for text, where, message in [
+        ("3\t0\n1\t1\n", ":2", "every item must be rated by the same number of raters"),
+        ("# items x categories\n\n2\t0\n2\t0\t0\n", ":4", "rating matrix rows must share a width"),
+        ("2\t0\n3\t-1\n", ":2", "negative rating count"),
+        ("1\t0\n0\t1\n", "", "need at least 2 raters per item"),
+        ("# nothing rated\n", "", "empty rating matrix"),
+    ]:
+        ratings.write_text(text, encoding="utf-8")
+        assert main(["kappa", "--in", str(ratings)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {ratings}{where}: {message}")
 
 
 def test_gradcheck_cli(capsys):
