@@ -92,16 +92,16 @@ class TkeConfig:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ClassifierError(f"lambda must be in [0, 1], got {self.lam}")
-        if min(self.d, self.h, self.pad_len, self.batch) < 1 or self.epochs < 0:
-            raise ClassifierError("dimensions, batch, and pad_len must be positive")
+        if min(self.d, self.h, self.pad_len, self.epochs, self.batch) < 1:
+            raise ClassifierError("d, h, pad_len, epochs and batch must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ClassifierError(f"dropout must be in [0, 1), got {self.dropout}")
         if not 0.0 <= self.val_fraction < 0.5:
             raise ClassifierError(f"val_fraction must be in [0, 0.5), got {self.val_fraction}")
         if self.patience < 1:
             raise ClassifierError(f"patience must be ≥ 1, got {self.patience}")
-        if self.lr < 0.0 or self.weight_decay < 0.0:
-            raise ClassifierError("lr and weight_decay must be non-negative")
+        if not all(0.0 <= x < math.inf for x in (self.lr, self.weight_decay)):  # NaN fails both
+            raise ClassifierError(f"lr and weight_decay must be finite and ≥ 0, got {self.lr} and {self.weight_decay}")
 
     @property
     def n_classes(self) -> int:
@@ -674,8 +674,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, TkeConfig, Vocab]:
     Raises ClassifierError naming ``path`` when the file is not UTF-8
     JSON, a top-level key or a parameter block is missing or extra, a
     vocab entry is not a (character, id) pair or the ids are not exactly
-    2..|V|-1, or a block's data holds a non-number or disagrees with its
-    shape, or its shape with the config and vocabulary.
+    2..|V|-1, or a block's data holds a non-number, NaN or infinity or
+    disagrees with its shape, or its shape with the config and vocabulary.
     """
 
     def bad(message: str) -> ClassifierError:
@@ -734,4 +734,6 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, TkeConfig, Vocab]:
         if not set(map(type, data)) <= {float, int}:  # np.array would read None as NaN, "1" as 1.0
             raise bad(f"parameter block {name} data must be numbers")
         blocks[name] = np.array(data, dtype=np.float64).reshape(shape)
+        if not np.isfinite(blocks[name]).all():
+            raise bad(f"parameter block {name} data must be finite")
     return ModelParams(**blocks), cfg, vocab

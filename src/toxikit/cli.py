@@ -570,7 +570,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--configs", type=int, default=3)
+    p.add_argument("--configs", type=_int_at_least(1), default=3)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -5,19 +5,22 @@ targeted-group categories plus general swearwords), a surface class
 (explicit or implicit), and a tag naming the derivation rule that
 produced the term (or ``none`` for base forms).
 
-Matching is character-level Aho-Corasick, so a text is scanned once
-regardless of lexicon size, and overlapping/nested occurrences are all
-reported.  ``token_category`` projects matches down to one category id
-per character — the per-token toxic signal consumed by the classifier.
+Matching indexes the terms by their first character.  At each position
+of the text, the matcher looks up that character's distinct term
+lengths and tries one slice per length as a dict lookup, so the cost per
+position is the number of distinct term lengths that share its first
+character; it does not depend on lexicon size.  Overlapping and nested
+occurrences are all reported.  ``token_category`` projects matches down
+to one category id per character — the per-token toxic signal consumed
+by the classifier.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .corpus import read_lines
 from .normalize import normalize_text
@@ -75,77 +78,24 @@ class LexiconMatch:
     entry: InsultEntry
 
 
-class _AhoCorasick:
-    """Multi-pattern matcher: one pass over the text finds all occurrences.
-
-    Construction has three phases:
-
-    1. Trie: patterns share prefixes; each trie node is a state, edges
-       are ``_goto[state][char]``.
-    2. Failure links (BFS order): ``_fail[s]`` is the state for the
-       longest proper suffix of s's string that is also a trie prefix.
-       Processing states level by level guarantees the link target is
-       already final when a deeper state needs it.
-    3. Output merging: a state emits its own patterns plus everything
-       its failure target emits, so nested matches (e.g. 黑 inside 老黑)
-       surface without extra link-chasing at scan time.
-
-    Scanning feeds one character at a time, following failure links on
-    mismatch; total work is O(text + matches).
-    """
-
-    def __init__(self, patterns: Sequence[str]):
-        self._patterns = list(patterns)
-        self._goto: list[dict[str, int]] = [{}]
-        self._out: list[list[int]] = [[]]
-        for idx, pattern in enumerate(self._patterns):
-            state = 0
-            for ch in pattern:
-                nxt = self._goto[state].get(ch)
-                if nxt is None:
-                    nxt = len(self._goto)
-                    self._goto[state][ch] = nxt
-                    self._goto.append({})
-                    self._out.append([])
-                state = nxt
-            self._out[state].append(idx)
-
-        self._fail = [0] * len(self._goto)
-        queue = deque(self._goto[0].values())
-        while queue:
-            state = queue.popleft()
-            for ch, nxt in self._goto[state].items():
-                queue.append(nxt)
-                f = self._fail[state]
-                while f and ch not in self._goto[f]:
-                    f = self._fail[f]
-                target = self._goto[f].get(ch, 0)
-                self._fail[nxt] = target if target != nxt else 0
-                self._out[nxt] = self._out[nxt] + self._out[self._fail[nxt]]
-
-    def scan(self, text: str) -> Iterator[tuple[int, int]]:
-        """Yield (start offset, pattern index) for every occurrence."""
-        state = 0
-        for pos, ch in enumerate(text):
-            while state and ch not in self._goto[state]:
-                state = self._fail[state]
-            state = self._goto[state].get(ch, 0)
-            for idx in self._out[state]:
-                yield pos + 1 - len(self._patterns[idx]), idx
-
-
 class Lexicon:
-    """Immutable term collection plus its search automaton."""
+    """Immutable term collection, indexed for matching by first character.
+
+    ``_lengths`` maps each character that starts a term to the distinct
+    lengths of the terms it starts, longest first.
+    """
 
     def __init__(self, entries: Iterable[InsultEntry]):
         self.entries: tuple[InsultEntry, ...] = tuple(entries)
         seen: dict[str, InsultEntry] = {}
+        lengths: dict[str, set[int]] = {}
         for entry in self.entries:
             if entry.term in seen:
                 raise LexiconError(f"duplicate term {entry.term!r}")
             seen[entry.term] = entry
+            lengths.setdefault(entry.term[0], set()).add(len(entry.term))
         self._by_term = seen
-        self._automaton = _AhoCorasick([e.term for e in self.entries])
+        self._lengths = {ch: sorted(ns, reverse=True) for ch, ns in lengths.items()}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -213,22 +163,26 @@ def load_lexicon(path: str | Path) -> Lexicon:
 
 
 def _match_order(match: LexiconMatch) -> tuple[int, int]:
-    """Sort key of ``find_matches``: start ascending, then length descending."""
+    """The order of ``find_matches``: start ascending, then length descending."""
     return match.start, match.start - match.end
 
 
 def find_matches(text: str, lex: Lexicon) -> list[LexiconMatch]:
     """All occurrences of all terms, overlaps included.
 
-    Sorted by (start ascending, length descending); that order is total
-    because two matches with equal span would be the same term.
+    Ordered by (start ascending, length descending), since positions are
+    scanned left to right and lengths tried longest first; that order is
+    total because two matches with equal span would be the same term.
+    The bound check keeps a slice cut short by the end of the text from
+    passing for a shorter term.
     """
-    matches = [
-        LexiconMatch(start=start, end=start + len(lex.entries[idx].term), entry=lex.entries[idx])
-        for start, idx in lex._automaton.scan(text)
+    by_term, lengths, size = lex._by_term, lex._lengths, len(text)
+    return [
+        LexiconMatch(start=start, end=start + n, entry=entry)
+        for start, ch in enumerate(text)
+        for n in lengths.get(ch, ())
+        if start + n <= size and (entry := by_term.get(text[start : start + n])) is not None
     ]
-    matches.sort(key=_match_order)
-    return matches
 
 
 def token_category(text: str, lex: Lexicon) -> list[int]:

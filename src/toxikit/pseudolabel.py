@@ -12,7 +12,7 @@ encoded once as dense character ids, and for each n a sorted table of
 exact int64 gram codes carries the toxic and clean document frequencies.
 The fixpoint labels and counts the whole corpus in its first round only.
 A term admitted later can change only the documents that contain it, so
-a later round scans just those with an automaton over the new terms,
+a later round scans just those with a lexicon of the new terms,
 merges the new matches in, and moves their grams from the counts under
 the old spans and label to those under the new.  Its final, quiet
 round's ranking is returned as ``candidates``, the same list

@@ -95,7 +95,7 @@ def test_criterion_1_lambda_zero_bitwise():
 
 
 def test_criterion_2_matching_oracle():
-    """Automaton matcher agrees exactly with a naive scan: 1,000 random
+    """The matcher agrees exactly with a naive scan: 1,000 random
     texts against 50 patterns, full (start, end, term) set equality."""
     start = time.perf_counter()
     rng = random.Random(20)

@@ -866,7 +866,11 @@ def test_checkpoint_corrupt_shape_rejected(tmp_path, block):
     _rejected(path, blob)
 
 
-@pytest.mark.parametrize("value", [None, "0.5", True, [0.5], {}], ids=["null", "string", "bool", "list", "object"])
+@pytest.mark.parametrize(
+    "value",
+    [None, "0.5", True, [0.5], {}, math.nan, math.inf, -math.inf],  # json writes NaN / Infinity and reads them back
+    ids=["null", "string", "bool", "list", "object", "nan", "inf", "-inf"],
+)
 def test_checkpoint_non_number_data_rejected(tmp_path, value):
     path, blob = _saved_checkpoint(tmp_path)
     blob["params"]["W"]["data"][0] = value
@@ -884,6 +888,11 @@ def test_config_validation():
         TkeConfig(task=Task.TOXIC, dropout=1.0)
     with pytest.raises(ClassifierError):
         TkeConfig(task=Task.TOXIC, val_fraction=0.9)
+    with pytest.raises(ClassifierError, match="epochs"):
+        TkeConfig(task=Task.TOXIC, epochs=0)
+    for bad in ({"lr": math.nan}, {"lr": math.inf}, {"lr": -1e-3}, {"weight_decay": math.nan}, {"weight_decay": math.inf}):
+        with pytest.raises(ClassifierError, match="lr and weight_decay must be finite"):
+            TkeConfig(task=Task.TOXIC, **bad)
     cfg = TkeConfig(task=Task.GROUP)
     assert cfg.multilabel and cfg.n_classes == 4
     assert not TkeConfig(task=Task.EXPRESSION).multilabel

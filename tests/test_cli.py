@@ -375,6 +375,14 @@ def test_gradcheck_cli(capsys):
     assert "max_rel_error=" in out and "corrupted_self_test=" in out
 
 
+@pytest.mark.parametrize("configs", ["0", "-3"])
+def test_gradcheck_needs_at_least_one_config(capsys, configs):
+    assert main(["gradcheck", "--configs", configs]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"expected an integer ≥ 1, got '{configs}'" in captured.err
+
+
 # ---------------------------------------------------------------- train / eval
 
 def test_train_then_eval(tmp_path, capsys):
@@ -412,12 +420,18 @@ def test_eval_rejects_malformed_checkpoint(tmp_path, capsys):
     argv = ["train", "--task", "toxic", "--in", str(train_file), "--out", str(model), "--d", "4", "--h", "4",
             "--pad-len", "8", "--epochs", "1"]
     assert main(argv) == EXIT_OK
-    blob = json.loads(model.read_text(encoding="utf-8"))
+    saved = model.read_text(encoding="utf-8")
+    blob = json.loads(saved)
     del blob["params"]["V"]
     model.write_text(json.dumps(blob), encoding="utf-8")
     capsys.readouterr()
     assert main(["eval", "--model", str(model), "--test", str(train_file)]) == EXIT_DATA
     assert f"error: {model}: parameter blocks must be exactly W C U b_h V b" in capsys.readouterr().err
+    blob = json.loads(saved)
+    blob["params"]["V"]["data"][0] = float("nan")
+    model.write_text(json.dumps(blob), encoding="utf-8")
+    assert main(["eval", "--model", str(model), "--test", str(train_file)]) == EXIT_DATA
+    assert f"error: {model}: parameter block V data must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("corrupt", ["repeated id", "id past the table"])
@@ -489,6 +503,29 @@ def test_config_file_keys_are_the_tke_config_fields(tmp_path, capsys):
     cfgfile.write_text("n_classes=4\n", encoding="utf-8")  # a TkeConfig property, not a field
     assert main(["train", "--config", str(cfgfile), "--task", "group", "--in", "x", "--out", "y"]) == EXIT_DATA
     assert "unknown config key 'n_classes'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--epochs", "0"], "epochs and batch must be positive"),
+        (["--lr", "nan"], "lr and weight_decay must be finite and ≥ 0"),
+        (["--weight-decay", "inf"], "lr and weight_decay must be finite and ≥ 0"),
+    ],
+    ids=["zero-epochs", "nan-lr", "inf-weight-decay"],
+)
+def test_train_rejects_zero_epochs_and_non_finite_steps(tmp_path, capsys, flags, message):
+    corpus_path = tmp_path / "c.jsonl"
+    write_corpus(corpus_path, separable_corpus(5, seed=1))
+    model = tmp_path / "m.json"
+    argv = ["train", "--task", "toxic", "--in", str(corpus_path), "--out", str(model), "--d", "4", "--h", "4"]
+    assert main(argv + flags) == EXIT_DATA
+    assert message in capsys.readouterr().err
+    assert not model.exists()
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{flags[0].removeprefix('--').replace('-', '_')}={flags[1]}\n", encoding="utf-8")
+    assert main(argv + ["--config", str(cfgfile)]) == EXIT_DATA
+    assert message in capsys.readouterr().err
 
 
 def test_train_requires_task(tmp_path, capsys):

@@ -72,8 +72,15 @@ def test_matcher_equals_naive_scan_on_fuzz():
     lex = Lexicon(entry(p) for p in patterns)
     for _ in range(300):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 60)))
-        got = {(m.start, m.end, m.entry.term) for m in find_matches(text, lex)}
-        assert got == naive_find_matches(text, list(patterns))
+        got = [(m.start, m.end, m.entry.term) for m in find_matches(text, lex)]
+        want = sorted(naive_find_matches(text, list(patterns)), key=lambda hit: (hit[0], hit[0] - hit[1]))
+        assert got == want
+
+
+def test_term_prefixes_at_end_of_text():
+    # slices past the end are cut short; 'ab' at 1 must not pass for 'abc'
+    lex = lex_of(("a", Category.GENERAL), ("ab", Category.GENERAL), ("abc", Category.GENERAL))
+    assert [(m.start, m.end, m.entry.term) for m in find_matches("xab", lex)] == [(1, 3, "ab"), (1, 2, "a")]
 
 
 # ---------------------------------------------------------------- token_category
