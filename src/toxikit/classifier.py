@@ -33,8 +33,10 @@ only the validation carve-out is re-scored after each epoch.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
+import re
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -90,6 +92,14 @@ class TkeConfig:
     patience: int = 3
 
     def __post_init__(self):
+        for f in fields(self):  # each value has its default's type; a float field also takes an int
+            kind, value = type(f.default), getattr(self, f.name)
+            if kind is float:
+                ok = isinstance(value, (int, float)) and type(value) is not bool
+            else:
+                ok = type(value) is kind
+            if not ok:
+                raise ClassifierError(f"{f.name} must be {kind.__name__}, got {value!r}")
         if not 0.0 <= self.lam <= 1.0:
             raise ClassifierError(f"lambda must be in [0, 1], got {self.lam}")
         if min(self.d, self.h, self.pad_len, self.epochs, self.batch) < 1:
@@ -648,34 +658,57 @@ def predict(
     return _predict_from_scores(scores, cfg), probs
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
-def save_checkpoint(path: str | Path, params: ModelParams, cfg: TkeConfig, vocab: Vocab) -> None:
-    """JSON container: config echo, vocab, and all matrices.
+class LexiconMismatchError(ClassifierError):
+    """A checkpoint was trained with a lexicon other than the one given."""
 
-    Floats are serialized via repr and round-trip bitwise.
+
+def lexicon_sha256(lex: Lexicon) -> str:
+    """SHA-256 of the lexicon's sorted (term, category id) pairs, the only part
+    of it that ``token_category`` reads: file order, surface and rule tag do
+    not change it."""
+    import hashlib  # here, not at the top: it loads libcrypto, +3.5 MB RSS in every process
+
+    pairs = sorted((entry.term, int(entry.category)) for entry in lex)
+    return hashlib.sha256(json.dumps(pairs, ensure_ascii=False).encode("utf-8")).hexdigest()
+
+
+def save_checkpoint(
+    path: str | Path, params: ModelParams, cfg: TkeConfig, vocab: Vocab, lex: Lexicon
+) -> None:
+    """JSON container: config echo, vocab, the training lexicon's
+    ``lexicon_sha256``, and every parameter block as its shape and the
+    base64 text of its little-endian float64 bytes (bitwise round trip).
     """
     payload = {
         "version": CHECKPOINT_VERSION,
         "config": {f.name: getattr(cfg, f.name) for f in fields(TkeConfig)} | {"task": cfg.task.value},
         "vocab": sorted(vocab.token_to_id.items(), key=lambda kv: kv[1]),
+        "lexicon_sha256": lexicon_sha256(lex),
         "params": {
-            name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
+            name: {
+                "shape": list(arr.shape),
+                "data": base64.b64encode(arr.astype("<f8", copy=False).tobytes()).decode("ascii"),
+            }
             for name, arr in params.blocks().items()
         },
     }
     Path(path).write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
 
 
-def load_checkpoint(path: str | Path) -> tuple[ModelParams, TkeConfig, Vocab]:
+def load_checkpoint(path: str | Path, lex: Lexicon | None = None) -> tuple[ModelParams, TkeConfig, Vocab]:
     """Read a checkpoint written by save_checkpoint.
 
     Raises ClassifierError naming ``path`` when the file is not UTF-8
-    JSON, a top-level key or a parameter block is missing or extra, a
-    vocab entry is not a (character, id) pair or the ids are not exactly
-    2..|V|-1, or a block's data holds a non-number, NaN or infinity or
-    disagrees with its shape, or its shape with the config and vocabulary.
+    JSON, its version is not CHECKPOINT_VERSION, a top-level key or a
+    parameter block is missing or extra, a config value has the wrong type
+    or range, a vocab entry is not a (character, id) pair or the ids are
+    not exactly 2..|V|-1, or a block's shape disagrees with the config and
+    vocabulary, or its data is not base64 text of exactly its shape's
+    float64 bytes, or holds a NaN or an infinity.  With ``lex`` given, a
+    checkpoint trained with a different lexicon raises LexiconMismatchError.
     """
 
     def bad(message: str) -> ClassifierError:
@@ -685,15 +718,20 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, TkeConfig, Vocab]:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise bad(f"not UTF-8: {exc.reason} at byte {exc.start}") from None
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an integer too long to convert
         raise bad(f"not a JSON checkpoint: {exc}") from None
     if not isinstance(payload, dict):
         raise bad("not a JSON object")
-    missing = [key for key in ("version", "config", "vocab", "params") if key not in payload]
+    if "version" in payload and payload["version"] != CHECKPOINT_VERSION:
+        raise bad(f"unsupported checkpoint version {payload['version']!r}; retrain the model")
+    missing = [key for key in ("version", "config", "vocab", "lexicon_sha256", "params") if key not in payload]
     if missing:
         raise bad(f"missing key(s) {', '.join(missing)}")
-    if payload["version"] != CHECKPOINT_VERSION:
-        raise bad(f"unsupported checkpoint version {payload['version']!r}")
+    digest = payload["lexicon_sha256"]
+    if not isinstance(digest, str) or not re.fullmatch("[0-9a-f]{64}", digest):
+        raise bad("lexicon_sha256 must be 64 lowercase hex digits")
+    if lex is not None and digest != lexicon_sha256(lex):
+        raise LexiconMismatchError(f"{path}: trained with a different lexicon")
     raw_cfg = payload["config"]
     if not isinstance(raw_cfg, dict) or raw_cfg.keys() != {f.name for f in fields(TkeConfig)}:
         raise bad("config keys must be exactly the TkeConfig fields")
@@ -728,12 +766,19 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, TkeConfig, Vocab]:
             raise bad(f"parameter block {name} needs exactly the keys shape and data")
         if entry["shape"] != shape:
             raise bad(f"parameter block {name} has shape {entry['shape']}, expected {shape}")
-        data = entry["data"]
-        if not isinstance(data, list) or len(data) != math.prod(shape):
-            raise bad(f"parameter block {name} data does not fill its shape {shape}")
-        if not set(map(type, data)) <= {float, int}:  # np.array would read None as NaN, "1" as 1.0
-            raise bad(f"parameter block {name} data must be numbers")
-        blocks[name] = np.array(data, dtype=np.float64).reshape(shape)
+        data, nbytes = entry["data"], 8 * math.prod(shape)
+        if not isinstance(data, str):
+            raise bad(f"parameter block {name} data must be base64 text")
+        unfilled = f"parameter block {name} data does not hold the {nbytes} bytes of its shape {shape}"
+        if len(data) != 4 * -(-nbytes // 3):  # refused before decoding allocates anything
+            raise bad(unfilled)
+        try:
+            raw = base64.b64decode(data, validate=True)
+        except ValueError:  # a non-ASCII or non-alphabet character, or bad padding
+            raise bad(f"parameter block {name} data is not base64 text") from None
+        if len(raw) != nbytes:  # padding in the text can shorten it
+            raise bad(unfilled)
+        blocks[name] = np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
         if not np.isfinite(blocks[name]).all():
             raise bad(f"parameter block {name} data must be finite")
     return ModelParams(**blocks), cfg, vocab

@@ -24,6 +24,7 @@ import numpy as np
 from . import resources
 from .classifier import (
     EncodedSample,
+    LexiconMismatchError,
     Task,
     TkeConfig,
     Vocab,
@@ -344,7 +345,7 @@ def cmd_train(args) -> int:
     vocab = Vocab.build(s.text for s in selected)
     encoded = encode_corpus(selected, vocab, lex, cfg)
     params, history = train(encoded, cfg, vocab_size=len(vocab))
-    save_checkpoint(args.out, params, cfg, vocab)
+    save_checkpoint(args.out, params, cfg, vocab, lex)
     last = history[-1]
     print(
         f"task={cfg.task.value} epochs_run={len(history)} train_loss={last.train_loss:.4f} "
@@ -386,8 +387,11 @@ def _evaluate(selected, encoded, params, cfg) -> dict:
 
 
 def cmd_eval(args) -> int:
-    params, cfg, vocab = load_checkpoint(args.model)
     lex = _lexicon_from(args)
+    try:
+        params, cfg, vocab = load_checkpoint(args.model, lex)
+    except LexiconMismatchError as exc:
+        raise LexiconMismatchError(f"{exc} than {args.lexicon or 'the bundled lexicon'}") from None
     samples = read_corpus(args.test)
     payload = _evaluate(*_encode_test(samples, vocab, lex, cfg), params, cfg)
     print(
@@ -490,7 +494,7 @@ def cmd_pipeline(args) -> int:
     for seed in seeds:
         cfg = replace(cfg_base, seed=seed)
         params, _ = train(encoded, cfg, vocab_size=len(vocab))
-        save_checkpoint(outdir / f"model_seed_{seed}.json", params, cfg, vocab)
+        save_checkpoint(outdir / f"model_seed_{seed}.json", params, cfg, vocab, lex)
         payload = _evaluate(test_selected, test_encoded, params, cfg)
         payload["seed"] = seed
         _write_json(outdir / f"report_seed_{seed}.json", payload)

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import re
@@ -15,6 +16,7 @@ from toxikit.classifier import (
     UNK_ID,
     ClassifierError,
     EncodedSample,
+    LexiconMismatchError,
     ModelParams,
     Task,
     TkeConfig,
@@ -39,7 +41,7 @@ from toxikit.classifier import (
     train,
 )
 from toxikit.corpus import Expression, Platform, TargetGroup, Topic, ToxiSample
-from toxikit.lexicon import Category, InsultEntry, Lexicon, Surface
+from toxikit.lexicon import Category, InsultEntry, Lexicon, RuleTag, Surface
 from toxikit.resources import lexicon_path
 from toxikit.lexicon import load_lexicon
 
@@ -749,6 +751,15 @@ def test_lambda_zero_equals_ablated_build():
 
 # ---------------------------------------------------------------- checkpoints
 
+def _pack(values) -> str:
+    """A v2 checkpoint block's data: base64 of little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _unpack(data: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(data), "<f8")
+
+
 def test_checkpoint_roundtrip_bitwise(tmp_path):
     lex = load_lexicon(lexicon_path())
     corpus = _train_corpus(lex, n=30, seed=5)
@@ -758,16 +769,28 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     params, _ = train(enc, cfg, vocab_size=len(vocab))
 
     path = tmp_path / "model.json"
-    save_checkpoint(path, params, cfg, vocab)
+    save_checkpoint(path, params, cfg, vocab, lex)
     loaded_params, loaded_cfg, loaded_vocab = load_checkpoint(path)
     assert loaded_cfg == cfg
     assert loaded_vocab.token_to_id == vocab.token_to_id
     for a, b in zip(params.blocks().values(), loaded_params.blocks().values()):
         np.testing.assert_array_equal(a, b)
+        assert a.tobytes() == b.tobytes()
+        assert b.dtype == np.float64 and b.flags.writeable and b.flags.c_contiguous
 
     before = predict(enc, params, cfg)
     after = predict(enc, loaded_params, loaded_cfg)
     np.testing.assert_array_equal(before[1], after[1])
+    assert load_checkpoint(path, lex)[1] == cfg
+
+
+def test_checkpoint_blocks_are_base64_float64(tmp_path):
+    path, blob = _saved_checkpoint(tmp_path)
+    params, _, _ = load_checkpoint(path)
+    for name, arr in params.blocks().items():
+        entry = blob["params"][name]
+        assert entry["shape"] == list(arr.shape)
+        assert entry["data"] == _pack(arr.reshape(-1))
 
 
 def test_checkpoint_config_roundtrip_every_field(tmp_path):
@@ -779,42 +802,58 @@ def test_checkpoint_config_roundtrip_every_field(tmp_path):
         assert getattr(cfg, f.name) != getattr(TkeConfig(), f.name), f"{f.name} kept its default"
     vocab = Vocab.build(["文字老黑"])
     path = tmp_path / "model.json"
-    save_checkpoint(path, init_params(len(vocab), cfg), cfg, vocab)
+    save_checkpoint(path, init_params(len(vocab), cfg), cfg, vocab, tiny_lex())
     assert load_checkpoint(path)[1] == cfg
 
 
 def test_checkpoint_version_checked(tmp_path):
-    import json
-
     lex = load_lexicon(lexicon_path())
     corpus = _train_corpus(lex, n=10, seed=5)
     cfg = TkeConfig(task=Task.TOXIC, d=4, h=4, pad_len=8, epochs=1, seed=7)
     vocab = Vocab.build(s.text for s in corpus)
     params, _ = train(encode_corpus(corpus, vocab, lex, cfg), cfg, vocab_size=len(vocab))
     path = tmp_path / "model.json"
-    save_checkpoint(path, params, cfg, vocab)
+    save_checkpoint(path, params, cfg, vocab, lex)
     blob = json.loads(path.read_text(encoding="utf-8"))
-    blob["version"] = 99
-    path.write_text(json.dumps(blob), encoding="utf-8")
-    with pytest.raises(ClassifierError, match="version"):
-        load_checkpoint(path)
+    for version in (99, 1):  # a v1 file holds its blocks as number lists; it is refused, not read
+        blob["version"] = version
+        path.write_text(json.dumps(blob), encoding="utf-8")
+        with pytest.raises(ClassifierError, match=f"unsupported checkpoint version {version}; retrain"):
+            load_checkpoint(path)
+
+
+def test_checkpoint_lexicon_checked(tmp_path):
+    path, _ = _saved_checkpoint(tmp_path)
+    entries = list(tiny_lex())
+    assert load_checkpoint(path, Lexicon(reversed(entries)))[1].task is Task.EXPRESSION  # order is not hashed
+    relabelled = [replace(entries[0], surface=Surface.IMPLICIT, rule_tag=RuleTag.HOMOPHONIC), entries[1]]
+    load_checkpoint(path, Lexicon(relabelled))  # nor surface or rule tag
+    for other in (
+        [replace(entries[0], category=Category.GENERAL), entries[1]],
+        entries[:1],
+        entries + [InsultEntry(term="南蛮", category=Category.REGIONAL_BIAS, surface=Surface.EXPLICIT)],
+    ):
+        with pytest.raises(LexiconMismatchError, match=f"{re.escape(str(path))}: trained with a different lexicon"):
+            load_checkpoint(path, Lexicon(other))
 
 
 def _saved_checkpoint(tmp_path):
     cfg = TkeConfig(task=Task.EXPRESSION, d=3, h=4, pad_len=8, seed=2)
     vocab = Vocab.build(["文字老黑很"])
     path = tmp_path / "model.json"
-    save_checkpoint(path, init_params(len(vocab), cfg), cfg, vocab)
+    save_checkpoint(path, init_params(len(vocab), cfg), cfg, vocab, tiny_lex())
     return path, json.loads(path.read_text(encoding="utf-8"))
 
 
-def _rejected(path, blob):
+def _rejected(path, blob, message=""):
     path.write_text(json.dumps(blob), encoding="utf-8")
-    with pytest.raises(ClassifierError, match=re.escape(str(path))):
+    with pytest.raises(ClassifierError, match=re.escape(f"{path}: {message}")):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("key", ["version", "config", "vocab", "params", "W", "C", "U", "b_h", "V", "b"])
+@pytest.mark.parametrize(
+    "key", ["version", "config", "vocab", "lexicon_sha256", "params", "W", "C", "U", "b_h", "V", "b"]
+)
 def test_checkpoint_missing_key_rejected(tmp_path, key):
     path, blob = _saved_checkpoint(tmp_path)
     del (blob if key in blob else blob["params"])[key]
@@ -823,7 +862,7 @@ def test_checkpoint_missing_key_rejected(tmp_path, key):
 
 def test_checkpoint_extra_block_rejected(tmp_path):
     path, blob = _saved_checkpoint(tmp_path)
-    blob["params"]["Z"] = {"shape": [1], "data": [0.0]}
+    blob["params"]["Z"] = {"shape": [1], "data": _pack([0.0])}
     _rejected(path, blob)
 
 
@@ -832,6 +871,13 @@ def test_checkpoint_bad_config_or_vocab_rejected(tmp_path, section, key, value):
     path, blob = _saved_checkpoint(tmp_path)
     blob[section][key] = value
     _rejected(path, blob)
+
+
+@pytest.mark.parametrize("value", ["0" * 63, "A" * 64, 7, None], ids=["short", "upper-case", "number", "null"])
+def test_checkpoint_bad_lexicon_digest_rejected(tmp_path, value):
+    path, blob = _saved_checkpoint(tmp_path)
+    blob["lexicon_sha256"] = value
+    _rejected(path, blob, "lexicon_sha256 must be 64 lowercase hex digits")
 
 
 @pytest.mark.parametrize(
@@ -854,27 +900,43 @@ def test_checkpoint_repeated_token_rejected(tmp_path):
 
 @pytest.mark.parametrize("block", ["W", "C", "U", "b_h", "V", "b"])
 def test_checkpoint_corrupt_shape_rejected(tmp_path, block):
-    path, blob = _saved_checkpoint(tmp_path)
-    entry = blob["params"][block]
-    entry["data"].pop()  # data no longer fills its shape
-    _rejected(path, blob)
+    for cut in (8, 1):  # one float short, one byte short: data no longer fills its shape
+        path, blob = _saved_checkpoint(tmp_path)
+        entry = blob["params"][block]
+        raw = base64.b64decode(entry["data"])
+        entry["data"] = base64.b64encode(raw[:-cut]).decode("ascii")
+        _rejected(path, blob, f"parameter block {block} data does not hold the {len(raw)} bytes")
 
     path, blob = _saved_checkpoint(tmp_path)
     entry = blob["params"][block]
     entry["shape"][0] += 1  # self-consistent, but disagrees with config/vocab
-    entry["data"] = [0.0] * math.prod(entry["shape"])
-    _rejected(path, blob)
+    entry["data"] = _pack(np.zeros(math.prod(entry["shape"])))
+    _rejected(path, blob, f"parameter block {block} has shape")
 
 
 @pytest.mark.parametrize(
-    "value",
-    [None, "0.5", True, [0.5], {}, math.nan, math.inf, -math.inf],  # json writes NaN / Infinity and reads them back
-    ids=["null", "string", "bool", "list", "object", "nan", "inf", "-inf"],
+    "corrupt,message",
+    [
+        (lambda data: None, "data must be base64 text"),
+        (lambda data: "0.5", "data does not hold"),
+        (lambda data: True, "data must be base64 text"),
+        (lambda data: _unpack(data).tolist(), "data must be base64 text"),  # the v1 form
+        (lambda data: {}, "data must be base64 text"),
+        (lambda data: _pack([math.nan, *_unpack(data)[1:]]), "data must be finite"),
+        (lambda data: _pack([math.inf, *_unpack(data)[1:]]), "data must be finite"),
+        (lambda data: _pack([-math.inf, *_unpack(data)[1:]]), "data must be finite"),
+        (lambda data: 0.5, "data must be base64 text"),
+        (lambda data: "!" + data[1:], "data is not base64 text"),
+        (lambda data: "é" + data[1:], "data is not base64 text"),
+        (lambda data: "=" + data[1:], "data is not base64 text"),
+    ],
+    ids=["null", "string", "bool", "list", "object", "nan", "inf", "-inf", "number", "non-alphabet", "non-ascii",
+         "padding"],
 )
-def test_checkpoint_non_number_data_rejected(tmp_path, value):
+def test_checkpoint_non_number_data_rejected(tmp_path, corrupt, message):
     path, blob = _saved_checkpoint(tmp_path)
-    blob["params"]["W"]["data"][0] = value
-    _rejected(path, blob)
+    blob["params"]["W"]["data"] = corrupt(blob["params"]["W"]["data"])
+    _rejected(path, blob, f"parameter block W {message}")
 
 
 # ---------------------------------------------------------------- config
@@ -893,6 +955,10 @@ def test_config_validation():
     for bad in ({"lr": math.nan}, {"lr": math.inf}, {"lr": -1e-3}, {"weight_decay": math.nan}, {"weight_decay": math.inf}):
         with pytest.raises(ClassifierError, match="lr and weight_decay must be finite"):
             TkeConfig(task=Task.TOXIC, **bad)
+    for bad in ({"d": 3.0}, {"seed": True}, {"enhancement": "no"}, {"enhancement": 1}, {"lam": True}, {"task": "toxic"}):
+        with pytest.raises(ClassifierError, match=f"{next(iter(bad))} must be "):
+            TkeConfig(**bad)
+    assert TkeConfig(lam=1, lr=0, dropout=0, weight_decay=0, val_fraction=0).lam == 1  # a float field takes an int
     cfg = TkeConfig(task=Task.GROUP)
     assert cfg.multilabel and cfg.n_classes == 4
     assert not TkeConfig(task=Task.EXPRESSION).multilabel

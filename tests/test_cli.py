@@ -1,14 +1,25 @@
+import base64
 import json
+import math
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from synthcorpus import labeled_corpus, separable_corpus
 from toxikit import cli
-from toxikit.classifier import TkeConfig, load_checkpoint
+from toxikit.classifier import (
+    ClassifierError,
+    Task,
+    TkeConfig,
+    Vocab,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from toxikit.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from toxikit.corpus import write_corpus
 from toxikit.lexicon import load_lexicon
@@ -289,6 +300,63 @@ def test_every_reader_exits_0_or_2_on_arbitrary_bytes(tmp_path, corpus_file, kin
     assert main(_reader_argv(kind, path, corpus_file, str(tmp_path / "out"))) in (EXIT_OK, EXIT_DATA)
 
 
+def _pack(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _checkpoint_paths(blob) -> dict[str, list[tuple]]:
+    """The places in a saved checkpoint that the structure-aware fuzz may overwrite, by kind."""
+    blocks = blob["params"]
+    return {
+        "top": [("version",), ("lexicon_sha256",), ("config",), ("vocab",), ("params",)],
+        "config": [("config", key) for key in blob["config"]],
+        "vocab": [("vocab", i, *j) for i in range(len(blob["vocab"])) for j in ((), (0,), (1,))],
+        "shape": [("params", name, *tail) for name in blocks for tail in (("shape",), ("shape", 0), ())],
+        "data": [("params", name, "data") for name in blocks],
+    }
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_B64_TEXT_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/="
+_B64_TEXT = st.text(_B64_TEXT_ALPHABET, max_size=48)
+_B64_BYTES = st.binary(max_size=96).map(lambda raw: base64.b64encode(raw).decode("ascii"))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(draw=st.data())
+def test_checkpoint_fuzz_reaches_every_check(tmp_path, corpus_file, draw):
+    cfg = TkeConfig(task=Task.TOXIC, d=2, h=3, pad_len=8)
+    vocab = Vocab.build(["文字老黑很"])
+    model = tmp_path / "model.json"
+    save_checkpoint(model, init_params(len(vocab), cfg), cfg, vocab, load_lexicon(lexicon_path()))
+    blob = json.loads(model.read_text(encoding="utf-8"))
+    paths = _checkpoint_paths(blob)
+    kind = draw.draw(st.sampled_from(sorted(paths)), label="kind")
+    *parents, last = draw.draw(st.sampled_from(paths[kind]), label="path")
+    target = blob
+    for step in parents:
+        target = target[step]
+    value = _JSON | st.integers(-1, 8) | _B64_TEXT | _B64_BYTES
+    if kind == "data":  # text of the block's own length reaches the decoder; floats of its size, the finite check
+        size = len(target[last])
+        n = len(np.frombuffer(base64.b64decode(target[last]), "<f8"))
+        floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf])
+        value |= st.text(_B64_TEXT_ALPHABET, min_size=size, max_size=size)
+        value |= st.lists(floats, min_size=n - 1, max_size=n + 1).map(_pack)
+    target[last] = draw.draw(value, label="value")
+    model.write_text(json.dumps(blob, ensure_ascii=False), encoding="utf-8")
+
+    try:
+        load_checkpoint(model)
+    except ClassifierError as exc:
+        assert str(exc).startswith(f"{model}: ")
+    assert main(["eval", "--model", str(model), "--test", str(corpus_file)]) in (EXIT_OK, EXIT_DATA)
+
+
 def test_validate_reports_each_bad_record(tmp_path, capsys):
     good = '{"id": 1, "platform": "zhihu", "topic": "race", "text": "字", "toxic": 0, "hate": 0, "groups": [], "expression": null}'
     bad1 = '{"id": 2, "platform": "zhihu", "topic": "race", "text": "字", "toxic": 0, "hate": 1, "groups": [], "expression": null}'
@@ -412,14 +480,19 @@ def test_train_then_eval(tmp_path, capsys):
     assert "expression_accuracy" in payload
 
 
-def test_eval_rejects_malformed_checkpoint(tmp_path, capsys):
-    corpus = separable_corpus(40, seed=4)
+def _trained_model(tmp_path, *flags) -> tuple[Path, Path]:
+    """A tiny toxic-task model trained through main, and its training corpus."""
     train_file = tmp_path / "train.jsonl"
-    write_corpus(train_file, corpus)
+    write_corpus(train_file, separable_corpus(40, seed=4))
     model = tmp_path / "model.json"
     argv = ["train", "--task", "toxic", "--in", str(train_file), "--out", str(model), "--d", "4", "--h", "4",
-            "--pad-len", "8", "--epochs", "1"]
+            "--pad-len", "8", "--epochs", "1", *flags]
     assert main(argv) == EXIT_OK
+    return model, train_file
+
+
+def test_eval_rejects_malformed_checkpoint(tmp_path, capsys):
+    model, train_file = _trained_model(tmp_path)
     saved = model.read_text(encoding="utf-8")
     blob = json.loads(saved)
     del blob["params"]["V"]
@@ -428,21 +501,65 @@ def test_eval_rejects_malformed_checkpoint(tmp_path, capsys):
     assert main(["eval", "--model", str(model), "--test", str(train_file)]) == EXIT_DATA
     assert f"error: {model}: parameter blocks must be exactly W C U b_h V b" in capsys.readouterr().err
     blob = json.loads(saved)
-    blob["params"]["V"]["data"][0] = float("nan")
+    values = np.frombuffer(base64.b64decode(blob["params"]["V"]["data"]), "<f8").copy()
+    values[0] = np.nan
+    blob["params"]["V"]["data"] = _pack(values)
     model.write_text(json.dumps(blob), encoding="utf-8")
     assert main(["eval", "--model", str(model), "--test", str(train_file)]) == EXIT_DATA
     assert f"error: {model}: parameter block V data must be finite" in capsys.readouterr().err
+    for text in (saved[: len(saved) // 2], '{"version": ' + "9" * 5000 + "}"):  # truncated; too long an integer
+        model.write_text(text, encoding="utf-8")
+        assert main(["eval", "--model", str(model), "--test", str(train_file)]) == EXIT_DATA
+        assert f"error: {model}: not a JSON checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("d", 3.0), ("pad_len", 1.5), ("batch", 2.5), ("enhancement", "no"), ("seed", "x"), ("lam", True)],
+)
+def test_eval_rejects_ill_typed_config(tmp_path, capsys, key, value):
+    model, train_file = _trained_model(tmp_path)
+    blob = json.loads(model.read_text(encoding="utf-8"))
+    blob["config"][key] = value
+    model.write_text(json.dumps(blob), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--test", str(train_file)]) == EXIT_DATA
+    assert f"error: {model}: bad config: {key} must be " in capsys.readouterr().err
+
+
+def test_eval_checks_the_training_lexicon(tmp_path, capsys):
+    lines = [line for line in lexicon_path().read_text(encoding="utf-8").splitlines() if line and line[0] != "#"]
+    lex_file = tmp_path / "lexicon.tsv"
+    lex_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    model, train_file = _trained_model(tmp_path, "--lexicon", str(lex_file))
+    capsys.readouterr()
+    eval_argv = ["eval", "--model", str(model), "--test", str(train_file)]
+    assert main([*eval_argv, "--lexicon", str(lex_file)]) == EXIT_OK
+
+    reordered = tmp_path / "reordered.tsv"
+    reordered.write_text("# the same pairs, bottom up\n" + "\n".join(reversed(lines)) + "\n", encoding="utf-8")
+    assert main([*eval_argv, "--lexicon", str(reordered)]) == EXIT_OK
+    capsys.readouterr()
+
+    term, category, *rest = lines[0].split("\t")
+    other = "racism" if category != "racism" else "sexism"
+    changed = tmp_path / "changed.tsv"
+    changed.write_text("\n".join(["\t".join([term, other, *rest]), *lines[1:]]) + "\n", encoding="utf-8")
+    assert main([*eval_argv, "--lexicon", str(changed)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {model}: trained with a different lexicon than {changed}\n"
+
+    lex_file.write_text("\n".join(lines[1:]) + "\n", encoding="utf-8")  # one term fewer than at training
+    assert main([*eval_argv, "--lexicon", str(lex_file)]) == EXIT_DATA
+    capsys.readouterr()
+    model, _ = _trained_model(tmp_path, "--lexicon", str(changed))
+    capsys.readouterr()
+    assert main(eval_argv) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {model}: trained with a different lexicon than the bundled lexicon\n"
 
 
 @pytest.mark.parametrize("corrupt", ["repeated id", "id past the table"])
 def test_eval_rejects_bad_vocab_ids(tmp_path, capsys, corrupt):
-    corpus = separable_corpus(40, seed=4)
-    train_file = tmp_path / "train.jsonl"
-    write_corpus(train_file, corpus)
-    model = tmp_path / "model.json"
-    argv = ["train", "--task", "toxic", "--in", str(train_file), "--out", str(model), "--d", "4", "--h", "4",
-            "--pad-len", "8", "--epochs", "1"]
-    assert main(argv) == EXIT_OK
+    model, train_file = _trained_model(tmp_path)
     blob = json.loads(model.read_text(encoding="utf-8"))
     blob["vocab"][1][1] = blob["vocab"][0][1] if corrupt == "repeated id" else 10**6
     model.write_text(json.dumps(blob), encoding="utf-8")
