@@ -8,13 +8,12 @@ suite (weighted P/R/F1, per-expression accuracy, Fleiss' kappa).
 
 from .classifier import (
     ClassifierError,
-    EncodedSample,
+    EncodedSet,
     ModelParams,
     Task,
     TkeConfig,
     Vocab,
     encode_corpus,
-    encode_sample,
     grad_check,
     init_params,
     load_checkpoint,

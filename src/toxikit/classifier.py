@@ -8,12 +8,13 @@ tokens, one tanh hidden layer, a linear head — so the enhancement term is
 isolated and every gradient is checkable against finite differences.
 
 Mean pooling is linear, so no per-token embedding tensor is built (the
-bag-of-embeddings trick of fastText).  A sample is encoded as its own
-tokens only, cut to ``pad_len``; nothing is padded.  A batch's token ids
-are reduced to their unique set U; ``bag[i, j]`` counts occurrences of
-U[j] in sample i and ``catbag[i, c]`` counts tokens of category c, so the
-pooled vector is ``(bag @ W[U] + λ·catbag @ C) / n``.  The backward
-pass is the transpose: ``dW[U] = bagᵀ g`` and ``dC = λ·catbagᵀ g`` with
+bag-of-embeddings trick of fastText).  An ``EncodedSet`` packs a set's
+ids end to end with n+1 offsets, each sample's own tokens cut to
+``pad_len`` and nothing padded.  A batch's token ids are reduced to
+their unique set U; ``bag[i, j]`` counts occurrences of U[j] in sample i
+and ``catbag[i, c]`` counts tokens of category c, so the pooled vector
+is ``(bag @ W[U] + λ·catbag @ C) / n``.  The backward pass is the
+transpose: ``dW[U] = bagᵀ g`` and ``dC = λ·catbagᵀ g`` with
 ``g = dpooled / n``, and W's gradient is kept as those rows alone.
 
 Setting λ=0, or flipping ``enhancement`` off, skips the category term
@@ -37,6 +38,7 @@ import base64
 import json
 import math
 import re
+from array import array
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -147,10 +149,24 @@ class Vocab:
 
 
 @dataclass
-class EncodedSample:
-    token_ids: np.ndarray  # (n,) int64, n = min(len(text), pad_len)
-    toxic_ids: np.ndarray  # (n,) int64, values in [0, NUM_CATEGORIES]
-    label: int | np.ndarray
+class EncodedSet:
+    """Encoded samples packed end to end; sample i's ids are ``offsets[i]:offsets[i + 1]``."""
+
+    tok: np.ndarray      # (N,) int64 token ids, each sample cut to pad_len
+    tox: np.ndarray      # (N,) int64 category ids in [0, NUM_CATEGORIES]
+    offsets: np.ndarray  # (n+1,) int64, from 0 to N
+    labels: np.ndarray   # (n,) int64 class indices, or n×k float64 flags for a multilabel task
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def take(self, idx: Sequence[int] | np.ndarray | slice) -> "EncodedSet":
+        """The samples at ``idx`` (index array or slice), in that order, packed anew."""
+        starts = self.offsets[:-1][idx]
+        counts = self.offsets[1:][idx] - starts
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        gather = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
+        return EncodedSet(self.tok[gather], self.tox[gather], offsets, self.labels[idx])
 
 
 @dataclass
@@ -193,16 +209,23 @@ def task_label(sample: ToxiSample, task: Task) -> int | np.ndarray:
     return EXPRESSION_ORDER.index(sample.expression)
 
 
-def encode_sample(sample: ToxiSample, vocab: Vocab, lex: Lexicon, cfg: TkeConfig) -> EncodedSample:
-    token_ids = np.array(vocab.encode(sample.text)[: cfg.pad_len], dtype=np.int64)
-    toxic_ids = np.array(token_category(sample.text, lex)[: cfg.pad_len], dtype=np.int64)
-    return EncodedSample(token_ids=token_ids, toxic_ids=toxic_ids, label=task_label(sample, cfg.task))
-
-
 def encode_corpus(
     samples: Sequence[ToxiSample], vocab: Vocab, lex: Lexicon, cfg: TkeConfig
-) -> list[EncodedSample]:
-    return [encode_sample(s, vocab, lex, cfg) for s in samples]
+) -> EncodedSet:
+    tok = array("q")
+    tox = array("q")
+    offsets = [0]
+    for sample in samples:
+        tok.fromlist(vocab.encode(sample.text[: cfg.pad_len]))
+        tox.fromlist(token_category(sample.text, lex)[: cfg.pad_len])
+        offsets.append(len(tok))
+    labels = [task_label(sample, cfg.task) for sample in samples]
+    return EncodedSet(
+        tok=np.frombuffer(tok, dtype=np.int64),
+        tox=np.frombuffer(tox, dtype=np.int64),
+        offsets=np.array(offsets, dtype=np.int64),
+        labels=np.array(labels, dtype=np.float64 if cfg.multilabel else np.int64),
+    )
 
 
 def init_params(vocab_size: int, cfg: TkeConfig) -> ModelParams:
@@ -223,49 +246,33 @@ def init_params(vocab_size: int, cfg: TkeConfig) -> ModelParams:
     )
 
 
-def _stack(batch: Sequence[EncodedSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The batch's token ids and category ids end to end, and each sample's length."""
-    tok = np.concatenate([s.token_ids for s in batch])
-    tox = np.concatenate([s.toxic_ids for s in batch])
-    counts = np.array([len(s.token_ids) for s in batch], dtype=np.int64)
-    return tok, tox, counts
-
-
-def _stack_labels(batch: Sequence[EncodedSample], cfg: TkeConfig) -> np.ndarray:
-    if cfg.multilabel:
-        return np.stack([np.asarray(s.label, dtype=np.float64) for s in batch])
-    return np.array([int(s.label) for s in batch], dtype=np.int64)
-
-
 def _forward_batch(
-    tok: np.ndarray,
-    tox: np.ndarray,
-    counts: np.ndarray,
+    batch: EncodedSet,
     params: ModelParams,
     cfg: TkeConfig,
     dropout_mask: np.ndarray | None = None,
 ):
-    """Class scores for a batch laid out by ``_stack``, and the cache the
-    backward pass reads."""
+    """Class scores for a packed batch, and the cache the backward pass reads."""
     if (
-        tok.min(initial=UNK_ID) < UNK_ID
-        or tok.max(initial=UNK_ID) >= params.W.shape[0]
-        or tox.min(initial=0) < 0
-        or tox.max(initial=0) >= params.C.shape[0]
+        batch.tok.min(initial=UNK_ID) < UNK_ID
+        or batch.tok.max(initial=UNK_ID) >= params.W.shape[0]
+        or batch.tox.min(initial=0) < 0
+        or batch.tox.max(initial=0) >= params.C.shape[0]
     ):
         raise ClassifierError("token or toxic id out of range for the parameter tables")
-    if (counts == 0).any():
+    counts = batch.offsets[1:] - batch.offsets[:-1]
+    if (counts < 1).any():
         raise ClassifierError("empty sequence")
     B = len(counts)
     rows = np.repeat(np.arange(B), counts)
-    uniq, inverse = np.unique(tok, return_inverse=True)
+    uniq, inverse = np.unique(batch.tok, return_inverse=True)
     bag = np.bincount(rows * len(uniq) + inverse, minlength=B * len(uniq))
     bag = bag.reshape(B, len(uniq)).astype(np.float64)
     pooled = bag @ params.W[uniq]
     catbag = None
     if cfg.enhancement and cfg.lam != 0.0:
         m1 = params.C.shape[0]
-        catbag = np.bincount(rows * m1 + tox, minlength=B * m1)
+        catbag = np.bincount(rows * m1 + batch.tox, minlength=B * m1)
         catbag = catbag.reshape(B, m1).astype(np.float64)
         pooled += cfg.lam * (catbag @ params.C)
     pooled /= counts[:, None]
@@ -348,7 +355,7 @@ def class_weights_for(labels: Sequence[int] | np.ndarray, cfg: TkeConfig) -> np.
 
 
 def loss_and_grads(
-    batch: Sequence[EncodedSample],
+    batch: EncodedSet,
     params: ModelParams,
     cfg: TkeConfig,
     class_weights: np.ndarray,
@@ -361,10 +368,9 @@ def loss_and_grads(
     distinct token ids, ascending, and their gradient rows; every other
     row of it is zero.  The other blocks' gradients are dense arrays.
     """
-    labels = _stack_labels(batch, cfg)
-    scores, cache = _forward_batch(*_stack(batch), params, cfg, dropout_mask)
+    scores, cache = _forward_batch(batch, params, cfg, dropout_mask)
     uniq, bag, catbag, counts, dropped, dmask, hidden = cache
-    loss, dscores = _batch_loss(scores, labels, class_weights)
+    loss, dscores = _batch_loss(scores, batch.labels, class_weights)
 
     dhidden = dscores @ params.V.T
     dz = dhidden * (1.0 - hidden * hidden)
@@ -392,19 +398,17 @@ def _dense_grads(grads: dict, params: ModelParams) -> dict[str, np.ndarray]:
 
 
 def finite_diff_grads(
-    batch: Sequence[EncodedSample],
+    batch: EncodedSet,
     params: ModelParams,
     cfg: TkeConfig,
     class_weights: np.ndarray,
     step: float = 1e-5,
 ) -> dict[str, np.ndarray]:
     """Central-difference gradients; the independent oracle for loss_and_grads."""
-    stacked = _stack(batch)
-    labels = _stack_labels(batch, cfg)
 
     def batch_loss() -> float:
-        scores, _ = _forward_batch(*stacked, params, cfg)
-        return _batch_loss(scores, labels, class_weights, need_grad=False)[0]
+        scores, _ = _forward_batch(batch, params, cfg)
+        return _batch_loss(scores, batch.labels, class_weights, need_grad=False)[0]
 
     numeric = {}
     for name, arr in params.blocks().items():
@@ -425,7 +429,7 @@ def finite_diff_grads(
 
 def grad_check(
     params: ModelParams,
-    batch: Sequence[EncodedSample],
+    batch: EncodedSet,
     cfg: TkeConfig,
     class_weights: np.ndarray | None = None,
     step: float = 1e-5,
@@ -528,29 +532,28 @@ class EpochStats:
     val_accuracy: float | None
 
 
-def _chunked_scores(
-    encoded: Sequence[EncodedSample], params: ModelParams, cfg: TkeConfig
-) -> np.ndarray:
+def _chunked_scores(encoded: EncodedSet, params: ModelParams, cfg: TkeConfig) -> np.ndarray:
     """Scores of a whole set, computed cfg.batch samples at a time so that
     memory grows with the batch size, not with the set."""
+    if len(encoded) <= cfg.batch:
+        return _forward_batch(encoded, params, cfg)[0]
     return np.concatenate(
         [
-            _forward_batch(*_stack(encoded[start : start + cfg.batch]), params, cfg)[0]
+            _forward_batch(encoded.take(slice(start, start + cfg.batch)), params, cfg)[0]
             for start in range(0, len(encoded), cfg.batch)
         ]
     )
 
 
 def _eval_loss_acc(
-    encoded: Sequence[EncodedSample],
+    encoded: EncodedSet,
     params: ModelParams,
     cfg: TkeConfig,
     class_weights: np.ndarray,
 ) -> tuple[float, float]:
-    labels = _stack_labels(encoded, cfg)
     scores = _chunked_scores(encoded, params, cfg)
-    loss, _ = _batch_loss(scores, labels, class_weights, need_grad=False)
-    return loss, _hits(scores, labels, cfg) / len(labels)
+    loss, _ = _batch_loss(scores, encoded.labels, class_weights, need_grad=False)
+    return loss, _hits(scores, encoded.labels, cfg) / len(encoded)
 
 
 def _hits(scores: np.ndarray, labels: np.ndarray, cfg: TkeConfig) -> int:
@@ -560,7 +563,7 @@ def _hits(scores: np.ndarray, labels: np.ndarray, cfg: TkeConfig) -> int:
 
 
 def train(
-    train_set: Sequence[EncodedSample], cfg: TkeConfig, vocab_size: int
+    train_set: EncodedSet, cfg: TkeConfig, vocab_size: int
 ) -> tuple[ModelParams, list[EpochStats]]:
     """Train from scratch; deterministic per cfg.seed.
 
@@ -575,17 +578,14 @@ def train(
     if not train_set:
         raise ClassifierError("empty training set")
     params = init_params(vocab_size, cfg)
-    class_weights = class_weights_for(_stack_labels(train_set, cfg), cfg)
+    class_weights = class_weights_for(train_set.labels, cfg)
     loop_rng = np.random.default_rng([cfg.seed, 1])
 
     order = loop_rng.permutation(len(train_set))
     n_val = int(len(train_set) * cfg.val_fraction) if len(train_set) >= 5 else 0
     n_val = max(n_val, 1) if n_val else 0
     fit_idx = order[: len(order) - n_val]
-    val_idx = order[len(order) - n_val :]
-    fit = [train_set[i] for i in fit_idx]
-    val = [train_set[i] for i in val_idx]
-    fit_labels = _stack_labels(fit, cfg)
+    val = train_set.take(order[len(order) - n_val :])
 
     history: list[EpochStats] = []
     best_loss = np.inf
@@ -593,12 +593,11 @@ def train(
     stale = 0
     optimizer = _AdamW(params.blocks(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     for epoch in range(cfg.epochs):
-        perm = loop_rng.permutation(len(fit))
+        perm = loop_rng.permutation(len(fit_idx))
         loss_sum = 0.0
         hits = 0
-        for start in range(0, len(fit), cfg.batch):
-            picked = perm[start : start + cfg.batch]
-            chunk = [fit[i] for i in picked]
+        for start in range(0, len(fit_idx), cfg.batch):
+            chunk = train_set.take(fit_idx[perm[start : start + cfg.batch]])
             dropout_mask = None
             if cfg.dropout > 0.0:
                 keep = loop_rng.random((len(chunk), cfg.d)) >= cfg.dropout
@@ -606,9 +605,9 @@ def train(
             loss, grads, scores = loss_and_grads(chunk, params, cfg, class_weights, dropout_mask)
             optimizer.step(params.blocks(), grads)
             loss_sum += loss * len(chunk)
-            hits += _hits(scores, fit_labels[picked], cfg)
+            hits += _hits(scores, chunk.labels, cfg)
 
-        train_loss, train_acc = loss_sum / len(fit), hits / len(fit)
+        train_loss, train_acc = loss_sum / len(fit_idx), hits / len(fit_idx)
         if val:
             val_loss, val_acc = _eval_loss_acc(val, params, cfg, class_weights)
             history.append(EpochStats(epoch, train_loss, train_acc, val_loss, val_acc))
@@ -640,7 +639,7 @@ def _predict_from_scores(scores: np.ndarray, cfg: TkeConfig) -> np.ndarray:
 
 
 def predict(
-    test_set: Sequence[EncodedSample], params: ModelParams, cfg: TkeConfig
+    test_set: EncodedSet, params: ModelParams, cfg: TkeConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """(labels, probabilities). Argmax for single-label tasks; 0.5-threshold
     per label for the group task with a highest-probability fallback."""

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import resources
 from .classifier import (
-    EncodedSample,
+    EncodedSet,
     LexiconMismatchError,
     Task,
     TkeConfig,
@@ -35,7 +35,6 @@ from .classifier import (
     load_checkpoint,
     predict,
     save_checkpoint,
-    task_label,
     train,
 )
 from .corpus import (
@@ -149,11 +148,14 @@ def _parse_int(text: str, where: str) -> int:
 
 
 def _seed_list(text: str) -> list[int]:
-    """argparse type for --seeds: comma-separated integers."""
+    """argparse type for --seeds: comma-separated integers, none repeated."""
     try:
-        return [int(s) for s in text.split(",")]
+        seeds = [int(s) for s in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+    if len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError(f"repeated seed in {text!r}")
+    return seeds
 
 
 def _int_at_least(minimum: int):
@@ -354,7 +356,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _encode_test(samples, vocab, lex, cfg) -> tuple[list[ToxiSample], list[EncodedSample]]:
+def _encode_test(samples, vocab, lex, cfg) -> tuple[list[ToxiSample], EncodedSet]:
     """The samples usable for cfg's task, and their encodings."""
     selected = eligible_samples(samples, cfg.task)
     if not selected:
@@ -364,11 +366,8 @@ def _encode_test(samples, vocab, lex, cfg) -> tuple[list[ToxiSample], list[Encod
 
 def _evaluate(selected, encoded, params, cfg) -> dict:
     labels, _ = predict(encoded, params, cfg)
-    golds = [task_label(s, cfg.task) for s in selected]
-    if cfg.multilabel:
-        prf = weighted_prf(labels, np.stack(golds), cfg.n_classes, mode="multilabel")
-    else:
-        prf = weighted_prf(labels.tolist(), golds, cfg.n_classes, mode="single")
+    mode = "multilabel" if cfg.multilabel else "single"
+    prf = weighted_prf(labels, encoded.labels, cfg.n_classes, mode=mode)
     payload = {
         "task": cfg.task.value,
         "n_test": len(selected),
@@ -405,20 +404,21 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _random_check_batch(rng, cfg: TkeConfig, vocab_size: int, size: int) -> list[EncodedSample]:
-    batch = []
+def _random_check_batch(rng, cfg: TkeConfig, vocab_size: int, size: int) -> EncodedSet:
+    tok, tox, labels = [], [], []
     for _ in range(size):
         n_real = int(rng.integers(1, cfg.pad_len + 1))
-        tok = rng.integers(1, vocab_size, size=n_real)
-        tox = rng.integers(0, 6, size=n_real)
+        tok.append(rng.integers(1, vocab_size, size=n_real))
+        tox.append(rng.integers(0, 6, size=n_real))
         if cfg.multilabel:
             label = (rng.random(cfg.n_classes) < 0.5).astype(np.float64)
             if label.sum() == 0:
                 label[int(rng.integers(cfg.n_classes))] = 1.0
         else:
             label = int(rng.integers(cfg.n_classes))
-        batch.append(EncodedSample(token_ids=tok, toxic_ids=tox, label=label))
-    return batch
+        labels.append(label)
+    offsets = np.cumsum([0] + [len(t) for t in tok])
+    return EncodedSet(np.concatenate(tok), np.concatenate(tox), offsets, np.array(labels))
 
 
 def run_gradcheck(n_configs: int, seed: int) -> tuple[float, float]:
@@ -471,6 +471,7 @@ def cmd_kappa(args) -> int:
 def cmd_pipeline(args) -> int:
     cfg_base = _assemble_config(args)
     lex = _lexicon_from(args)
+    spec = SplitSpec(train_ratio=args.train_ratio, seed=args.split_seed, stratify=args.stratify)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     seeds = args.seeds or [1, 2, 3, 4, 5]
@@ -478,9 +479,7 @@ def cmd_pipeline(args) -> int:
     clean, _, _ = clean_corpus(read_corpus(args.infile))
 
     _write_json(outdir / "stats.json", _stats_payload(corpus_stats(clean)))
-    train_set, test_set = split_dataset(
-        clean, SplitSpec(train_ratio=args.train_ratio, seed=args.split_seed, stratify=args.stratify)
-    )
+    train_set, test_set = split_dataset(clean, spec)
     write_corpus(outdir / "train.jsonl", train_set)
     write_corpus(outdir / "test.jsonl", test_set)
 

@@ -82,6 +82,10 @@ class SplitSpec:
     seed: int
     stratify: bool = False
 
+    def __post_init__(self):
+        if not 0.0 < self.train_ratio < 1.0:
+            raise CorpusError(f"train_ratio must be in (0, 1), got {self.train_ratio}")
+
 
 @dataclass(frozen=True)
 class TopicStats:
@@ -335,8 +339,6 @@ def split_dataset(
     n = len(corpus)
     if n < 2:
         raise CorpusError(f"cannot split a corpus of {n} sample(s)")
-    if not 0.0 < spec.train_ratio < 1.0:
-        raise CorpusError(f"train_ratio must be in (0, 1), got {spec.train_ratio}")
     rng = random.Random(spec.seed)
     items = list(corpus)
     rng.shuffle(items)

@@ -12,10 +12,9 @@ from oracles import padded_tke_backward, padded_tke_forward
 from synthcorpus import labeled_corpus
 from toxikit.classifier import (
     GROUP_ORDER,
-    NUM_CATEGORIES,
     UNK_ID,
     ClassifierError,
-    EncodedSample,
+    EncodedSet,
     LexiconMismatchError,
     ModelParams,
     Task,
@@ -26,11 +25,9 @@ from toxikit.classifier import (
     _dense_grads,
     _eval_loss_acc,
     _forward_batch,
-    _stack,
     class_weights_for,
     eligible_samples,
     encode_corpus,
-    encode_sample,
     grad_check,
     init_params,
     load_checkpoint,
@@ -40,6 +37,7 @@ from toxikit.classifier import (
     task_label,
     train,
 )
+from toxikit.cli import _random_check_batch
 from toxikit.corpus import Expression, Platform, TargetGroup, Topic, ToxiSample
 from toxikit.lexicon import Category, InsultEntry, Lexicon, RuleTag, Surface
 from toxikit.resources import lexicon_path
@@ -102,17 +100,19 @@ def test_vocab_empty_corpus_rejected():
 def test_encode_pads_and_truncates():
     cfg = TkeConfig(task=Task.TOXIC, pad_len=6)
     vocab = Vocab.build(["文字老黑文"])
-    enc = encode_sample(sample(), vocab, tiny_lex(), cfg)
+    enc = encode_corpus([sample()], vocab, tiny_lex(), cfg)
     # the text's 5 tokens and nothing after them
-    assert enc.token_ids.shape == (5,)
-    assert list(enc.token_ids) == vocab.encode("文字老黑文")
-    assert list(enc.toxic_ids) == [0, 0, 2, 2, 0]
-    assert enc.label == 1
+    assert enc.tok.shape == (5,)
+    assert list(enc.tok) == vocab.encode("文字老黑文")
+    assert list(enc.tox) == [0, 0, 2, 2, 0]
+    assert list(enc.offsets) == [0, 5]
+    assert list(enc.labels) == [1]
 
     short_cfg = TkeConfig(task=Task.TOXIC, pad_len=3)
-    enc = encode_sample(sample(), vocab, tiny_lex(), short_cfg)
-    assert enc.token_ids.shape == (3,)
-    assert list(enc.toxic_ids) == [0, 0, 2]
+    enc = encode_corpus([sample()], vocab, tiny_lex(), short_cfg)
+    assert enc.tok.shape == (3,)
+    assert list(enc.tox) == [0, 0, 2]
+    assert list(enc.offsets) == [0, 3]
 
 
 def test_encodings_hold_only_the_texts_tokens():
@@ -121,9 +121,24 @@ def test_encodings_hold_only_the_texts_tokens():
     cfg = TkeConfig(task=Task.TOXIC, pad_len=24)
     vocab = Vocab.build(s.text for s in corpus)
     encoded = encode_corpus(corpus, vocab, lex, cfg)
-    held = sum(e.token_ids.nbytes + e.toxic_ids.nbytes for e in encoded)
+    held = encoded.tok.nbytes + encoded.tox.nbytes
     # two int64 ids per kept character, none for padding
     assert held == 16 * sum(min(len(s.text), cfg.pad_len) for s in corpus)
+
+
+@pytest.mark.parametrize("task", [Task.TOXIC, Task.GROUP])
+def test_take_equals_encoding_the_taken_samples(task):
+    lex = load_lexicon(lexicon_path())
+    corpus = eligible_samples(labeled_corpus(80, seed=13, lex=lex), task)
+    cfg = TkeConfig(task=task, pad_len=10)
+    vocab = Vocab.build(s.text for s in corpus)
+    perm = np.random.default_rng(3).permutation(len(corpus))
+    taken = encode_corpus(corpus, vocab, lex, cfg).take(perm)
+    direct = encode_corpus([corpus[i] for i in perm], vocab, lex, cfg)
+    for field in fields(EncodedSet):
+        got, want = getattr(taken, field.name), getattr(direct, field.name)
+        assert got.dtype == want.dtype and got.shape == want.shape, field.name
+        np.testing.assert_array_equal(got, want)
 
 
 def test_eligible_samples_gold_cascade():
@@ -180,12 +195,19 @@ def _fixture_params(d=2, h=2, k=2, vocab_size=4):
     return ModelParams(W=W, C=C, U=U, b_h=b_h, V=V, b=b)
 
 
-def _enc(tokens, toxic, label=0):
-    return EncodedSample(
-        token_ids=np.array(tokens, dtype=np.int64),
-        toxic_ids=np.array(toxic, dtype=np.int64),
-        label=label,
+def _set(tokens, toxic, labels):
+    """An EncodedSet of per-sample token id lists, category id lists and labels."""
+    return EncodedSet(
+        tok=np.array([t for ids in tokens for t in ids], dtype=np.int64),
+        tox=np.array([c for ids in toxic for c in ids], dtype=np.int64),
+        offsets=np.cumsum([0] + [len(ids) for ids in tokens]),
+        labels=np.array(labels),
     )
+
+
+def _enc(tokens, toxic, label=0):
+    """A set of one sample."""
+    return _set([tokens], [toxic], [label])
 
 
 def _cfg(**kw):
@@ -201,8 +223,9 @@ def _embed_rows(enc, params, lam):
     vector the forward caches is exactly that token's row.
     """
     cfg = _cfg(d=params.W.shape[1], pad_len=1, lam=lam)
-    counts = np.ones(len(enc.token_ids), dtype=np.int64)
-    _, (_, _, _, _, pooled, _, _) = _forward_batch(enc.token_ids, enc.toxic_ids, counts, params, cfg)
+    n = len(enc.tok)
+    one_token_each = EncodedSet(enc.tok, enc.tox, np.arange(n + 1), np.zeros(n, dtype=np.int64))
+    _, (_, _, _, _, pooled, _, _) = _forward_batch(one_token_each, params, cfg)
     return pooled
 
 
@@ -248,14 +271,14 @@ def test_predict_rejects_out_of_range_ids():
     ]
     for enc in bad:
         with pytest.raises(ClassifierError, match="out of range"):
-            predict([enc], params, _cfg())
+            predict(enc, params, _cfg())
 
 
 # ---------------------------------------------------------------- forward
 
 def _scores(enc, params, cfg):
-    """Class scores of one sample through the batch forward."""
-    scores, _ = _forward_batch(*_stack([enc]), params, cfg)
+    """Class scores of a one-sample set through the batch forward."""
+    scores, _ = _forward_batch(enc, params, cfg)
     return scores[0]
 
 
@@ -306,6 +329,10 @@ def test_forward_all_pad_rejected():
     params = _fixture_params()
     with pytest.raises(ClassifierError, match="empty sequence"):
         _scores(_enc([], []), params, cfg)
+    # offsets that run backwards give a sample a negative length
+    backwards = EncodedSet(np.array([2, 3]), np.array([0, 0]), np.array([0, 2, 1, 2]), np.zeros(3, dtype=np.int64))
+    with pytest.raises(ClassifierError, match="empty sequence"):
+        _scores(backwards, params, cfg)
 
 
 def test_prediction_depends_on_c_only_through_c0_when_nontoxic():
@@ -389,32 +416,32 @@ def test_gradients_match_finite_differences():
     for task in (Task.TOXIC, Task.GROUP, Task.EXPRESSION):
         cfg = TkeConfig(task=task, d=4, h=3, pad_len=5, lam=0.5, seed=2, dropout=0.0)
         params = init_params(8, cfg)
-        batch = []
+        tokens, toxic, labels = [], [], []
         for _ in range(3):
             n = int(rng.integers(1, 6))
-            tok = rng.integers(2, 8, size=n)
-            tox = rng.integers(0, 6, size=n)
+            tokens.append(rng.integers(2, 8, size=n))
+            toxic.append(rng.integers(0, 6, size=n))
             if task is Task.GROUP:
                 label = np.zeros(4)
                 label[rng.integers(4)] = 1.0
             else:
                 label = int(rng.integers(cfg.n_classes))
-            batch.append(_enc(tok, tox, label))
-        err = grad_check(params, batch, cfg)
+            labels.append(label)
+        err = grad_check(params, _set(tokens, toxic, labels), cfg)
         assert err < 1e-4, f"{task}: {err}"
 
 
 def test_grad_check_corrupt_self_test():
     cfg = _cfg(d=4, h=3)
     params = init_params(6, cfg)
-    batch = [_enc([2, 3, 4], [0, 1, 0], 1)]
+    batch = _enc([2, 3, 4], [0, 1, 0], 1)
     assert grad_check(params, batch, cfg, corrupt=True) > 1e-1
 
 
 def test_lambda_zero_c_gradient_exactly_zero():
     cfg = _cfg(d=4, h=3, lam=0.0)
     params = init_params(6, cfg)
-    batch = [_enc([2, 3], [1, 2], 1)]
+    batch = _enc([2, 3], [1, 2], 1)
     _, grads, _ = loss_and_grads(batch, params, cfg, np.ones(2))
     assert np.all(grads["C"] == 0.0)
 
@@ -422,28 +449,12 @@ def test_lambda_zero_c_gradient_exactly_zero():
 def test_grad_check_batch_cap():
     cfg = _cfg()
     params = init_params(4, cfg)
-    batch = [_enc([2], [0], 0)] * 9
+    batch = _enc([2], [0], 0).take([0] * 9)
     with pytest.raises(ClassifierError):
         grad_check(params, batch, cfg)
 
 
 # ---------------------------------------------------------------- bag-of-counts hot path
-
-def _random_batch(rng, cfg, vocab_size, size):
-    """Random samples of 1..pad_len tokens; a small vocab_size makes tokens
-    repeat within and across samples."""
-    batch = []
-    for _ in range(size):
-        n = int(rng.integers(1, cfg.pad_len + 1))
-        tok = rng.integers(1, vocab_size, size=n)
-        tox = rng.integers(0, NUM_CATEGORIES + 1, size=n)
-        if cfg.multilabel:
-            label = (rng.random(cfg.n_classes) < 0.5).astype(np.float64)
-        else:
-            label = int(rng.integers(cfg.n_classes))
-        batch.append(_enc(tok, tox, label))
-    return batch
-
 
 def _rel_err(a, b):
     """Largest entry-wise difference relative to the largest reference entry."""
@@ -462,23 +473,23 @@ def test_bag_forward_backward_match_padded_reference(task, lam, enhancement):
     ref_lam = lam if enhancement else 0.0
     weights = rng.uniform(0.5, 2.0, size=cfg.n_classes)
     for trial in range(6):
-        batch = _random_batch(rng, cfg, vocab_size, size=int(rng.integers(1, 10)))
+        # a small vocab_size makes tokens repeat within and across samples
+        batch = _random_check_batch(rng, cfg, vocab_size, size=int(rng.integers(1, 10)))
         # the reference reads a (B, pad_len) batch padded with id 0
         tok = np.zeros((len(batch), cfg.pad_len), dtype=np.int64)
         tox = np.zeros_like(tok)
-        for i, s in enumerate(batch):
-            tok[i, : len(s.token_ids)] = s.token_ids
-            tox[i, : len(s.toxic_ids)] = s.toxic_ids
-        labels = np.array([s.label for s in batch])
+        for i, (start, end) in enumerate(zip(batch.offsets[:-1], batch.offsets[1:])):
+            tok[i, : end - start] = batch.tok[start:end]
+            tox[i, : end - start] = batch.tox[start:end]
         mask = None if trial % 2 else (rng.random((len(batch), cfg.d)) >= 0.3) / 0.7
 
         ref_scores, ref_cache = padded_tke_forward(
             tok, tox, P["W"], P["C"], P["U"], P["b_h"], P["V"], P["b"], ref_lam, mask
         )
-        scores, _ = _forward_batch(*_stack(batch), params, cfg, mask)
+        scores, _ = _forward_batch(batch, params, cfg, mask)
         assert _rel_err(scores, ref_scores) <= 1e-12
 
-        _, dscores = _batch_loss(ref_scores, labels, weights)
+        _, dscores = _batch_loss(ref_scores, batch.labels, weights)
         ref_grads = padded_tke_backward(
             tok, tox, P["W"], P["C"], P["U"], P["V"], ref_lam, ref_cache, dscores, mask
         )
@@ -494,7 +505,7 @@ def test_chunked_scoring_matches_one_batch(task):
     cfg = TkeConfig(task=task, d=6, h=5, pad_len=12, batch=8, seed=4)
     whole = replace(cfg, batch=1000)  # one chunk holds the whole set
     params = init_params(30, cfg)
-    test_set = _random_batch(rng, cfg, 30, size=53)
+    test_set = _random_check_batch(rng, cfg, 30, size=53)
 
     labels, probs = predict(test_set, params, cfg)
     ref_labels, ref_probs = predict(test_set, params, whole)
@@ -512,7 +523,7 @@ def test_predict_memory_grows_with_batch_not_set_size():
     rng = np.random.default_rng(29)
     cfg = TkeConfig(task=Task.TOXIC, d=32, h=16, pad_len=50, batch=64, seed=1)
     params = init_params(400, cfg)
-    test_set = _random_batch(rng, cfg, 400, size=2000)
+    test_set = _random_check_batch(rng, cfg, 400, size=2000)
     # one (2000, pad_len, d) float64 intermediate of a whole-set padded forward
     padded_bytes = len(test_set) * cfg.pad_len * cfg.d * 8
     tracemalloc.start()
@@ -651,13 +662,13 @@ def test_train_returns_best_validation_snapshot():
     # rebuild the documented validation carve-out and score the snapshot
     order = np.random.default_rng([cfg.seed, 1]).permutation(len(enc))
     n_val = max(1, int(len(enc) * cfg.val_fraction))
-    val = [enc[i] for i in order[len(enc) - n_val :]]
-    weights = class_weights_for([s.label for s in enc], cfg)
+    val = enc.take(order[len(enc) - n_val :])
+    weights = class_weights_for(enc.labels, cfg)
     losses = []
-    for item in val:
-        scores = _scores(item, params, cfg)
+    for i, label in enumerate(val.labels):
+        scores = _scores(val.take([i]), params, cfg)
         logz = np.log(np.exp(scores - scores.max()).sum()) + scores.max()
-        losses.append(-weights[item.label] * (scores[item.label] - logz))
+        losses.append(-weights[label] * (scores[label] - logz))
     assert math.isclose(float(np.mean(losses)), best, rel_tol=1e-9)
 
 
@@ -675,7 +686,7 @@ def test_early_stopping_cuts_run_short():
 
 def test_train_empty_set_rejected():
     with pytest.raises(ClassifierError):
-        train([], _cfg(), vocab_size=4)
+        train(_set([], [], []), _cfg(), vocab_size=4)
 
 
 # ---------------------------------------------------------------- predict
@@ -690,7 +701,7 @@ def test_predict_single_label_argmax():
         V=np.zeros((2, 2)),
         b=np.array([2.0, -1.0]),
     )
-    labels, probs = predict([_enc([2], [0], 0)], params, cfg)
+    labels, probs = predict(_enc([2], [0], 0), params, cfg)
     assert labels.tolist() == [0]
     assert probs.shape == (1, 2)
     assert math.isclose(probs[0].sum(), 1.0)
@@ -709,7 +720,7 @@ def test_predict_group_threshold_and_fallback():
             b=np.array(bias),
         )
 
-    enc = [_enc([2], [0], np.array([1.0, 0, 0, 0]))]
+    enc = _enc([2], [0], np.array([1.0, 0, 0, 0]))
     # sigmoid: 0.9, 0.6, 0.1, 0.2 ≈ logits 2.2, 0.4, -2.2, -1.4
     labels, _ = predict(enc, with_bias([2.2, 0.4, -2.2, -1.4]), cfg)
     assert labels[0].tolist() == [1.0, 1.0, 0.0, 0.0]
@@ -723,7 +734,7 @@ def test_predict_shape_mismatch_rejected():
     cfg = TkeConfig(task=Task.EXPRESSION, d=2, h=2, pad_len=3, seed=1)
     params = init_params(4, _cfg())  # toxic head: 2 classes, expression needs 3
     with pytest.raises(ClassifierError):
-        predict([_enc([2], [0], 0)], params, cfg)
+        predict(_enc([2], [0], 0), params, cfg)
 
 
 # ---------------------------------------------------------------- ablation

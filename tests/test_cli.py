@@ -1,7 +1,7 @@
 import base64
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +16,7 @@ from toxikit.classifier import (
     Task,
     TkeConfig,
     Vocab,
+    eligible_samples,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -143,6 +144,21 @@ def test_match_writes_jsonl(tmp_path, corpus_file, capsys):
     first = flagged[0]["matches"][0]
     assert set(first) == {"start", "end", "term", "category"}
     capsys.readouterr()
+
+
+def test_match_reads_the_lexicon_under_toxikit_resources(tmp_path, capsys, monkeypatch):
+    resource_dir = tmp_path / "resources"
+    resource_dir.mkdir()
+    (resource_dir / "lexicon.tsv").write_text("某词\tgeneral\texplicit\tnone\n", encoding="utf-8")
+    bundled_term = next(iter(load_lexicon(lexicon_path()))).term
+    infile = tmp_path / "corpus.jsonl"
+    write_corpus(infile, [replace(labeled_corpus(1, seed=2)[0], text=f"甲{bundled_term}乙某词丙")])
+    out = tmp_path / "matches.jsonl"
+    monkeypatch.setenv("TOXIKIT_RESOURCES", str(resource_dir))
+    assert main(["match", "--in", str(infile), "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    rows = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert [(m["term"], m["category"]) for m in rows[0]["matches"]] == [("某词", "general")]
 
 
 def test_derive_outputs(capsys):
@@ -453,8 +469,9 @@ def test_gradcheck_needs_at_least_one_config(capsys, configs):
 
 # ---------------------------------------------------------------- train / eval
 
-def test_train_then_eval(tmp_path, capsys):
-    corpus = separable_corpus(120, seed=4)
+@pytest.mark.parametrize("task", ["toxic", "group", "expression"])
+def test_train_then_eval(tmp_path, capsys, task):
+    corpus = labeled_corpus(120, seed=4)
     train_file = tmp_path / "train.jsonl"
     write_corpus(train_file, corpus[:90])
     test_file = tmp_path / "test.jsonl"
@@ -462,12 +479,12 @@ def test_train_then_eval(tmp_path, capsys):
     model = tmp_path / "model.json"
     code = main(
         [
-            "train", "--task", "toxic", "--in", str(train_file), "--out", str(model),
+            "train", "--task", task, "--in", str(train_file), "--out", str(model),
             "--d", "8", "--h", "8", "--pad-len", "16", "--epochs", "3", "--seed", "1",
         ]
     )
     assert code == EXIT_OK
-    assert "task=toxic" in capsys.readouterr().out
+    assert f"task={task}" in capsys.readouterr().out
     assert model.exists()
 
     report = tmp_path / "report.json"
@@ -475,9 +492,10 @@ def test_train_then_eval(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "P=" in out and "F1=" in out
     payload = json.loads(report.read_text(encoding="utf-8"))
-    assert payload["task"] == "toxic"
-    assert payload["n_test"] == 30
-    assert "expression_accuracy" in payload
+    assert payload["task"] == task
+    assert payload["n_test"] == len(eligible_samples(corpus[90:], Task(task)))
+    assert len(payload["support"]) == TkeConfig(task=Task(task)).n_classes
+    assert ("expression_accuracy" in payload) == (task == "toxic")
 
 
 def _trained_model(tmp_path, *flags) -> tuple[Path, Path]:
@@ -700,5 +718,16 @@ def test_pipeline_encodes_each_split_once(tmp_path, capsys, monkeypatch):
 
 def test_pipeline_bad_seeds_is_a_usage_error(tmp_path, capsys):
     argv = ["pipeline", "--task", "toxic", "--in", str(tmp_path / "raw.jsonl"), "--outdir", str(tmp_path)]
-    assert main(argv + ["--seeds", "1,x"]) == EXIT_USAGE
-    assert "--seeds" in capsys.readouterr().err
+    for seeds in ("1,x", "1,1"):
+        assert main(argv + ["--seeds", seeds]) == EXIT_USAGE
+        assert "--seeds" in capsys.readouterr().err
+
+
+def test_pipeline_bad_train_ratio_leaves_no_outdir(tmp_path, capsys):
+    infile = tmp_path / "raw.jsonl"
+    write_corpus(infile, separable_corpus(20, seed=8))
+    outdir = tmp_path / "run"
+    argv = ["pipeline", "--task", "toxic", "--in", str(infile), "--outdir", str(outdir), "--train-ratio", "1.5"]
+    assert main(argv) == EXIT_DATA
+    assert "train_ratio" in capsys.readouterr().err
+    assert not outdir.exists()
