@@ -48,7 +48,7 @@ from .corpus import (
     split_dataset,
     write_corpus,
 )
-from .lexicon import Lexicon, find_matches, load_lexicon
+from .lexicon import find_matches, load_lexicon
 from .metrics import MetricsError, expression_accuracy_breakdown, fleiss_kappa, weighted_prf
 from .normalize import clean_corpus
 from .pseudolabel import iterate_to_fixpoint
@@ -182,9 +182,9 @@ def _finite_float(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
-def _lexicon_from(args) -> Lexicon:
-    path = getattr(args, "lexicon", None) or resources.lexicon_path()
-    return load_lexicon(path)
+def _lexicon_file(args) -> str | Path:
+    """The ``--lexicon`` file, or else the one the resource directory holds."""
+    return getattr(args, "lexicon", None) or resources.lexicon_path()
 
 
 def _write_json(path: str | Path, payload) -> None:
@@ -203,7 +203,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_match(args) -> int:
-    lex = _lexicon_from(args)
+    lex = load_lexicon(_lexicon_file(args))
     samples = read_corpus(args.infile)
     matched = 0
     with Path(args.out).open("w", encoding="utf-8") as fh:
@@ -256,7 +256,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_pseudolabel(args) -> int:
-    lex = _lexicon_from(args)
+    lex = load_lexicon(_lexicon_file(args))
     samples = read_corpus(args.infile)
     pairs = [(s.id, s.text) for s in samples]
     accept = [line for _, line in read_lines(args.accept)] if args.accept else []
@@ -339,7 +339,7 @@ def cmd_stats(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _assemble_config(args)
-    lex = _lexicon_from(args)
+    lex = load_lexicon(_lexicon_file(args))
     samples = read_corpus(args.infile)
     selected = eligible_samples(samples, cfg.task)
     if not selected:
@@ -386,11 +386,12 @@ def _evaluate(selected, encoded, params, cfg) -> dict:
 
 
 def cmd_eval(args) -> int:
-    lex = _lexicon_from(args)
+    lexicon_file = _lexicon_file(args)
+    lex = load_lexicon(lexicon_file)
     try:
         params, cfg, vocab = load_checkpoint(args.model, lex)
     except LexiconMismatchError as exc:
-        raise LexiconMismatchError(f"{exc} than {args.lexicon or 'the bundled lexicon'}") from None
+        raise LexiconMismatchError(f"{exc} than {lexicon_file}") from None
     samples = read_corpus(args.test)
     payload = _evaluate(*_encode_test(samples, vocab, lex, cfg), params, cfg)
     print(
@@ -470,7 +471,7 @@ def cmd_kappa(args) -> int:
 
 def cmd_pipeline(args) -> int:
     cfg_base = _assemble_config(args)
-    lex = _lexicon_from(args)
+    lex = load_lexicon(_lexicon_file(args))
     spec = SplitSpec(train_ratio=args.train_ratio, seed=args.split_seed, stratify=args.stratify)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

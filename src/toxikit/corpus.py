@@ -150,15 +150,12 @@ def _decode_flag(record: dict, field: str, index: int) -> int:
     return value
 
 
-def _decode_enum(record: dict, field: str, enum_cls, index: int):
-    value = _require(record, field, index)
+def _decode_enum(value, what: str, enum_cls, index: int):
     try:
         return enum_cls(value)
     except ValueError:
         allowed = ", ".join(e.value for e in enum_cls)
-        raise CorpusError(
-            f"record {index}: field '{field}' must be one of {allowed}, got {value!r}"
-        ) from None
+        raise CorpusError(f"record {index}: {what} must be one of {allowed}, got {value!r}") from None
 
 
 def parse_sample(record: dict, index: int = 0) -> ToxiSample:
@@ -178,35 +175,20 @@ def parse_sample(record: dict, index: int = 0) -> ToxiSample:
     if not isinstance(text, str):
         raise CorpusError(f"record {index}: field 'text' must be a string")
 
-    platform = _decode_enum(record, "platform", Platform, index)
-    topic = _decode_enum(record, "topic", Topic, index)
+    platform = _decode_enum(_require(record, "platform", index), "field 'platform'", Platform, index)
+    topic = _decode_enum(_require(record, "topic", index), "field 'topic'", Topic, index)
     toxic = _decode_flag(record, "toxic", index)
     hate = _decode_flag(record, "hate", index)
 
     raw_groups = _require(record, "groups", index)
     if not isinstance(raw_groups, list):
         raise CorpusError(f"record {index}: field 'groups' must be an array")
-    groups = set()
-    for g in raw_groups:
-        try:
-            groups.add(TargetGroup(g))
-        except ValueError:
-            allowed = ", ".join(e.value for e in TargetGroup)
-            raise CorpusError(
-                f"record {index}: field 'groups' entry {g!r} not in {allowed}"
-            ) from None
+    groups = frozenset(_decode_enum(g, "field 'groups' entry", TargetGroup, index) for g in raw_groups)
 
     raw_expr = _require(record, "expression", index)
-    if raw_expr in (None, ""):
-        expression = None
-    else:
-        try:
-            expression = Expression(raw_expr)
-        except ValueError:
-            allowed = ", ".join(e.value for e in Expression)
-            raise CorpusError(
-                f"record {index}: field 'expression' must be null or one of {allowed}"
-            ) from None
+    expression = None
+    if raw_expr not in (None, ""):
+        expression = _decode_enum(raw_expr, "field 'expression' (if not null)", Expression, index)
 
     sample = ToxiSample(
         id=sample_id,
@@ -215,7 +197,7 @@ def parse_sample(record: dict, index: int = 0) -> ToxiSample:
         text=text,
         toxic=toxic,
         hate=hate,
-        groups=frozenset(groups),
+        groups=groups,
         expression=expression,
     )
     violations = validate_hierarchy(sample)
@@ -267,8 +249,8 @@ def iter_corpus_samples(path: str | Path) -> Iterator[ToxiSample | CorpusError]:
     The header on line 1 is checked first.  Lines are streamed and decoded
     one at a time, as in ``read_lines``, but only blank lines are skipped:
     a JSONL line has no comment syntax.  A record that breaks the schema
-    or the hierarchy is rejected with its path and line; a repeated sample
-    id is rejected with its path and record index.  A missing header, a
+    or the hierarchy, or repeats a sample id, is rejected with its path
+    and line.  A missing header, a
     line that is not UTF-8 or not JSON raises instead, ending the file.
     """
     path = Path(path)
@@ -300,7 +282,7 @@ def iter_corpus_samples(path: str | Path) -> Iterator[ToxiSample | CorpusError]:
                 yield CorpusError(f"{path}:{lineno}: {exc}")
                 continue
             if sample.id in seen:
-                yield CorpusError(f"{path}: record {index}: duplicate id {sample.id}")
+                yield CorpusError(f"{path}:{lineno}: record {index}: duplicate id {sample.id}")
                 continue
             seen.add(sample.id)
             yield sample

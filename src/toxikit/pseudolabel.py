@@ -15,8 +15,8 @@ A term admitted later can change only the documents that contain it, so
 a later round scans just those with a lexicon of the new terms,
 merges the new matches in, and moves their grams from the counts under
 the old spans and label to those under the new.  Its final, quiet
-round's ranking is returned as ``candidates``, the same list
-``extract_candidates`` computes from scratch on the final labels.
+round's ranking is returned as ``candidates``, the same list a
+from-scratch count over the final labels would rank.
 """
 
 from __future__ import annotations
@@ -183,7 +183,13 @@ def _distinct_pairs(docs: np.ndarray, grams: np.ndarray, n_docs: int) -> tuple[n
 
 
 def _rank(tables: _GramTables, known: Iterable[str], min_freq: int, min_score: float) -> list[CandidateTerm]:
-    """Candidates from per-label document-frequency tables; see extract_candidates.
+    """Rank the tables' n-grams outside ``known`` by how strongly they
+    indicate pseudo-toxicity.
+
+    Frequencies are document frequencies, counted outside every lexicon
+    match: evidence inside a match is already explained by the matched
+    term.  Candidates need toxic_freq ≥ min_freq and score ≥ min_score;
+    they rank by score, ties by toxic_freq, then term.
 
     A gram whose toxic count is zero — never seen in a toxic document, or
     fallen to zero as matches grew — is no candidate, whatever ``min_freq`` is.
@@ -201,29 +207,6 @@ def _rank(tables: _GramTables, known: Iterable[str], min_freq: int, min_score: f
         )
     candidates.sort(key=lambda c: (-c.score, -c.toxic_freq, c.term))
     return candidates
-
-
-def extract_candidates(
-    labeled: Sequence[PseudoLabeledSample],
-    texts: Sequence[tuple[int, str]],
-    min_freq: int,
-    min_score: float,
-    max_n: int = 4,
-    lex: Lexicon | None = None,
-) -> list[CandidateTerm]:
-    """Rank out-of-lexicon n-grams by how strongly they indicate pseudo-toxicity.
-
-    Frequencies are document frequencies.  Occurrences fully inside an
-    existing lexicon match do not count — the evidence there is already
-    explained by the matched term.  Candidates need toxic_freq ≥ min_freq
-    and score ≥ min_score; ties rank by toxic_freq, then term.
-    """
-    by_id = dict(texts)
-    tables = _GramTables([by_id[row.sample_id] for row in labeled], labeled, max_n)
-    known_terms = {m.entry.term for row in labeled for m in row.matches}
-    if lex is not None:
-        known_terms.update(e.term for e in lex)
-    return _rank(tables, known_terms, min_freq, min_score)
 
 
 def iterate_to_fixpoint(

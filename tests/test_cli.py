@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import naive_candidates
 from synthcorpus import labeled_corpus, separable_corpus
 from toxikit import cli
 from toxikit.classifier import (
@@ -24,7 +25,7 @@ from toxikit.classifier import (
 from toxikit.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from toxikit.corpus import write_corpus
 from toxikit.lexicon import load_lexicon
-from toxikit.pseudolabel import extract_candidates, iterate_to_fixpoint
+from toxikit.pseudolabel import PseudoLabel, iterate_to_fixpoint
 from toxikit.resources import lexicon_path
 
 
@@ -127,7 +128,7 @@ def test_normalize_rejects_duplicate_ids(tmp_path, capsys):
     out = tmp_path / "clean.jsonl"
     assert main(["normalize", "--in", str(infile), "--out", str(out)]) == EXIT_DATA
     captured = capsys.readouterr()
-    assert f"{infile}: record 1: duplicate id 1" in captured.err
+    assert f"{infile}:3: record 1: duplicate id 1" in captured.err
     assert captured.out == ""
     assert not out.exists()
 
@@ -230,10 +231,14 @@ def test_pseudolabel_report_is_the_final_rounds_candidates(tmp_path, capsys):
     assert "iterations=3 " in capsys.readouterr().out
 
     final = iterate_to_fixpoint(pairs, load_lexicon(lexicon_path()), grams, min_freq=3, min_score=2.0)
-    expected = extract_candidates(final.labels, pairs, min_freq=3, min_score=2.0, lex=final.lexicon)
+    docs = [
+        (row.pseudo_label is PseudoLabel.TOXIC, text, [(m.start, m.end) for m in row.matches])
+        for row, (_, text) in zip(final.labels, pairs)
+    ]
+    expected = naive_candidates(docs, {e.term for e in final.lexicon}, 3, 2.0, 4)
     rows = [line.split("\t") for line in report.read_text(encoding="utf-8").splitlines()[1:]]
-    assert expected and [row[0] for row in rows] == [c.term for c in expected]
-    assert [(int(row[1]), int(row[2])) for row in rows] == [(c.toxic_freq, c.clean_freq) for c in expected]
+    assert expected and [row[0] for row in rows] == [term for term, *_ in expected]
+    assert [(int(row[1]), int(row[2])) for row in rows] == [(tf, cf) for _, tf, cf, _ in expected]
 
 
 def test_pseudolabel_max_n_below_one_is_a_usage_error(tmp_path, capsys):
@@ -411,7 +416,7 @@ def test_validate_reports_duplicate_ids(tmp_path, capsys):
     write_corpus(infile, samples)
     assert main(["validate", "--in", str(infile)]) == EXIT_DATA
     out = capsys.readouterr().out
-    assert f"{infile}: record 2: duplicate id 1" in out
+    assert f"{infile}:4: record 2: duplicate id 1" in out
     assert "records=3 invalid=1" in out
 
 
@@ -545,7 +550,7 @@ def test_eval_rejects_ill_typed_config(tmp_path, capsys, key, value):
     assert f"error: {model}: bad config: {key} must be " in capsys.readouterr().err
 
 
-def test_eval_checks_the_training_lexicon(tmp_path, capsys):
+def test_eval_checks_the_training_lexicon(tmp_path, capsys, monkeypatch):
     lines = [line for line in lexicon_path().read_text(encoding="utf-8").splitlines() if line and line[0] != "#"]
     lex_file = tmp_path / "lexicon.tsv"
     lex_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -572,7 +577,15 @@ def test_eval_checks_the_training_lexicon(tmp_path, capsys):
     model, _ = _trained_model(tmp_path, "--lexicon", str(changed))
     capsys.readouterr()
     assert main(eval_argv) == EXIT_DATA
-    assert capsys.readouterr().err == f"error: {model}: trained with a different lexicon than the bundled lexicon\n"
+    assert capsys.readouterr().err == f"error: {model}: trained with a different lexicon than {lexicon_path()}\n"
+
+    resource_dir = tmp_path / "resources"
+    resource_dir.mkdir()
+    (resource_dir / "lexicon.tsv").write_text("某词\tgeneral\texplicit\tnone\n", encoding="utf-8")
+    monkeypatch.setenv("TOXIKIT_RESOURCES", str(resource_dir))
+    assert main(eval_argv) == EXIT_DATA
+    expected = f"error: {model}: trained with a different lexicon than {resource_dir / 'lexicon.tsv'}\n"
+    assert capsys.readouterr().err == expected
 
 
 @pytest.mark.parametrize("corrupt", ["repeated id", "id past the table"])

@@ -124,14 +124,27 @@ def test_parse_errors_name_field_and_record():
         parse_sample({k: v for k, v in _record().items() if k != "text"}, index=3)
     with pytest.raises(CorpusError, match="record 0: field 'toxic'"):
         parse_sample(_record(toxic=2))
-    with pytest.raises(CorpusError, match="field 'groups' entry"):
-        parse_sample(_record(groups=["women"]))
-    with pytest.raises(CorpusError, match="field 'expression'"):
-        parse_sample(_record(expression="sarcastic"))
     with pytest.raises(CorpusError, match="record 5: hierarchy violation"):
         parse_sample(_record(hate=1, groups=[]), index=5)
-    with pytest.raises(CorpusError, match="field 'platform'"):
-        parse_sample(_record(platform="weibo"))
+
+
+@pytest.mark.parametrize(
+    "overrides,field,enum_cls,bad",
+    [
+        ({"platform": "weibo"}, "field 'platform'", Platform, "weibo"),
+        ({"topic": "religion"}, "field 'topic'", Topic, "religion"),
+        ({"groups": ["racism", "women"]}, "field 'groups' entry", TargetGroup, "women"),
+        ({"expression": "sarcastic"}, "field 'expression'", Expression, "sarcastic"),
+    ],
+    ids=["platform", "topic", "groups", "expression"],
+)
+def test_enum_errors_name_field_allowed_values_and_value(overrides, field, enum_cls, bad):
+    with pytest.raises(CorpusError) as info:
+        parse_sample(_record(**overrides), index=4)
+    message = str(info.value)
+    assert message.startswith(f"record 4: {field}")
+    assert ", ".join(e.value for e in enum_cls) in message
+    assert message.endswith(f"got {bad!r}")
 
 
 def test_bool_not_accepted_as_id():

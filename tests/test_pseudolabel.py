@@ -12,7 +12,6 @@ from toxikit.normalize import normalize_text
 from toxikit.pseudolabel import (
     PseudoLabel,
     PseudoLabeledSample,
-    extract_candidates,
     iterate_to_fixpoint,
     pseudo_label,
 )
@@ -82,8 +81,7 @@ def _laohei_fixture():
 
 def test_candidate_scores_hand_counted():
     lex, corpus = _laohei_fixture()
-    labeled = pseudo_label(corpus, lex)
-    found = extract_candidates(labeled, corpus, min_freq=3, min_score=3.0, lex=lex)
+    found = iterate_to_fixpoint(corpus, lex, [], min_freq=3, min_score=3.0).candidates
     by_term = {c.term: c for c in found}
     laohei = by_term["老黑"]
     assert (laohei.toxic_freq, laohei.clean_freq) == (4, 0)
@@ -92,8 +90,7 @@ def test_candidate_scores_hand_counted():
 
 def test_lexicon_terms_never_emitted():
     lex, corpus = _laohei_fixture()
-    labeled = pseudo_label(corpus, lex)
-    found = extract_candidates(labeled, corpus, min_freq=1, min_score=0.1, lex=lex)
+    found = iterate_to_fixpoint(corpus, lex, [], min_freq=1, min_score=0.1).candidates
     assert "蠢驴" not in {c.term for c in found}
     # n-grams strictly inside the 蠢驴 match span are excluded too
     assert "蠢" not in {c.term for c in found}
@@ -102,8 +99,7 @@ def test_lexicon_terms_never_emitted():
 def test_balanced_term_excluded_by_score():
     lex = lex_of("骂")
     corpus = [(0, "骂常见"), (1, "骂常见"), (2, "骂常见"), (3, "常见一"), (4, "常见二"), (5, "常见三")]
-    labeled = pseudo_label(corpus, lex)
-    found = extract_candidates(labeled, corpus, min_freq=3, min_score=3.0, lex=lex)
+    found = iterate_to_fixpoint(corpus, lex, [], min_freq=3, min_score=3.0).candidates
     assert "常见" not in {c.term for c in found}  # score = 4/4 = 1
 
 
@@ -117,8 +113,7 @@ def test_candidates_ranked_by_score_then_freq():
         (4, "骂虫虫子"),
         (5, "骂虫虫子"),
     ]
-    labeled = pseudo_label(corpus, lex)
-    found = extract_candidates(labeled, corpus, min_freq=3, min_score=2.0, lex=lex)
+    found = iterate_to_fixpoint(corpus, lex, [], min_freq=3, min_score=2.0).candidates
     scores = [c.score for c in found]
     assert scores == sorted(scores, reverse=True)
 
@@ -126,14 +121,13 @@ def test_candidates_ranked_by_score_then_freq():
 def test_whitespace_grams_skipped():
     lex = lex_of("骂")
     corpus = [(0, "骂一 二"), (1, "骂一 二"), (2, "骂一 二")]
-    labeled = pseudo_label(corpus, lex)
-    found = extract_candidates(labeled, corpus, min_freq=1, min_score=0.1, lex=lex)
+    found = iterate_to_fixpoint(corpus, lex, [], min_freq=1, min_score=0.1).candidates
     assert all(" " not in c.term for c in found)
 
 
 def test_max_n_validation():
     with pytest.raises(ValueError):
-        extract_candidates([], [], min_freq=1, min_score=1.0, max_n=0)
+        iterate_to_fixpoint([], lex_of(), [], min_freq=1, min_score=1.0, max_n=0)
 
 
 # ---------------------------------------------------------------- fixpoint
@@ -275,15 +269,15 @@ def _as_rows(candidates):
 
 @settings(max_examples=200, deadline=None)
 @given(_mining_case())
-def test_extract_candidates_matches_bruteforce(case):
+def test_first_round_candidates_match_bruteforce(case):
     # empty documents, an empty corpus, non-BMP text, lone surrogates, tab and U+3000
     corpus, lex, max_n, min_freq, min_score = case
+    found = iterate_to_fixpoint(corpus, lex, [], min_freq=min_freq, min_score=min_score, max_n=max_n).candidates
     labeled = pseudo_label(corpus, lex)
-    found = extract_candidates(labeled, corpus, min_freq, min_score, max_n=max_n, lex=lex)
     assert _as_rows(found) == _naive_extraction(labeled, corpus, lex, min_freq, min_score, max_n)
 
 
-def test_extract_candidates_over_an_alphabet_wider_than_2_to_the_13():
+def test_first_round_candidates_over_an_alphabet_wider_than_2_to_the_13():
     rng = random.Random(5)
     common = [chr(0x4E00 + i) for i in range(40)]
     rare = [chr(0x4E00 + i) for i in range(40, 2**13 + 500)]
@@ -293,10 +287,9 @@ def test_extract_candidates_over_an_alphabet_wider_than_2_to_the_13():
     corpus = list(enumerate(texts + ["", ""]))
     assert len({ch for _, text in corpus for ch in text}) > 2**13
     lex = lex_of(*common[:3])
-    labeled = pseudo_label(corpus, lex)
-    found = extract_candidates(labeled, corpus, 1, 1.0, max_n=6, lex=lex)
+    found = iterate_to_fixpoint(corpus, lex, [], min_freq=1, min_score=1.0, max_n=6).candidates
     assert len(found) > 0
-    assert _as_rows(found) == _naive_extraction(labeled, corpus, lex, 1, 1.0, 6)
+    assert _as_rows(found) == _naive_extraction(pseudo_label(corpus, lex), corpus, lex, 1, 1.0, 6)
 
 
 def swallowed_fixture():
@@ -387,9 +380,7 @@ def test_gram_whose_toxic_count_drops_to_zero_is_no_candidate():
     terms = {c.term for c in result.candidates}
     assert "骂蛆" in terms
     assert not terms & {"蛆", "虫"}
-    assert list(result.candidates) == extract_candidates(
-        result.labels, corpus, min_freq=0, min_score=0.5, lex=result.lexicon
-    )
+    assert _as_rows(result.candidates) == _naive_extraction(result.labels, corpus, result.lexicon, 0, 0.5, 4)
 
 
 @pytest.mark.parametrize("make,min_freq,min_score", [(chained_fixture, 2, 1.5), (_labeled_fixpoint_case, 3, 2.0)])
@@ -397,9 +388,8 @@ def test_final_candidates_equal_a_from_scratch_extraction(make, min_freq, min_sc
     corpus, seed_lex, accept = make()
     result = iterate_to_fixpoint(corpus, seed_lex, accept, min_freq=min_freq, min_score=min_score)
     assert result.iterations >= 3
-    assert list(result.candidates) == extract_candidates(
-        result.labels, corpus, min_freq=min_freq, min_score=min_score, lex=result.lexicon
-    )
+    expected = _naive_extraction(result.labels, corpus, result.lexicon, min_freq, min_score, 4)
+    assert _as_rows(result.candidates) == expected
 
 
 # ---------------------------------------------------------------- how much the fixpoint mines
