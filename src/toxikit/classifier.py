@@ -41,6 +41,7 @@ import re
 from array import array
 from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -145,7 +146,7 @@ class Vocab:
         return len(self.token_to_id) + 2
 
     def encode(self, text: str) -> list[int]:
-        return [self.token_to_id.get(ch, UNK_ID) for ch in text]
+        return list(map(self.token_to_id.get, text, repeat(UNK_ID)))
 
 
 @dataclass

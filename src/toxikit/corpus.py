@@ -242,6 +242,17 @@ def read_lines(path: str | Path) -> Iterator[tuple[str, str]]:
                 yield f"{path}:{lineno}", line
 
 
+def _json_line(line: str, path: Path, lineno: int, what: str):
+    """Decode one line of JSON; an error names ``path:lineno`` and the
+    column within the line, its newline stripped."""
+    try:
+        return json.loads(line.rstrip("\r\n"))
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"{path}:{lineno}: {what}: {exc.msg} at column {exc.colno}") from None
+    except RecursionError as exc:
+        raise CorpusError(f"{path}:{lineno}: {what}: {exc}") from None
+
+
 def iter_corpus_samples(path: str | Path) -> Iterator[ToxiSample | CorpusError]:
     """Yield each record of a corpus file as a ToxiSample, or as the
     CorpusError that rejects it.
@@ -259,10 +270,7 @@ def iter_corpus_samples(path: str | Path) -> Iterator[ToxiSample | CorpusError]:
         first = _decode(fh.readline(), path, 1)
         if not first.strip():
             raise CorpusError(f"{path}: empty file, expected schema header")
-        try:
-            header = json.loads(first)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise CorpusError(f"{path}: line 1: malformed JSON header: {exc}") from None
+        header = _json_line(first, path, 1, "malformed JSON header")
         if not isinstance(header, dict) or header.get(SCHEMA_KEY) != SCHEMA_VERSION:
             raise CorpusError(
                 f"{path}: line 1 must be the header object {{\"{SCHEMA_KEY}\": {SCHEMA_VERSION}}}"
@@ -271,10 +279,7 @@ def iter_corpus_samples(path: str | Path) -> Iterator[ToxiSample | CorpusError]:
             line = _decode(raw, path, lineno)
             if not line.strip():
                 continue
-            try:
-                record = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise CorpusError(f"{path}: line {lineno}: malformed JSON: {exc}") from None
+            record = _json_line(line, path, lineno, "malformed JSON")
             index = lineno - 2
             try:
                 sample = parse_sample(record, index=index)

@@ -5,18 +5,20 @@ targeted-group categories plus general swearwords), a surface class
 (explicit or implicit), and a tag naming the derivation rule that
 produced the term (or ``none`` for base forms).
 
-Matching indexes the terms by their first character.  At each position
-of the text, the matcher looks up that character's distinct term
-lengths and tries one slice per length as a dict lookup, so the cost per
-position is the number of distinct term lengths that share its first
-character; it does not depend on lexicon size.  Overlapping and nested
-occurrences are all reported.  ``token_category`` projects matches down
-to one category id per character — the per-token toxic signal consumed
-by the classifier.
+Matching indexes the terms by their first character.  One compiled
+character class of those first characters finds, in C, the positions
+that can start a term, and the matcher visits only those.  At each, it
+looks up that character's distinct term lengths and tries one slice per
+length as a dict lookup, so the cost per visited position is the number
+of distinct term lengths that share its first character; it does not
+depend on lexicon size.  Overlapping and nested occurrences are all
+reported.  ``token_category`` projects matches down to one category id
+per character — the per-token toxic signal consumed by the classifier.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
@@ -82,7 +84,9 @@ class Lexicon:
     """Immutable term collection, indexed for matching by first character.
 
     ``_lengths`` maps each character that starts a term to the distinct
-    lengths of the terms it starts, longest first.
+    lengths of the terms it starts, longest first, and ``_starts`` is the
+    compiled character class of those characters (None for an empty
+    lexicon, which matches nothing).
     """
 
     def __init__(self, entries: Iterable[InsultEntry]):
@@ -96,6 +100,7 @@ class Lexicon:
             lengths.setdefault(entry.term[0], set()).add(len(entry.term))
         self._by_term = seen
         self._lengths = {ch: sorted(ns, reverse=True) for ch, ns in lengths.items()}
+        self._starts = re.compile(f"[{''.join(map(re.escape, lengths))}]") if lengths else None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -170,17 +175,20 @@ def _match_order(match: LexiconMatch) -> tuple[int, int]:
 def find_matches(text: str, lex: Lexicon) -> list[LexiconMatch]:
     """All occurrences of all terms, overlaps included.
 
-    Ordered by (start ascending, length descending), since positions are
-    scanned left to right and lengths tried longest first; that order is
-    total because two matches with equal span would be the same term.
-    The bound check keeps a slice cut short by the end of the text from
-    passing for a shorter term.
+    Ordered by (start ascending, length descending), since the positions
+    that hold a term's first character are visited left to right and
+    lengths tried longest first; that order is total because two matches
+    with equal span would be the same term.  The bound check keeps a
+    slice cut short by the end of the text from passing for a shorter
+    term.
     """
+    if lex._starts is None:
+        return []
     by_term, lengths, size = lex._by_term, lex._lengths, len(text)
     return [
         LexiconMatch(start=start, end=start + n, entry=entry)
-        for start, ch in enumerate(text)
-        for n in lengths.get(ch, ())
+        for start in [m.start() for m in lex._starts.finditer(text)]
+        for n in lengths[text[start]]
         if start + n <= size and (entry := by_term.get(text[start : start + n])) is not None
     ]
 
@@ -193,8 +201,11 @@ def token_category(text: str, lex: Lexicon) -> list[int]:
     category id.  Uncovered tokens get 0 (non-toxic).
     """
     cats = [0] * len(text)
+    matches = find_matches(text, lex)
+    if not matches:
+        return cats
     best_len = [0] * len(text)
-    for match in find_matches(text, lex):
+    for match in matches:
         length = match.end - match.start
         cat = int(match.entry.category)
         for i in range(match.start, match.end):

@@ -13,6 +13,11 @@ Deletions are iterated to a fixpoint: removing one token can splice the
 surrounding text into a new removable token (e.g. an @-mention sitting
 inside a URL), so the removal passes repeat until the text stops
 changing.  This makes ``normalize_text`` idempotent by construction.
+
+No step loops over every character in Python: folding is one
+``str.translate``, run only when a compiled class finds a full-width
+character, and mention stripping returns at once on a text without '@'
+and otherwise jumps from one '@' to the next with ``str.find``.
 """
 
 from __future__ import annotations
@@ -55,45 +60,46 @@ def is_emoji(ch: str) -> bool:
     return any(lo <= cp <= hi for lo, hi in _EMOJI_RANGES)
 
 
+# Full-width digits, ＠, letters and the ideographic space, and their ASCII forms.
+_FOLD_RE = re.compile("[０-９＠-Ｚａ-ｚ\u3000]")
+_FOLD_TABLE = {
+    cp: cp - 0xFEE0
+    for lo, hi in ((0xFF10, 0xFF19), (0xFF20, 0xFF3A), (0xFF41, 0xFF5A))
+    for cp in range(lo, hi + 1)
+}
+_FOLD_TABLE[0x3000] = ord(" ")
+
+
 def _fold_fullwidth(text: str) -> str:
     """Fold full-width alphanumerics, ＠ and the ideographic space to ASCII."""
-    out = []
-    for ch in text:
-        cp = ord(ch)
-        if 0xFF10 <= cp <= 0xFF19 or 0xFF21 <= cp <= 0xFF3A or 0xFF41 <= cp <= 0xFF5A:
-            out.append(chr(cp - 0xFEE0))
-        elif cp == 0xFF20:  # ＠
-            out.append("@")
-        elif cp == 0x3000:  # ideographic space
-            out.append(" ")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return text.translate(_FOLD_TABLE) if _FOLD_RE.search(text) else text
+
+
+def _is_name_char(ch: str) -> bool:
+    return not (ch.isspace() or unicodedata.category(ch).startswith("P") or is_emoji(ch))
 
 
 def _strip_mentions(text: str) -> str:
     """Delete each '@' plus the maximal run of name characters after it.
 
     A name character is anything that is not whitespace, not punctuation
-    and not an emoji; a bare '@' (empty run) is kept.
+    and not an emoji; a bare '@' (empty run) is kept.  The scan jumps
+    from one '@' to the next with ``str.find``.
     """
+    at = text.find("@")
+    if at < 0:
+        return text
     out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "@":
-            j = i + 1
-            while j < n:
-                c = text[j]
-                if c.isspace() or unicodedata.category(c).startswith("P") or is_emoji(c):
-                    break
-                j += 1
-            if j > i + 1:
-                i = j
-                continue
-        out.append(ch)
-        i += 1
+    kept_from, n = 0, len(text)
+    while at >= 0:
+        end = at + 1
+        while end < n and _is_name_char(text[end]):
+            end += 1
+        if end > at + 1:
+            out.append(text[kept_from:at])
+            kept_from = end
+        at = text.find("@", end)
+    out.append(text[kept_from:])
     return "".join(out)
 
 
@@ -126,7 +132,7 @@ def is_substantive(text: str, min_chars: int = 4) -> bool:
 
     Content characters are letters (CJK ideographs included) and digits.
     """
-    return sum(1 for ch in text if ch.isalnum()) >= min_chars
+    return sum(map(str.isalnum, text)) >= min_chars
 
 
 def deduplicate(corpus: list[tuple[int, str]]) -> list[int]:

@@ -2,14 +2,16 @@
 
 Everything here is deliberately naive and written from the textbook
 definition, sharing no code with the package: a quadratic substring
-scanner, an exact-rational Fleiss' kappa, a by-hand
-precision/recall/F1 tally, the TKE forward and backward pass over a
-padded per-token embedding tensor, and candidate n-gram mining that tests
-every gram against every match span.
+scanner, a character-by-character text normalizer, an exact-rational
+Fleiss' kappa, a by-hand precision/recall/F1 tally, the TKE forward and
+backward pass over a padded per-token embedding tensor, and candidate
+n-gram mining that tests every gram against every match span.
 """
 
 from __future__ import annotations
 
+import re
+import unicodedata
 from fractions import Fraction
 from typing import Sequence
 
@@ -24,6 +26,75 @@ def naive_find_matches(text: str, patterns: Sequence[str]) -> set[tuple[int, int
             if text.startswith(pattern, start):
                 hits.add((start, start + len(pattern), pattern))
     return hits
+
+
+_NAIVE_URL_RE = re.compile(
+    r"(?:[A-Za-z][A-Za-z0-9+.\-]*://|www\.)[A-Za-z0-9\-._~:/?#\[\]@!$&'()*+,;=%]+"
+)
+_NAIVE_EMOJI_RANGES = (
+    (0x1F300, 0x1F5FF), (0x1F600, 0x1F64F), (0x1F680, 0x1F6FF),
+    (0x1F900, 0x1F9FF), (0x1FA70, 0x1FAFF), (0x1F1E6, 0x1F1FF),
+    (0x2600, 0x26FF), (0x2700, 0x27BF), (0x2B00, 0x2BFF),
+)
+
+
+def _naive_fold_fullwidth(text: str) -> str:
+    """Fold full-width alphanumerics, ＠ and the ideographic space to ASCII."""
+    out = []
+    for ch in text:
+        cp = ord(ch)
+        if 0xFF10 <= cp <= 0xFF19 or 0xFF21 <= cp <= 0xFF3A or 0xFF41 <= cp <= 0xFF5A:
+            out.append(chr(cp - 0xFEE0))
+        elif cp == 0xFF20:  # ＠
+            out.append("@")
+        elif cp == 0x3000:  # ideographic space
+            out.append(" ")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def _naive_strip_mentions(text: str) -> str:
+    """Delete each '@' plus the maximal run of name characters after it
+    (not whitespace, punctuation or emoji); a bare '@' is kept."""
+    out = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "@":
+            j = i + 1
+            while j < n:
+                c = text[j]
+                cp = ord(c)
+                if (
+                    c.isspace()
+                    or unicodedata.category(c).startswith("P")
+                    or any(lo <= cp <= hi for lo, hi in _NAIVE_EMOJI_RANGES)
+                ):
+                    break
+                j += 1
+            if j > i + 1:
+                i = j
+                continue
+        out.append(ch)
+        i += 1
+    return "".join(out)
+
+
+def naive_normalize_text(raw: str) -> str:
+    """Fold full-width forms, then delete image placeholders, URLs and
+    @-mentions until nothing changes, then collapse whitespace runs."""
+    text = _naive_fold_fullwidth(raw)
+    while True:
+        before = text
+        for marker in ("[图片]", "[image]", "[img]"):
+            while marker in text:
+                text = text.replace(marker, "")
+        text = _NAIVE_URL_RE.sub("", text)
+        text = _naive_strip_mentions(text)
+        if text == before:
+            return re.sub(r"\s+", " ", text).strip()
 
 
 def naive_doc_ngrams(text: str, spans: Sequence[tuple[int, int]], max_n: int) -> set[str]:

@@ -195,15 +195,24 @@ def test_header_required(tmp_path):
 
 def test_malformed_line_reports_lineno(tmp_path):
     path = tmp_path / "c.jsonl"
+    # the column points into the line itself, not past its newline
+    unquoted = "Expecting property name enclosed in double quotes"
     path.write_text('{"toxicn_schema": 1}\n{not json\n', encoding="utf-8")
-    with pytest.raises(CorpusError, match="line 2: malformed JSON"):
+    with pytest.raises(CorpusError, match=rf"c\.jsonl:2: malformed JSON: {unquoted} at column 2$"):
+        read_corpus(path)
+    path.write_text('{"toxicn_schema": 1}\n{"id": 1,\r\n', encoding="utf-8")
+    with pytest.raises(CorpusError, match=rf"c\.jsonl:2: malformed JSON: {unquoted} at column 10$"):
+        read_corpus(path)
+    path.write_text('{"toxicn_schema": 1,\n', encoding="utf-8")
+    with pytest.raises(CorpusError, match=rf"c\.jsonl:1: malformed JSON header: {unquoted} at column 21$"):
         read_corpus(path)
     record = json.dumps(sample_to_record(make()))
     path.write_text('{"toxicn_schema": 1}\n' + record + "\r" + record + "\n", encoding="utf-8")
-    with pytest.raises(CorpusError, match="line 2: malformed JSON: Extra data"):  # a lone CR ends no line
+    extra = rf"c\.jsonl:2: malformed JSON: Extra data at column {len(record) + 2}$"
+    with pytest.raises(CorpusError, match=extra):  # a lone CR ends no line
         read_corpus(path)
     path.write_text('{"toxicn_schema": 1}\n' + "[" * 100_000 + "\n", encoding="utf-8")
-    with pytest.raises(CorpusError, match="line 2: malformed JSON: maximum recursion depth"):
+    with pytest.raises(CorpusError, match=r"c\.jsonl:2: malformed JSON: maximum recursion depth"):
         read_corpus(path)
     path.write_bytes(b'{"toxicn_schema": 1}\n\n"\xff"\n')
     with pytest.raises(CorpusError, match=r"c\.jsonl:3: not UTF-8: invalid start byte at byte 1"):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import naive_find_matches
 from toxikit.lexicon import (
@@ -77,6 +79,27 @@ def test_matcher_equals_naive_scan_on_fuzz():
         assert got == want
 
 
+# Regex metacharacters first: an unescaped one in the first-character class
+# would form a range or a negation and visit positions that start no term.
+_META_FIRST = "][\\^-.*?黑鬼老"
+_META_TEXT = _META_FIRST + "+,/09AZ_a人"
+_META_TERMS = st.lists(
+    st.tuples(st.sampled_from(_META_FIRST), st.text(alphabet=_META_TEXT, max_size=3)).map("".join),
+    min_size=1, max_size=12, unique=True,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_META_TERMS, st.text(alphabet=_META_TEXT, max_size=40))
+@example(["]", "\\", "-", "^"], "a]b\\c-d^e0")
+@example([".-^", "*"], "+,/09AZ_[]")
+def test_matcher_equals_naive_scan_on_regex_metacharacters(terms, text):
+    lex = Lexicon(entry(t) for t in terms)
+    got = [(m.start, m.end, m.entry.term) for m in find_matches(text, lex)]
+    want = sorted(naive_find_matches(text, terms), key=lambda hit: (hit[0], hit[0] - hit[1]))
+    assert got == want
+
+
 def test_term_prefixes_at_end_of_text():
     # slices past the end are cut short; 'ab' at 1 must not pass for 'abc'
     lex = lex_of(("a", Category.GENERAL), ("ab", Category.GENERAL), ("abc", Category.GENERAL))
@@ -96,8 +119,32 @@ def test_token_category_tie_breaks_to_smaller_id():
     assert token_category("女拳师", lex) == [1, 1, 3]
 
 
+def _painted(text, cats_by_term):
+    """The painting rule over the naive scan: each character takes the
+    category of the longest match covering it, ties to the smallest id."""
+    hits = naive_find_matches(text, list(cats_by_term))
+    cats = []
+    for i in range(len(text)):
+        covering = [(start - end, int(cats_by_term[term])) for start, end, term in hits if start <= i < end]
+        cats.append(min(covering)[1] if covering else 0)
+    return cats
+
+
 def test_token_category_uncovered_is_zero():
     assert token_category("和平文字", lex_of(("骂", Category.GENERAL))) == [0, 0, 0, 0]
+    # texts that hold first characters of terms, or none, but no whole term
+    cats_by_term = {"]x": Category.RACISM, "-": Category.SEXISM, "黑鬼": Category.RACISM}
+    lex = Lexicon(entry(t, c) for t, c in cats_by_term.items())
+    for text in ("", "a+b0Z_人", "]]", "黑"):
+        assert token_category(text, lex) == _painted(text, cats_by_term) == [0] * len(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_META_TERMS, st.text(alphabet=_META_TEXT, max_size=40))
+def test_token_category_follows_the_painting_rule(terms, text):
+    cats_by_term = {t: Category(1 + sum(map(ord, t)) % 5) for t in terms}
+    lex = Lexicon(entry(t, c) for t, c in cats_by_term.items())
+    assert token_category(text, lex) == _painted(text, cats_by_term)
 
 
 # ---------------------------------------------------------------- construction

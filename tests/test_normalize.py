@@ -1,6 +1,10 @@
 import random
 import unicodedata
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oracles import naive_normalize_text
 from toxikit.normalize import (
     deduplicate,
     is_emoji,
@@ -108,3 +112,26 @@ def test_fuzz_output_invariants():
         assert "  " not in out and "\n" not in out and "\t" not in out
         assert "http://" not in out and "https://" not in out
         assert not _has_mention(out)
+
+
+_ORACLE_PIECES = st.one_of(
+    st.sampled_from(_FUZZ_TOKENS),
+    st.characters(min_codepoint=0xFF10, max_codepoint=0xFF5A),  # full-width digits, ＠, letters
+    st.sampled_from(["＠", "@", "\u3000", "👍", "🇨🇳", "☀", "✂", "、", "。", "「", "」", "《", "…", "～"]),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_ORACLE_PIECES, max_size=16).map("".join))
+@example("＠某人\u3000ｈｉ＠＠ａ@@b@")
+@example("[图@x片]http://ａ.ｂ/c＠d　@")
+def test_normalize_equals_naive_oracle(raw):
+    assert normalize_text(raw) == naive_normalize_text(raw)
+
+
+def test_normalize_equals_naive_oracle_on_each_fullwidth_character():
+    # one character at a time, so a class that misses an end of a range shows
+    for cp in [*range(0xFF00, 0xFF66), 0x3000, 0x3001, 0x2FFF]:
+        raw = f"a{chr(cp)}b"
+        assert normalize_text(raw) == naive_normalize_text(raw), hex(cp)
