@@ -113,6 +113,8 @@ class TkeConfig:
             raise ClassifierError(f"val_fraction must be in [0, 0.5), got {self.val_fraction}")
         if self.patience < 1:
             raise ClassifierError(f"patience must be ≥ 1, got {self.patience}")
+        if self.seed < 0:
+            raise ClassifierError(f"seed must be ≥ 0, got {self.seed}")
         if not all(0.0 <= x < math.inf for x in (self.lr, self.weight_decay)):  # NaN fails both
             raise ClassifierError(f"lr and weight_decay must be finite and ≥ 0, got {self.lr} and {self.weight_decay}")
 
@@ -472,11 +474,13 @@ class _AdamW:
     only the listed rows of m, v and the block move, the bias correction
     uses the global step t, and weight decay reaches those rows only.
 
-    Each dense block gets two scratch buffers on its first step, so later
-    steps allocate nothing; a row-sparse step allocates only row-sized
-    arrays.  The operations and their order are those of the textbook
-    expression, so a dense block, or a row listed at every step, gets
-    bitwise the textbook update.
+    A dense gradient is the row step over every row: ``rows`` is
+    ``slice(None)``, whose gather is a view and whose scatter writes the
+    block back onto itself.  So one body serves all six blocks; the dense
+    ones (C, U, b_h, V, b) hold a few thousand floats, too few for buffers
+    kept between steps to pay.  The operations and their order are those
+    of the textbook expression, so a dense block, or a row listed at every
+    step, gets bitwise the textbook update.
     """
 
     def __init__(self, blocks: dict[str, np.ndarray], lr: float, weight_decay: float):
@@ -486,23 +490,17 @@ class _AdamW:
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in blocks.items()}
         self.v = {k: np.zeros_like(v) for k, v in blocks.items()}
-        self.scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self, blocks: dict[str, np.ndarray], grads: dict) -> None:
         self.t += 1
         for name, p in blocks.items():
-            g = grads[name]
-            if isinstance(g, tuple):
-                rows, g = g
-                m, v, q = self.m[name][rows], self.v[name][rows], p[rows]
-                self._update(m, v, q, g, np.empty_like(g), np.empty_like(g))
-                self.m[name][rows], self.v[name][rows], p[rows] = m, v, q
-            else:
-                if name not in self.scratch:
-                    self.scratch[name] = (np.empty_like(p), np.empty_like(p))
-                self._update(self.m[name], self.v[name], p, g, *self.scratch[name])
+            rows, g = grads[name] if isinstance(grads[name], tuple) else (slice(None), grads[name])
+            m, v, q = self.m[name][rows], self.v[name][rows], p[rows]
+            self._update(m, v, q, g)
+            self.m[name][rows], self.v[name][rows], p[rows] = m, v, q
 
-    def _update(self, m, v, p, g, s1, s2) -> None:
+    def _update(self, m, v, p, g) -> None:
+        s1, s2 = np.empty_like(g), np.empty_like(g)
         # m = β1·m + (1-β1)·g ;  v = β2·v + (1-β2)·g·g
         np.multiply(m, self.beta1, out=m)
         np.multiply(g, 1 - self.beta1, out=s1)
@@ -572,6 +570,8 @@ def train(
     the set has ≥ 5 samples) is carved off the end of a seeded shuffle
     and drives early stopping: no improvement for cfg.patience epochs
     stops the run, and the best-validation-loss snapshot is returned.
+    Without a carve-out every epoch runs, with None for its validation
+    scores, and the last epoch's parameters are returned.
     Each epoch's training loss and accuracy are the size-weighted means
     over its minibatches, scored as they were trained (dropout on, each
     before its own step).
@@ -608,21 +608,14 @@ def train(
             loss_sum += loss * len(chunk)
             hits += _hits(scores, chunk.labels, cfg)
 
-        train_loss, train_acc = loss_sum / len(fit_idx), hits / len(fit_idx)
-        if val:
-            val_loss, val_acc = _eval_loss_acc(val, params, cfg, class_weights)
-            history.append(EpochStats(epoch, train_loss, train_acc, val_loss, val_acc))
-            if val_loss < best_loss:
-                best_loss = val_loss
-                best_params = params.copy()
-                stale = 0
-            else:
-                stale += 1
-                if stale >= cfg.patience:
-                    break
+        val_loss, val_acc = _eval_loss_acc(val, params, cfg, class_weights) if val else (None, None)
+        history.append(EpochStats(epoch, loss_sum / len(fit_idx), hits / len(fit_idx), val_loss, val_acc))
+        if val_loss is None or val_loss < best_loss:  # without a carve-out, every epoch is the best so far
+            best_loss, best_params, stale = val_loss, params.copy(), 0
         else:
-            history.append(EpochStats(epoch, train_loss, train_acc, None, None))
-            best_params = params.copy()
+            stale += 1
+            if stale >= cfg.patience:
+                break
     return best_params, history
 
 

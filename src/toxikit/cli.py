@@ -148,11 +148,8 @@ def _parse_int(text: str, where: str) -> int:
 
 
 def _seed_list(text: str) -> list[int]:
-    """argparse type for --seeds: comma-separated integers, none repeated."""
-    try:
-        seeds = [int(s) for s in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+    """argparse type for --seeds: comma-separated integers ≥ 0, none repeated."""
+    seeds = [_int_at_least(0)(s) for s in text.split(",")]
     if len(set(seeds)) != len(seeds):
         raise argparse.ArgumentTypeError(f"repeated seed in {text!r}")
     return seeds
@@ -337,15 +334,25 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
+def _task_set(samples, where, lex, cfg, vocab=None) -> tuple[list[ToxiSample], Vocab, EncodedSet]:
+    """The samples of file ``where`` usable for cfg's task, the vocabulary
+    (built from them unless given) and their encodings.  An empty
+    selection, or a selected sample with an empty text, is a data error."""
+    selected = eligible_samples(samples, cfg.task)
+    if not selected:
+        raise CorpusError(f"{where}: no samples usable for task {cfg.task.value}")
+    empty = next((s.id for s in selected if not s.text), None)
+    if empty is not None:
+        raise CorpusError(f"{where}: sample {empty} has an empty text")
+    if vocab is None:
+        vocab = Vocab.build(s.text for s in selected)
+    return selected, vocab, encode_corpus(selected, vocab, lex, cfg)
+
+
 def cmd_train(args) -> int:
     cfg = _assemble_config(args)
     lex = load_lexicon(_lexicon_file(args))
-    samples = read_corpus(args.infile)
-    selected = eligible_samples(samples, cfg.task)
-    if not selected:
-        raise CorpusError(f"no samples usable for task {cfg.task.value}")
-    vocab = Vocab.build(s.text for s in selected)
-    encoded = encode_corpus(selected, vocab, lex, cfg)
+    _, vocab, encoded = _task_set(read_corpus(args.infile), args.infile, lex, cfg)
     params, history = train(encoded, cfg, vocab_size=len(vocab))
     save_checkpoint(args.out, params, cfg, vocab, lex)
     last = history[-1]
@@ -354,14 +361,6 @@ def cmd_train(args) -> int:
         f"train_acc={100 * last.train_accuracy:.1f} model={args.out}"
     )
     return EXIT_OK
-
-
-def _encode_test(samples, vocab, lex, cfg) -> tuple[list[ToxiSample], EncodedSet]:
-    """The samples usable for cfg's task, and their encodings."""
-    selected = eligible_samples(samples, cfg.task)
-    if not selected:
-        raise CorpusError(f"no samples usable for task {cfg.task.value}")
-    return selected, encode_corpus(selected, vocab, lex, cfg)
 
 
 def _evaluate(selected, encoded, params, cfg) -> dict:
@@ -392,8 +391,8 @@ def cmd_eval(args) -> int:
         params, cfg, vocab = load_checkpoint(args.model, lex)
     except LexiconMismatchError as exc:
         raise LexiconMismatchError(f"{exc} than {lexicon_file}") from None
-    samples = read_corpus(args.test)
-    payload = _evaluate(*_encode_test(samples, vocab, lex, cfg), params, cfg)
+    selected, _, encoded = _task_set(read_corpus(args.test), args.test, lex, cfg, vocab)
+    payload = _evaluate(selected, encoded, params, cfg)
     print(
         f"task={payload['task']} n={payload['n_test']} "
         f"P={payload['precision']:.1f} R={payload['recall']:.1f} F1={payload['f1']:.1f}"
@@ -484,13 +483,9 @@ def cmd_pipeline(args) -> int:
     write_corpus(outdir / "train.jsonl", train_set)
     write_corpus(outdir / "test.jsonl", test_set)
 
-    train_selected = eligible_samples(train_set, cfg_base.task)
-    if not train_selected:
-        raise CorpusError(f"no training samples usable for task {cfg_base.task.value}")
-    vocab = Vocab.build(s.text for s in train_selected)
     # encoding reads pad_len and task, never the seed
-    encoded = encode_corpus(train_selected, vocab, lex, cfg_base)
-    test_selected, test_encoded = _encode_test(test_set, vocab, lex, cfg_base)
+    _, vocab, encoded = _task_set(train_set, outdir / "train.jsonl", lex, cfg_base)
+    test_selected, _, test_encoded = _task_set(test_set, outdir / "test.jsonl", lex, cfg_base, vocab)
     for seed in seeds:
         cfg = replace(cfg_base, seed=seed)
         params, _ = train(encoded, cfg, vocab_size=len(vocab))
@@ -575,7 +570,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--configs", type=_int_at_least(1), default=3)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_int_at_least(0), default=7)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("kappa", help="Fleiss' kappa over an items × categories count TSV")

@@ -72,10 +72,11 @@ class ToxiSample:
 class SplitSpec:
     """Train/test split settings.
 
-    Train size is round-half-up(train_ratio * N).  With ``stratify`` the
-    cut is applied per (toxic, hate) stratum instead, so class balance is
-    preserved exactly; per-stratum rounding may then shift the overall
-    train size by a sample or two.
+    Train size is round-half-up(train_ratio * N) per stratum.  Without
+    ``stratify`` the whole corpus is one stratum.  With it each (toxic,
+    hate) pair is a stratum, so class balance is preserved exactly;
+    per-stratum rounding may then shift the overall train size by a
+    sample or two.
     """
 
     train_ratio: float
@@ -322,24 +323,19 @@ def _round_half_up(x: float) -> int:
 def split_dataset(
     corpus: Sequence[ToxiSample], spec: SplitSpec
 ) -> tuple[list[ToxiSample], list[ToxiSample]]:
-    """Shuffle and cut the corpus into (train, test); deterministic per seed."""
-    n = len(corpus)
-    if n < 2:
-        raise CorpusError(f"cannot split a corpus of {n} sample(s)")
-    rng = random.Random(spec.seed)
+    """Shuffle the corpus, then cut each stratum into (train, test) in
+    sorted stratum order; deterministic per seed.  Without ``stratify`` the
+    whole shuffled corpus is one stratum, so the cut is one prefix of it."""
+    if len(corpus) < 2:
+        raise CorpusError(f"cannot split a corpus of {len(corpus)} sample(s)")
     items = list(corpus)
-    rng.shuffle(items)
-    if not spec.stratify:
-        k = _round_half_up(spec.train_ratio * n)
-        return items[:k], items[k:]
-
-    strata: dict[tuple[int, int], list[ToxiSample]] = {}
+    random.Random(spec.seed).shuffle(items)
+    strata: dict[tuple[int, ...], list[ToxiSample]] = {}
     for sample in items:
-        strata.setdefault((sample.toxic, sample.hate), []).append(sample)
+        strata.setdefault((sample.toxic, sample.hate) if spec.stratify else (), []).append(sample)
     train: list[ToxiSample] = []
     test: list[ToxiSample] = []
-    for key in sorted(strata):
-        members = strata[key]
+    for _, members in sorted(strata.items()):
         k = _round_half_up(spec.train_ratio * len(members))
         train.extend(members[:k])
         test.extend(members[k:])

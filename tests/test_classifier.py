@@ -684,6 +684,23 @@ def test_early_stopping_cuts_run_short():
     assert len(history) < 400
 
 
+@pytest.mark.parametrize("n, val_fraction", [(40, 0.0), (4, 0.1)], ids=["val_fraction_0", "four_samples"])
+def test_train_without_validation_runs_every_epoch_and_returns_the_last(n, val_fraction):
+    """No carve-out (val_fraction=0, or fewer than 5 samples): no early stop,
+    no validation scores, and the last epoch's parameters come back."""
+    lex = load_lexicon(lexicon_path())
+    corpus = _train_corpus(lex, n=n, seed=3)
+    cfg = TkeConfig(task=Task.TOXIC, d=8, h=8, pad_len=12, epochs=3, seed=4, patience=1, val_fraction=val_fraction)
+    vocab = Vocab.build(s.text for s in corpus)
+    enc = encode_corpus(corpus, vocab, lex, cfg)
+    params, history = train(enc, cfg, vocab_size=len(vocab))
+    assert [stats.epoch for stats in history] == [0, 1, 2]
+    assert all(stats.val_loss is None and stats.val_accuracy is None for stats in history)
+    shorter, short_history = train(enc, replace(cfg, epochs=2), vocab_size=len(vocab))
+    assert short_history == history[:2]
+    assert all(not np.array_equal(a, b) for a, b in zip(params.blocks().values(), shorter.blocks().values()))
+
+
 def test_train_empty_set_rejected():
     with pytest.raises(ClassifierError):
         train(_set([], [], []), _cfg(), vocab_size=4)
@@ -966,6 +983,9 @@ def test_config_validation():
     for bad in ({"lr": math.nan}, {"lr": math.inf}, {"lr": -1e-3}, {"weight_decay": math.nan}, {"weight_decay": math.inf}):
         with pytest.raises(ClassifierError, match="lr and weight_decay must be finite"):
             TkeConfig(task=Task.TOXIC, **bad)
+    with pytest.raises(ClassifierError, match="seed must be ≥ 0, got -3"):
+        TkeConfig(task=Task.TOXIC, seed=-3)
+    assert TkeConfig(seed=0).seed == 0
     for bad in ({"d": 3.0}, {"seed": True}, {"enhancement": "no"}, {"enhancement": 1}, {"lam": True}, {"task": "toxic"}):
         with pytest.raises(ClassifierError, match=f"{next(iter(bad))} must be "):
             TkeConfig(**bad)

@@ -464,12 +464,14 @@ def test_gradcheck_cli(capsys):
     assert "max_rel_error=" in out and "corrupted_self_test=" in out
 
 
-@pytest.mark.parametrize("configs", ["0", "-3"])
-def test_gradcheck_needs_at_least_one_config(capsys, configs):
-    assert main(["gradcheck", "--configs", configs]) == EXIT_USAGE
+@pytest.mark.parametrize(
+    "flag, value, minimum", [("--configs", "0", 1), ("--configs", "-3", 1), ("--seed", "-1", 0)], ids=["0", "-3", "seed"]
+)
+def test_gradcheck_needs_at_least_one_config(capsys, flag, value, minimum):
+    assert main(["gradcheck", flag, value]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"expected an integer ≥ 1, got '{configs}'" in captured.err
+    assert f"{flag}: expected an integer ≥ {minimum}, got '{value}'" in captured.err
 
 
 # ---------------------------------------------------------------- train / eval
@@ -501,6 +503,31 @@ def test_train_then_eval(tmp_path, capsys, task):
     assert payload["n_test"] == len(eligible_samples(corpus[90:], Task(task)))
     assert len(payload["support"]) == TkeConfig(task=Task(task)).n_classes
     assert ("expression_accuracy" in payload) == (task == "toxic")
+
+
+def test_train_and_eval_refuse_an_empty_text(tmp_path, capsys):
+    corpus = separable_corpus(12, seed=4)
+    good = tmp_path / "good.jsonl"
+    write_corpus(good, corpus)
+    bad = tmp_path / "bad.jsonl"
+    write_corpus(bad, corpus[:3] + [replace(corpus[3], text="")] + corpus[4:])
+    model = tmp_path / "model.json"
+    flags = ["--task", "toxic", "--out", str(model), "--d", "4", "--h", "4", "--pad-len", "8", "--epochs", "1"]
+    assert main(["train", "--in", str(bad), *flags]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {bad}: sample {corpus[3].id} has an empty text\n"
+    assert not model.exists()
+    assert main(["train", "--in", str(good), *flags]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--test", str(bad)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {bad}: sample {corpus[3].id} has an empty text\n"
+
+
+def test_train_with_no_usable_sample_names_the_file(tmp_path, capsys):
+    corpus_path = tmp_path / "c.jsonl"
+    write_corpus(corpus_path, [s for s in separable_corpus(10, seed=1) if not s.hate])
+    argv = ["train", "--task", "group", "--in", str(corpus_path), "--out", str(tmp_path / "m.json")]
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {corpus_path}: no samples usable for task group\n"
 
 
 def _trained_model(tmp_path, *flags) -> tuple[Path, Path]:
@@ -659,8 +686,9 @@ def test_config_file_keys_are_the_tke_config_fields(tmp_path, capsys):
         (["--epochs", "0"], "epochs and batch must be positive"),
         (["--lr", "nan"], "lr and weight_decay must be finite and ≥ 0"),
         (["--weight-decay", "inf"], "lr and weight_decay must be finite and ≥ 0"),
+        (["--seed", "-1"], "seed must be ≥ 0, got -1"),
     ],
-    ids=["zero-epochs", "nan-lr", "inf-weight-decay"],
+    ids=["zero-epochs", "nan-lr", "inf-weight-decay", "negative-seed"],
 )
 def test_train_rejects_zero_epochs_and_non_finite_steps(tmp_path, capsys, flags, message):
     corpus_path = tmp_path / "c.jsonl"
@@ -730,10 +758,14 @@ def test_pipeline_encodes_each_split_once(tmp_path, capsys, monkeypatch):
 
 
 def test_pipeline_bad_seeds_is_a_usage_error(tmp_path, capsys):
-    argv = ["pipeline", "--task", "toxic", "--in", str(tmp_path / "raw.jsonl"), "--outdir", str(tmp_path)]
-    for seeds in ("1,x", "1,1"):
+    infile = tmp_path / "raw.jsonl"
+    write_corpus(infile, separable_corpus(20, seed=8))
+    outdir = tmp_path / "run"
+    argv = ["pipeline", "--task", "toxic", "--in", str(infile), "--outdir", str(outdir)]
+    for seeds in ("1,x", "1,1", "-1", "2,-3"):
         assert main(argv + ["--seeds", seeds]) == EXIT_USAGE
         assert "--seeds" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_pipeline_bad_train_ratio_leaves_no_outdir(tmp_path, capsys):

@@ -281,6 +281,17 @@ def test_split_deterministic_and_seed_sensitive():
     assert [s.id for s in other[0]] != [s.id for s in split_dataset(corpus, spec)[0]]
 
 
+def test_plain_split_is_the_cut_of_one_seeded_shuffle():
+    """Without stratify, train is the first round-half-up(ratio·n) samples of
+    random.Random(seed)'s shuffle of the corpus, and test is the rest."""
+    for n, ratio, seed in ((2, 0.5, 0), (5, 0.5, 1), (10, 0.8, 3), (37, 0.7, 11), (200, 0.9, 5)):
+        corpus = _corpus_of(n, seed=seed)
+        items = list(corpus)
+        random.Random(seed).shuffle(items)
+        k = int(ratio * n + 0.5)
+        assert split_dataset(corpus, SplitSpec(train_ratio=ratio, seed=seed)) == (items[:k], items[k:])
+
+
 def test_split_partitions_1000_random_corpora():
     rng = random.Random(11)
     for trial in range(1_000):
