@@ -39,9 +39,10 @@ import json
 import math
 import re
 from array import array
+from collections import Counter
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -135,10 +136,7 @@ class Vocab:
 
     @classmethod
     def build(cls, texts: Iterable[str]) -> "Vocab":
-        freq: dict[str, int] = {}
-        for text in texts:
-            for ch in text:
-                freq[ch] = freq.get(ch, 0) + 1
+        freq = Counter(chain.from_iterable(texts))
         if not freq:
             raise ClassifierError("cannot build a vocabulary from an empty corpus")
         ordered = sorted(freq, key=lambda ch: (-freq[ch], ord(ch)))

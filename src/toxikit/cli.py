@@ -472,20 +472,21 @@ def cmd_pipeline(args) -> int:
     cfg_base = _assemble_config(args)
     lex = load_lexicon(_lexicon_file(args))
     spec = SplitSpec(train_ratio=args.train_ratio, seed=args.split_seed, stratify=args.stratify)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     seeds = args.seeds or [1, 2, 3, 4, 5]
 
     clean, _, _ = clean_corpus(read_corpus(args.infile))
-
-    _write_json(outdir / "stats.json", _stats_payload(corpus_stats(clean)))
+    stats = _stats_payload(corpus_stats(clean))
     train_set, test_set = split_dataset(clean, spec)
+    # both splits are selected and encoded before anything is written, so a
+    # split the task cannot use leaves no outdir; encoding never reads the seed
+    _, vocab, encoded = _task_set(train_set, f"{args.infile} (train split)", lex, cfg_base)
+    test_selected, _, test_encoded = _task_set(test_set, f"{args.infile} (test split)", lex, cfg_base, vocab)
+
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    _write_json(outdir / "stats.json", stats)
     write_corpus(outdir / "train.jsonl", train_set)
     write_corpus(outdir / "test.jsonl", test_set)
-
-    # encoding reads pad_len and task, never the seed
-    _, vocab, encoded = _task_set(train_set, outdir / "train.jsonl", lex, cfg_base)
-    test_selected, _, test_encoded = _task_set(test_set, outdir / "test.jsonl", lex, cfg_base, vocab)
     for seed in seeds:
         cfg = replace(cfg_base, seed=seed)
         params, _ = train(encoded, cfg, vocab_size=len(vocab))

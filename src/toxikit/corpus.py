@@ -151,11 +151,15 @@ def _decode_flag(record: dict, field: str, index: int) -> int:
     return value
 
 
+# each enum's value -> member, so decoding a record costs dict lookups, not enum calls
+_MEMBERS = {cls: {e.value: e for e in cls} for cls in (Platform, Topic, TargetGroup, Expression)}
+
+
 def _decode_enum(value, what: str, enum_cls, index: int):
     try:
-        return enum_cls(value)
-    except ValueError:
-        allowed = ", ".join(e.value for e in enum_cls)
+        return _MEMBERS[enum_cls][value]
+    except (KeyError, TypeError):  # TypeError: an unhashable JSON array or object
+        allowed = ", ".join(_MEMBERS[enum_cls])
         raise CorpusError(f"record {index}: {what} must be one of {allowed}, got {value!r}") from None
 
 

@@ -157,12 +157,14 @@ def clean_corpus(
     Brief means fewer than ``min_chars`` content characters (see
     ``is_substantive``).  Returns (kept, dropped_brief, dropped_dup).  A
     repeated text keeps its first sample; kept samples stay in input order.
+    A sample whose text normalizes to itself is kept as the same object;
+    only a changed text costs a new ``ToxiSample``.
     """
     substantive = []
     for sample in samples:
         text = normalize_text(sample.text)
         if is_substantive(text, min_chars):
-            substantive.append(replace(sample, text=text))
+            substantive.append(sample if text == sample.text else replace(sample, text=text))
     firsts = deduplicate([(i, s.text) for i, s in enumerate(substantive)])
     kept = [substantive[i] for i in firsts]
     return kept, len(samples) - len(substantive), len(substantive) - len(kept)

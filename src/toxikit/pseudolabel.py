@@ -88,6 +88,8 @@ class _GramTables:
     of the corpus, masked or not, so that every prefix has a rank and any
     document of the corpus can later be looked up in the tables;
     ``toxic[n-1]`` and ``clean[n-1]`` are the int32 counts beside it.
+    ``tally`` moves the counts by run lengths over sorted gram indices, so
+    a tally costs time in the grams it counts, not in the table size.
     """
 
     def __init__(self, texts: Sequence[str], rows: Sequence[PseudoLabeledSample], max_n: int):
@@ -102,12 +104,16 @@ class _GramTables:
         self.tally(texts, rows, 1)
 
     def tally(self, texts: Sequence[str], rows: Sequence[PseudoLabeledSample], sign: int) -> None:
-        """Add ``sign`` to the toxic or clean count of each row's grams."""
+        """Add ``sign`` to the toxic or clean count of each row's grams.
+
+        ``grams`` yields each n's gram indices sorted, so a label's share of
+        them is sorted too: one ``_add_runs`` per (n, label).
+        """
         toxic = np.array([row.pseudo_label is PseudoLabel.TOXIC for row in rows], bool)
         for n, docs, grams in self.grams(texts, rows):
             is_toxic = toxic[docs]
-            np.add.at(self.toxic[n - 1], grams[is_toxic], sign)
-            np.add.at(self.clean[n - 1], grams[~is_toxic], sign)
+            _add_runs(self.toxic[n - 1], grams[is_toxic], sign)
+            _add_runs(self.clean[n - 1], grams[~is_toxic], sign)
 
     def grams(
         self, texts: Sequence[str], rows: Sequence[PseudoLabeledSample]
@@ -176,10 +182,29 @@ def _distinct_pairs(docs: np.ndarray, grams: np.ndarray, n_docs: int) -> tuple[n
     side; the keys stay below (distinct grams) × n_docs, within int64.
     """
     pairs = np.sort(grams * n_docs + docs)
-    first = np.ones(len(pairs), bool)
-    first[1:] = pairs[1:] != pairs[:-1]
-    pairs = pairs[first]
+    pairs = pairs[_run_starts(pairs)]
     return pairs % n_docs, pairs // n_docs
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """True where a run of equal values of the sorted array ``values`` begins."""
+    first = np.ones(len(values), bool)
+    first[1:] = values[1:] != values[:-1]
+    return first
+
+
+def _add_runs(table: np.ndarray, index: np.ndarray, sign: int) -> None:
+    """Add ``sign`` to ``table`` at each element of the sorted ``index``, as
+    ``np.add.at`` would, by one fancy add over the distinct indices, each by
+    ``sign`` times its run length.
+
+    Its time is linear in ``len(index)``: a table-sized ``np.bincount`` is
+    faster over a whole corpus but slower on the few documents a later
+    fixpoint round recounts.  The temporaries end with the call, so none is
+    held while ``grams`` builds the next n's pairs.
+    """
+    first = np.flatnonzero(_run_starts(index))
+    table[index[first]] += sign * np.diff(first, append=len(index))
 
 
 def _rank(tables: _GramTables, known: Iterable[str], min_freq: int, min_score: float) -> list[CandidateTerm]:

@@ -400,6 +400,25 @@ def test_bad_record_names_file_and_line(tmp_path, capsys):
     assert capsys.readouterr().out == f"{expected}\nrecords=1 invalid=1\n"
 
 
+def test_validate_reports_unhashable_enum_values(tmp_path, capsys):
+    good = {"id": 1, "platform": "zhihu", "topic": "race", "text": "字", "toxic": 1, "hate": 1,
+            "groups": ["racism"], "expression": "implicit"}
+    bad = [
+        {"platform": ["zhihu"]},
+        {"topic": {"race": 1}},
+        {"groups": [["racism"]]},
+        {"expression": ["implicit"]},
+    ]
+    lines = [json.dumps(dict(good, id=i + 2, **override)) for i, override in enumerate(bad)]
+    path = tmp_path / "unhashable.jsonl"
+    path.write_text('{"toxicn_schema": 1}\n' + "\n".join([json.dumps(good)] + lines) + "\n", encoding="utf-8")
+    assert main(["validate", "--in", str(path)]) == EXIT_DATA
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(": record")[0] for line in out[:-1]] == [f"{path}:{n}" for n in (3, 4, 5, 6)]
+    assert out[0] == f"{path}:3: record 1: field 'platform' must be one of zhihu, tieba, got ['zhihu']"
+    assert out[-1] == "records=5 invalid=4"
+
+
 def test_validate_clean_corpus_exits_0(corpus_file, capsys):
     assert main(["validate", "--in", str(corpus_file)]) == EXIT_OK
     assert "invalid=0" in capsys.readouterr().out
@@ -775,4 +794,15 @@ def test_pipeline_bad_train_ratio_leaves_no_outdir(tmp_path, capsys):
     argv = ["pipeline", "--task", "toxic", "--in", str(infile), "--outdir", str(outdir), "--train-ratio", "1.5"]
     assert main(argv) == EXIT_DATA
     assert "train_ratio" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_pipeline_split_without_task_samples_leaves_no_outdir(tmp_path, capsys):
+    # a corpus with no hate sample has nothing to train the group task on
+    infile = tmp_path / "raw.jsonl"
+    write_corpus(infile, separable_corpus(40, seed=8))
+    outdir = tmp_path / "run"
+    argv = ["pipeline", "--task", "group", "--in", str(infile), "--outdir", str(outdir), "--seeds", "1"]
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {infile} (train split): no samples usable for task group\n"
     assert not outdir.exists()

@@ -134,17 +134,21 @@ def test_parse_errors_name_field_and_record():
         ({"platform": "weibo"}, "field 'platform'", Platform, "weibo"),
         ({"topic": "religion"}, "field 'topic'", Topic, "religion"),
         ({"groups": ["racism", "women"]}, "field 'groups' entry", TargetGroup, "women"),
-        ({"expression": "sarcastic"}, "field 'expression'", Expression, "sarcastic"),
+        ({"expression": "sarcastic"}, "field 'expression' (if not null)", Expression, "sarcastic"),
+        # a JSON array or object cannot be a dict key; it is refused like any other bad value
+        ({"platform": ["zhihu"]}, "field 'platform'", Platform, ["zhihu"]),
+        ({"topic": {"race": 1}}, "field 'topic'", Topic, {"race": 1}),
+        ({"groups": [["racism"]]}, "field 'groups' entry", TargetGroup, ["racism"]),
+        ({"expression": {"implicit": True}}, "field 'expression' (if not null)", Expression, {"implicit": True}),
     ],
-    ids=["platform", "topic", "groups", "expression"],
+    ids=["platform", "topic", "groups", "expression",
+         "platform-array", "topic-object", "groups-entry-array", "expression-object"],
 )
 def test_enum_errors_name_field_allowed_values_and_value(overrides, field, enum_cls, bad):
     with pytest.raises(CorpusError) as info:
         parse_sample(_record(**overrides), index=4)
-    message = str(info.value)
-    assert message.startswith(f"record 4: {field}")
-    assert ", ".join(e.value for e in enum_cls) in message
-    assert message.endswith(f"got {bad!r}")
+    allowed = ", ".join(e.value for e in enum_cls)
+    assert str(info.value) == f"record 4: {field} must be one of {allowed}, got {bad!r}"
 
 
 def test_bool_not_accepted_as_id():

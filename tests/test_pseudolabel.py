@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -290,6 +292,55 @@ def test_first_round_candidates_over_an_alphabet_wider_than_2_to_the_13():
     found = iterate_to_fixpoint(corpus, lex, [], min_freq=1, min_score=1.0, max_n=6).candidates
     assert len(found) > 0
     assert _as_rows(found) == _naive_extraction(pseudo_label(corpus, lex), corpus, lex, 1, 1.0, 6)
+
+
+# ---------------------------------------------------------------- _GramTables counts
+
+def _table_counts(tables):
+    """{gram: (toxic df, clean df)} over every table entry with a nonzero count."""
+    counts = {}
+    for n, codes in enumerate(tables.codes, start=1):
+        for gram, t, c in zip(tables.decode(n, np.arange(len(codes))), tables.toxic[n - 1], tables.clean[n - 1]):
+            if t or c:
+                counts[gram] = (int(t), int(c))
+    return counts
+
+
+def _naive_table_counts(rows, texts, max_n):
+    toxic, clean = Counter(), Counter()
+    for row, text in zip(rows, texts):
+        spans = [(m.start, m.end) for m in row.matches]
+        (toxic if row.pseudo_label is PseudoLabel.TOXIC else clean).update(naive_doc_ngrams(text, spans, max_n))
+    return {gram: (toxic[gram], clean[gram]) for gram in toxic | clean}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mining_case())
+def test_gram_tables_count_distinct_document_grams_outside_matches(case):
+    corpus, lex, max_n, _, _ = case
+    texts = [text for _, text in corpus]
+    rows = pseudo_label(corpus, lex)
+    tables = pseudolabel._GramTables(texts, rows, max_n)
+    assert _table_counts(tables) == _naive_table_counts(rows, texts, max_n)
+    assert all(t.dtype == np.int32 for t in tables.toxic + tables.clean)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mining_case())
+def test_gram_tables_tally_back_out_to_zero_and_of_no_rows_to_nothing(case):
+    corpus, lex, max_n, _, _ = case
+    texts = [text for _, text in corpus]
+    rows = pseudo_label(corpus, lex)
+    tables = pseudolabel._GramTables(texts, rows, max_n)
+    before = [t.copy() for t in tables.toxic + tables.clean]
+    tables.tally([], [], 1)
+    tables.tally([], [], -1)
+    assert all(np.array_equal(a, b) for a, b in zip(before, tables.toxic + tables.clean))
+    tables.tally(texts, rows, 1)
+    assert all(np.array_equal(2 * a, b) for a, b in zip(before, tables.toxic + tables.clean))
+    tables.tally(texts, rows, -1)
+    tables.tally(texts, rows, -1)
+    assert all(t.dtype == np.int32 and not t.any() for t in tables.toxic + tables.clean)
 
 
 def swallowed_fixture():
