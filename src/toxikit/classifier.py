@@ -25,11 +25,12 @@ parameters and predictions agree bitwise.
 Training: AdamW on weighted cross-entropy (class weights = inverse
 label frequency, normalized to mean 1), deterministic per seed, early
 stopping on an internal validation carve-out with patience 3, inverted
-dropout on the pooled vector during training only.  AdamW is lazy on W:
-a step updates only the rows of the tokens its batch holds (the small
-dense blocks update in full).  An epoch's training loss and accuracy are
-the size-weighted means over its minibatches, taken with dropout on;
-only the validation carve-out is re-scored after each epoch.
+dropout on the pooled vector during training only.  The parameters and
+each AdamW moment are one float64 buffer that the blocks view.  AdamW is
+lazy on W (a step updates only the rows of the tokens its batch holds);
+the dense blocks update in full, as one slice.  An epoch's training loss
+and accuracy are the size-weighted means over its minibatches, taken with
+dropout on; only the validation carve-out is re-scored after each epoch.
 """
 
 from __future__ import annotations
@@ -170,8 +171,17 @@ class EncodedSet:
         return EncodedSet(self.tok[gather], self.tox[gather], offsets, self.labels[idx])
 
 
-@dataclass
+BLOCK_NAMES = ("W", "C", "U", "b_h", "V", "b")
+
+
 class ModelParams:
+    """The six parameter blocks, each a reshaped view into one float64 buffer.
+
+    ``flat`` holds them end to end in BLOCK_NAMES order, the order that
+    ``init_params`` draws them in, so ``flat[W.size:]`` is the five dense
+    blocks as one slice.  The constructor copies its arrays into ``flat``.
+    """
+
     W: np.ndarray    # |V| × d word embeddings
     C: np.ndarray    # (m+1) × d category embeddings, row 0 = non-toxic
     U: np.ndarray    # d × h
@@ -179,11 +189,23 @@ class ModelParams:
     V: np.ndarray    # h × k
     b: np.ndarray    # k
 
+    def __init__(self, W, C, U, b_h, V, b):
+        blocks = (W, C, U, b_h, V, b)
+        self.flat = np.concatenate([np.ravel(a) for a in blocks], dtype=np.float64)
+        pieces = np.split(self.flat, np.cumsum([np.size(a) for a in blocks[:-1]]))
+        for name, a, piece in zip(BLOCK_NAMES, blocks, pieces):
+            setattr(self, name, piece.reshape(np.shape(a)))
+
     def blocks(self) -> dict[str, np.ndarray]:
-        return {"W": self.W, "C": self.C, "U": self.U, "b_h": self.b_h, "V": self.V, "b": self.b}
+        return {name: getattr(self, name) for name in BLOCK_NAMES}
 
     def copy(self) -> "ModelParams":
-        return ModelParams(**{name: arr.copy() for name, arr in self.blocks().items()})
+        return ModelParams(**self.blocks())
+
+
+def _block_shapes(vocab_size: int, cfg: TkeConfig) -> dict[str, list[int]]:
+    d, h, k = cfg.d, cfg.h, cfg.n_classes
+    return {"W": [vocab_size, d], "C": [NUM_CATEGORIES + 1, d], "U": [d, h], "b_h": [h], "V": [h, k], "b": [k]}
 
 
 def eligible_samples(samples: Sequence[ToxiSample], task: Task) -> list[ToxiSample]:
@@ -230,21 +252,14 @@ def encode_corpus(
 
 
 def init_params(vocab_size: int, cfg: TkeConfig) -> ModelParams:
-    """Uniform [-0.1, 0.1] init from a generator seeded with cfg.seed.
+    """Uniform [-0.1, 0.1] init from a generator seeded with cfg.seed, one draw over ``flat``.
 
     C is drawn even when enhancement is off so that ablated and λ=0
     builds see identical RNG streams.
     """
-    rng = np.random.default_rng(cfg.seed)
-    k = cfg.n_classes
-    return ModelParams(
-        W=rng.uniform(-0.1, 0.1, size=(vocab_size, cfg.d)),
-        C=rng.uniform(-0.1, 0.1, size=(NUM_CATEGORIES + 1, cfg.d)),
-        U=rng.uniform(-0.1, 0.1, size=(cfg.d, cfg.h)),
-        b_h=rng.uniform(-0.1, 0.1, size=cfg.h),
-        V=rng.uniform(-0.1, 0.1, size=(cfg.h, k)),
-        b=rng.uniform(-0.1, 0.1, size=k),
-    )
+    params = ModelParams(**{name: np.empty(shape) for name, shape in _block_shapes(vocab_size, cfg).items()})
+    params.flat[:] = np.random.default_rng(cfg.seed).uniform(-0.1, 0.1, size=params.flat.size)
+    return params
 
 
 def _forward_batch(
@@ -390,12 +405,17 @@ def loss_and_grads(
     return loss, grads, scores
 
 
-def _dense_grads(grads: dict, params: ModelParams) -> dict[str, np.ndarray]:
-    """``grads`` with the row-sparse W gradient scattered into a dense array."""
+def _dense_flat(grads: dict) -> np.ndarray:
+    """The dense blocks' gradients end to end, laid out like ``flat[W.size:]``."""
+    return np.concatenate([grads[name].ravel() for name in BLOCK_NAMES[1:]])
+
+
+def _flat_grads(grads: dict, params: ModelParams) -> np.ndarray:
+    """``grads`` laid out like ``params.flat``, W's row-sparse gradient scattered in."""
     rows, values = grads["W"]
     dW = np.zeros_like(params.W)
     dW[rows] = values
-    return grads | {"W": dW}
+    return np.concatenate([dW.ravel(), _dense_flat(grads)])
 
 
 def finite_diff_grads(
@@ -404,27 +424,23 @@ def finite_diff_grads(
     cfg: TkeConfig,
     class_weights: np.ndarray,
     step: float = 1e-5,
-) -> dict[str, np.ndarray]:
-    """Central-difference gradients; the independent oracle for loss_and_grads."""
+) -> np.ndarray:
+    """Central-difference gradients laid out like ``params.flat``; the oracle for loss_and_grads."""
 
     def batch_loss() -> float:
         scores, _ = _forward_batch(batch, params, cfg)
         return _batch_loss(scores, batch.labels, class_weights, need_grad=False)[0]
 
-    numeric = {}
-    for name, arr in params.blocks().items():
-        grad = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        gflat = grad.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + step
-            up = batch_loss()
-            flat[idx] = orig - step
-            down = batch_loss()
-            flat[idx] = orig
-            gflat[idx] = (up - down) / (2.0 * step)
-        numeric[name] = grad
+    flat = params.flat
+    numeric = np.zeros_like(flat)
+    for idx in range(flat.size):
+        orig = flat[idx]
+        flat[idx] = orig + step
+        up = batch_loss()
+        flat[idx] = orig - step
+        down = batch_loss()
+        flat[idx] = orig
+        numeric[idx] = (up - down) / (2.0 * step)
     return numeric
 
 
@@ -447,55 +463,45 @@ def grad_check(
         raise ClassifierError("grad_check batches are capped at 8 samples")
     if class_weights is None:
         class_weights = np.ones(cfg.n_classes)
-    analytic = _dense_grads(loss_and_grads(batch, params, cfg, class_weights)[1], params)
+    analytic = _flat_grads(loss_and_grads(batch, params, cfg, class_weights)[1], params)
     numeric = finite_diff_grads(batch, params, cfg, class_weights, step=step)
     if corrupt:
-        name = max(analytic, key=lambda n: np.abs(analytic[n]).max())
-        flat = analytic[name].reshape(-1)
-        idx = int(np.abs(flat).argmax())
-        flat[idx] = -flat[idx]
-    worst = 0.0
-    for name in analytic:
-        a = analytic[name]
-        n = numeric[name]
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-6)
-        worst = max(worst, float((np.abs(a - n) / denom).max()))
-    return worst
+        idx = int(np.abs(analytic).argmax())
+        analytic[idx] = -analytic[idx]
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
+    return float((np.abs(analytic - numeric) / denom).max())
 
 
 class _AdamW:
     """AdamW whose moments and parameters update in place.
 
-    A block's gradient is either a dense array or, as ``loss_and_grads``
-    gives W's, the row-sparse pair ``(rows, values)`` with distinct rows.
-    A row-sparse step is the lazy update (LazyAdam, torch's SparseAdam):
-    only the listed rows of m, v and the block move, the bias correction
-    uses the global step t, and weight decay reaches those rows only.
-
-    A dense gradient is the row step over every row: ``rows`` is
-    ``slice(None)``, whose gather is a view and whose scatter writes the
-    block back onto itself.  So one body serves all six blocks; the dense
-    ones (C, U, b_h, V, b) hold a few thousand floats, too few for buffers
-    kept between steps to pay.  The operations and their order are those
+    ``m`` and ``v`` are one buffer each, laid out like ``ModelParams.flat``.
+    W's gradient is, as ``loss_and_grads`` gives it, the row-sparse pair
+    ``(rows, values)`` with distinct rows, and its step is the lazy update
+    (LazyAdam, torch's SparseAdam): only the listed rows of m, v and W
+    move, the bias correction uses the global step t, and weight decay
+    reaches those rows only.  The five dense blocks step as one slice,
+    ``flat[W.size:]``, in place.  The operations and their order are those
     of the textbook expression, so a dense block, or a row listed at every
     step, gets bitwise the textbook update.
     """
 
-    def __init__(self, blocks: dict[str, np.ndarray], lr: float, weight_decay: float):
+    def __init__(self, params: ModelParams, lr: float, weight_decay: float):
         self.lr = lr
         self.wd = weight_decay
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in blocks.items()}
-        self.v = {k: np.zeros_like(v) for k, v in blocks.items()}
+        self.m, self.v = np.zeros_like(params.flat), np.zeros_like(params.flat)
 
-    def step(self, blocks: dict[str, np.ndarray], grads: dict) -> None:
+    def step(self, params: ModelParams, grads: dict) -> None:
         self.t += 1
-        for name, p in blocks.items():
-            rows, g = grads[name] if isinstance(grads[name], tuple) else (slice(None), grads[name])
-            m, v, q = self.m[name][rows], self.v[name][rows], p[rows]
-            self._update(m, v, q, g)
-            self.m[name][rows], self.v[name][rows], p[rows] = m, v, q
+        W, n = params.W, params.W.size
+        rows, g = grads["W"]
+        mW, vW = self.m[:n].reshape(W.shape), self.v[:n].reshape(W.shape)
+        m, v, q = mW[rows], vW[rows], W[rows]
+        self._update(m, v, q, g)
+        mW[rows], vW[rows], W[rows] = m, v, q
+        self._update(self.m[n:], self.v[n:], params.flat[n:], _dense_flat(grads))
 
     def _update(self, m, v, p, g) -> None:
         s1, s2 = np.empty_like(g), np.empty_like(g)
@@ -588,9 +594,9 @@ def train(
 
     history: list[EpochStats] = []
     best_loss = np.inf
-    best_params = params.copy()
+    best_params = params.copy()  # the one snapshot buffer of the run
     stale = 0
-    optimizer = _AdamW(params.blocks(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    optimizer = _AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     for epoch in range(cfg.epochs):
         perm = loop_rng.permutation(len(fit_idx))
         loss_sum = 0.0
@@ -602,14 +608,14 @@ def train(
                 keep = loop_rng.random((len(chunk), cfg.d)) >= cfg.dropout
                 dropout_mask = keep.astype(np.float64) / (1.0 - cfg.dropout)
             loss, grads, scores = loss_and_grads(chunk, params, cfg, class_weights, dropout_mask)
-            optimizer.step(params.blocks(), grads)
+            optimizer.step(params, grads)
             loss_sum += loss * len(chunk)
             hits += _hits(scores, chunk.labels, cfg)
 
         val_loss, val_acc = _eval_loss_acc(val, params, cfg, class_weights) if val else (None, None)
         history.append(EpochStats(epoch, loss_sum / len(fit_idx), hits / len(fit_idx), val_loss, val_acc))
         if val_loss is None or val_loss < best_loss:  # without a carve-out, every epoch is the best so far
-            best_loss, best_params, stale = val_loss, params.copy(), 0
+            best_loss, best_params.flat[:], stale = val_loss, params.flat, 0
         else:
             stale += 1
             if stale >= cfg.patience:
@@ -739,14 +745,7 @@ def load_checkpoint(path: str | Path, lex: Lexicon | None = None) -> tuple[Model
     vocab = Vocab(token_to_id=dict(entries))
     if len(vocab.token_to_id) != len(entries) or sorted(vocab.token_to_id.values()) != list(range(2, len(vocab))):
         raise bad(f"vocab must map distinct characters to the ids 2..{len(entries) + 1}, each once")
-    shapes = {
-        "W": [len(vocab), cfg.d],
-        "C": [NUM_CATEGORIES + 1, cfg.d],
-        "U": [cfg.d, cfg.h],
-        "b_h": [cfg.h],
-        "V": [cfg.h, cfg.n_classes],
-        "b": [cfg.n_classes],
-    }
+    shapes = _block_shapes(len(vocab), cfg)
     raw_params = payload["params"]
     if not isinstance(raw_params, dict) or raw_params.keys() != shapes.keys():
         raise bad(f"parameter blocks must be exactly {' '.join(shapes)}")
@@ -769,7 +768,7 @@ def load_checkpoint(path: str | Path, lex: Lexicon | None = None) -> tuple[Model
             raise bad(f"parameter block {name} data is not base64 text") from None
         if len(raw) != nbytes:  # padding in the text can shorten it
             raise bad(unfilled)
-        blocks[name] = np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
+        blocks[name] = np.frombuffer(raw, "<f8").reshape(shape)  # ModelParams copies it into its buffer
         if not np.isfinite(blocks[name]).all():
             raise bad(f"parameter block {name} data must be finite")
     return ModelParams(**blocks), cfg, vocab

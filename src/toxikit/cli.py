@@ -517,7 +517,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("normalize", help="clean texts, drop brief and duplicate samples")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-chars", type=int, default=4, help="content characters a kept text needs")
+    p.add_argument("--min-chars", type=_int_at_least(1), default=4, help="content characters a kept text needs")
     p.add_argument("--exclude", help="file of sample ids to drop (ad filtering)")
     p.set_defaults(func=cmd_normalize)
 
@@ -585,7 +585,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--outdir", required=True)
     p.add_argument("--seeds", type=_seed_list, default=None, help="comma-separated, default 1,2,3,4,5")
     p.add_argument("--train-ratio", type=float, default=0.8)
-    p.add_argument("--split-seed", type=int, default=0)
+    p.add_argument("--split-seed", type=_int_at_least(0), default=0)
     p.add_argument("--stratify", action="store_true")
     _add_model_flags(p)
     p.set_defaults(func=cmd_pipeline)

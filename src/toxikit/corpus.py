@@ -86,6 +86,8 @@ class SplitSpec:
     def __post_init__(self):
         if not 0.0 < self.train_ratio < 1.0:
             raise CorpusError(f"train_ratio must be in (0, 1), got {self.train_ratio}")
+        if self.seed < 0:  # random.Random seeds by absolute value, so -1 would be 1's split
+            raise CorpusError(f"split seed must be ≥ 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ from toxikit.classifier import (
     Vocab,
     _AdamW,
     _batch_loss,
-    _dense_grads,
     _eval_loss_acc,
+    _flat_grads,
     _forward_batch,
     class_weights_for,
     eligible_samples,
@@ -274,6 +274,43 @@ def test_predict_rejects_out_of_range_ids():
             predict(enc, params, _cfg())
 
 
+# ---------------------------------------------------------------- parameter buffer
+
+def test_init_params_draws_the_blocks_in_order_from_one_stream():
+    cfg = TkeConfig(task=Task.EXPRESSION, d=5, h=4, seed=13)
+    rng = np.random.default_rng(cfg.seed)
+    shapes = {"W": (9, 5), "C": (6, 5), "U": (5, 4), "b_h": (4,), "V": (4, 3), "b": (3,)}
+    drawn = {name: rng.uniform(-0.1, 0.1, size=shape) for name, shape in shapes.items()}
+    blocks = init_params(9, cfg).blocks()
+    assert list(blocks) == list(drawn)
+    for name, block in blocks.items():
+        assert block.tobytes() == drawn[name].tobytes(), name
+
+
+def test_blocks_are_views_into_flat():
+    params = init_params(7, _cfg(d=3, h=2))
+    for name, block in params.blocks().items():
+        assert np.shares_memory(block, params.flat), name
+    params.W[4] = (1.5, -2.5, 3.5)
+    np.testing.assert_array_equal(params.flat[12:15], [1.5, -2.5, 3.5])
+
+
+def test_dense_blocks_follow_w_in_flat():
+    params = _fixture_params()
+    dense = [params.C, params.U, params.b_h, params.V, params.b]
+    np.testing.assert_array_equal(params.flat[: params.W.size], params.W.ravel())
+    np.testing.assert_array_equal(params.flat[params.W.size :], np.concatenate([a.ravel() for a in dense]))
+
+
+def test_params_copy_shares_no_memory():
+    params = init_params(5, _cfg())
+    snapshot = params.copy()
+    assert not np.shares_memory(snapshot.flat, params.flat)
+    for a, b in zip(params.blocks().values(), snapshot.blocks().values()):
+        assert not np.shares_memory(a, b) and np.shares_memory(b, snapshot.flat)
+        np.testing.assert_array_equal(a, b)
+
+
 # ---------------------------------------------------------------- forward
 
 def _scores(enc, params, cfg):
@@ -493,10 +530,12 @@ def test_bag_forward_backward_match_padded_reference(task, lam, enhancement):
         ref_grads = padded_tke_backward(
             tok, tox, P["W"], P["C"], P["U"], P["V"], ref_lam, ref_cache, dscores, mask
         )
-        grads = _dense_grads(loss_and_grads(batch, params, cfg, weights, mask)[1], params)
-        assert list(grads) == list(ref_grads)
+        flat = _flat_grads(loss_and_grads(batch, params, cfg, weights, mask)[1], params)
+        grads = ModelParams(**{name: np.empty_like(a) for name, a in P.items()})
+        grads.flat[:] = flat
+        assert list(grads.blocks()) == list(ref_grads)
         for name, ref in ref_grads.items():
-            assert _rel_err(grads[name], ref) <= 1e-12, name
+            assert _rel_err(grads.blocks()[name], ref) <= 1e-12, name
 
 
 @pytest.mark.parametrize("task", [Task.TOXIC, Task.GROUP])
@@ -535,20 +574,31 @@ def test_predict_memory_grows_with_batch_not_set_size():
     assert peak < padded_bytes / 8, f"peak {peak} bytes"
 
 
-def _check_adamw_against_textbook(sparse_w: bool):
-    """20 AdamW steps against the textbook expression, bitwise; with
-    ``sparse_w`` W's gradient comes row-sparse, listing every row."""
+def _adamw_params(rng, vocab_size, d=3, h=2, k=2):
+    return ModelParams(
+        W=rng.normal(size=(vocab_size, d)),
+        C=rng.normal(size=(6, d)),
+        U=rng.normal(size=(d, h)),
+        b_h=rng.normal(size=h),
+        V=rng.normal(size=(h, k)),
+        b=rng.normal(size=k),
+    )
+
+
+def test_adamw_lazy_step_on_every_row_matches_textbook_expression():
+    """20 AdamW steps on all six blocks against the textbook expression,
+    bitwise; W's gradient comes row-sparse, listing every row."""
     rng = np.random.default_rng(31)
     lr = 1e-2
     for wd in (0.0, 0.01):
-        params = {"W": rng.normal(size=(6, 3)), "b": rng.normal(size=3)}
-        ref = {k: v.copy() for k, v in params.items()}
-        m = {k: np.zeros_like(v) for k, v in params.items()}
-        v = {k: np.zeros_like(v) for k, v in params.items()}
+        params = _adamw_params(rng, vocab_size=6)
+        ref = {k: v.copy() for k, v in params.blocks().items()}
+        m = {k: np.zeros_like(v) for k, v in ref.items()}
+        v = {k: np.zeros_like(v) for k, v in ref.items()}
         optimizer = _AdamW(params, lr=lr, weight_decay=wd)
         for t in range(1, 21):
-            grads = {k: rng.normal(size=p.shape) * (rng.random(p.shape) < 0.5) for k, p in params.items()}
-            optimizer.step(params, grads | {"W": (np.arange(6), grads["W"])} if sparse_w else grads)
+            grads = {k: rng.normal(size=p.shape) * (rng.random(p.shape) < 0.5) for k, p in ref.items()}
+            optimizer.step(params, grads | {"W": (np.arange(6), grads["W"])})
             for k, g in grads.items():
                 m[k] = 0.9 * m[k] + (1 - 0.9) * g
                 v[k] = 0.999 * v[k] + (1 - 0.999) * g * g
@@ -556,31 +606,25 @@ def _check_adamw_against_textbook(sparse_w: bool):
                 vhat = v[k] / (1 - 0.999 ** t)
                 ref[k] -= lr * (mhat / (np.sqrt(vhat) + 1e-8) + wd * ref[k])
         for k in ref:
-            np.testing.assert_array_equal(params[k], ref[k])
-
-
-def test_adamw_in_place_matches_textbook_expression():
-    _check_adamw_against_textbook(sparse_w=False)
-
-
-def test_adamw_lazy_step_on_every_row_matches_textbook_expression():
-    _check_adamw_against_textbook(sparse_w=True)
+            np.testing.assert_array_equal(params.blocks()[k], ref[k])
 
 
 def test_adamw_lazy_step_leaves_untouched_rows_alone():
     rng = np.random.default_rng(37)
-    params = {"W": rng.normal(size=(8, 3))}
-    init = params["W"].copy()
+    params = _adamw_params(rng, vocab_size=8)
+    init = params.W.copy()
     optimizer = _AdamW(params, lr=1e-2, weight_decay=0.01)
+    moment_rows = [a[: params.W.size].reshape(params.W.shape) for a in (optimizer.m, optimizer.v)]
+    dense = {k: np.zeros_like(a) for k, a in params.blocks().items() if k != "W"}
     for _ in range(10):
         rows = np.flatnonzero(rng.random(7) < 0.5)  # row 7 is never listed
-        before = [a.copy() for a in (params["W"], optimizer.m["W"], optimizer.v["W"])]
-        optimizer.step(params, {"W": (rows, rng.normal(size=(len(rows), 3)))})
+        before = [a.copy() for a in (params.W, *moment_rows)]
+        optimizer.step(params, dense | {"W": (rows, rng.normal(size=(len(rows), 3)))})
         still = np.setdiff1d(np.arange(8), rows)
-        for old, new in zip(before, (params["W"], optimizer.m["W"], optimizer.v["W"])):
+        for old, new in zip(before, (params.W, *moment_rows)):
             np.testing.assert_array_equal(new[still], old[still])
-    np.testing.assert_array_equal(params["W"][7], init[7])
-    assert not optimizer.m["W"][7].any() and not optimizer.v["W"][7].any()
+    np.testing.assert_array_equal(params.W[7], init[7])
+    assert not moment_rows[0][7].any() and not moment_rows[1][7].any()
 
 
 # ---------------------------------------------------------------- training

@@ -116,6 +116,25 @@ def test_normalize_exclude_list(tmp_path, capsys):
     assert "kept=1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("min_chars", ["0", "-2", "x"])
+def test_normalize_min_chars_below_one_is_a_usage_error(tmp_path, capsys, min_chars):
+    from toxikit.corpus import Platform, Topic, ToxiSample
+
+    samples = [
+        ToxiSample(1, Platform.ZHIHU, Topic.RACE, "https://example.com/a", 0, 0, frozenset(), None),
+        ToxiSample(2, Platform.ZHIHU, Topic.RACE, "正常的文本啊", 0, 0, frozenset(), None),
+    ]
+    infile = tmp_path / "raw.jsonl"
+    write_corpus(infile, samples)
+    out = tmp_path / "clean.jsonl"
+    argv = ["normalize", "--in", str(infile), "--out", str(out), "--min-chars"]
+    assert main(argv + [min_chars]) == EXIT_USAGE
+    assert "--min-chars" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + ["1"]) == EXIT_OK  # the URL cleans to "" and is dropped as brief
+    assert capsys.readouterr().out.strip() == "kept=1 dropped_brief=1 dropped_dup=0"
+
+
 def test_normalize_rejects_duplicate_ids(tmp_path, capsys):
     from toxikit.corpus import Platform, Topic, ToxiSample
 
@@ -784,6 +803,17 @@ def test_pipeline_bad_seeds_is_a_usage_error(tmp_path, capsys):
     for seeds in ("1,x", "1,1", "-1", "2,-3"):
         assert main(argv + ["--seeds", seeds]) == EXIT_USAGE
         assert "--seeds" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_pipeline_negative_split_seed_is_a_usage_error(tmp_path, capsys):
+    infile = tmp_path / "raw.jsonl"
+    write_corpus(infile, separable_corpus(20, seed=8))
+    outdir = tmp_path / "run"
+    argv = ["pipeline", "--task", "toxic", "--in", str(infile), "--outdir", str(outdir)]
+    for split_seed in ("-1", "x"):
+        assert main(argv + ["--split-seed", split_seed]) == EXIT_USAGE
+        assert "--split-seed" in capsys.readouterr().err
     assert not outdir.exists()
 
 

@@ -330,6 +330,12 @@ def test_split_rejects_tiny_corpus():
         split_dataset(_corpus_of(4), SplitSpec(train_ratio=1.0, seed=0))
 
 
+def test_split_spec_rejects_negative_seed():
+    # random.Random seeds by absolute value, so -1 would silently give seed 1's split
+    with pytest.raises(CorpusError, match="split seed must be ≥ 0, got -1"):
+        SplitSpec(train_ratio=0.8, seed=-1)
+
+
 # ---------------------------------------------------------------- stats
 
 def test_stats_identities():
