@@ -585,6 +585,35 @@ def _adamw_params(rng, vocab_size, d=3, h=2, k=2):
     )
 
 
+def test_adamw_in_place_matches_textbook_expression():
+    """The step writes into the existing parameter and moment buffers, and
+    the five dense blocks get bitwise the textbook update while W's
+    gradient lists only some rows."""
+    rng = np.random.default_rng(30)
+    lr, wd = 1e-2, 0.01
+    params = _adamw_params(rng, vocab_size=5)
+    dense = {k: a.copy() for k, a in params.blocks().items() if k != "W"}
+    m = {k: np.zeros_like(a) for k, a in dense.items()}
+    v = {k: np.zeros_like(a) for k, a in dense.items()}
+    optimizer = _AdamW(params, lr=lr, weight_decay=wd)
+    held = (params.flat, optimizer.m, optimizer.v, *params.blocks().values())
+    for t in range(1, 21):
+        grads = {k: rng.normal(size=a.shape) for k, a in dense.items()}
+        rows = np.flatnonzero(rng.random(5) < 0.5)
+        optimizer.step(params, grads | {"W": (rows, rng.normal(size=(len(rows), 3)))})
+        for k, g in grads.items():
+            m[k] = 0.9 * m[k] + (1 - 0.9) * g
+            v[k] = 0.999 * v[k] + (1 - 0.999) * g * g
+            mhat = m[k] / (1 - 0.9 ** t)
+            vhat = v[k] / (1 - 0.999 ** t)
+            dense[k] -= lr * (mhat / (np.sqrt(vhat) + 1e-8) + wd * dense[k])
+    now = (params.flat, optimizer.m, optimizer.v, *params.blocks().values())
+    assert all(a is b for a, b in zip(held, now))
+    assert all(np.shares_memory(a, params.flat) for a in params.blocks().values())
+    for k in dense:
+        np.testing.assert_array_equal(params.blocks()[k], dense[k])
+
+
 def test_adamw_lazy_step_on_every_row_matches_textbook_expression():
     """20 AdamW steps on all six blocks against the textbook expression,
     bitwise; W's gradient comes row-sparse, listing every row."""
