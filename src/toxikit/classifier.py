@@ -15,7 +15,9 @@ their unique set U; ``bag[i, j]`` counts occurrences of U[j] in sample i
 and ``catbag[i, c]`` counts tokens of category c, so the pooled vector
 is ``(bag @ W[U] + λ·catbag @ C) / n``.  The backward pass is the
 transpose: ``dW[U] = bagᵀ g`` and ``dC = λ·catbagᵀ g`` with
-``g = dpooled / n``, and W's gradient is kept as those rows alone.
+``g = dpooled / n``, and W's gradient is kept as those rows alone, beside
+the rows ``W[U]`` that the forward pass gathered, which the AdamW step
+updates and scatters back without gathering them again.
 
 Setting λ=0, or flipping ``enhancement`` off, skips the category term
 entirely; both builds execute identical floating-point operations and
@@ -154,8 +156,8 @@ class Vocab:
 class EncodedSet:
     """Encoded samples packed end to end; sample i's ids are ``offsets[i]:offsets[i + 1]``."""
 
-    tok: np.ndarray      # (N,) int64 token ids, each sample cut to pad_len
-    tox: np.ndarray      # (N,) int64 category ids in [0, NUM_CATEGORIES]
+    tok: np.ndarray      # (N,) int32 token ids, each sample cut to pad_len
+    tox: np.ndarray      # (N,) int8 category ids in [0, NUM_CATEGORIES]
     offsets: np.ndarray  # (n+1,) int64, from 0 to N
     labels: np.ndarray   # (n,) int64 class indices, or n×k float64 flags for a multilabel task
 
@@ -163,7 +165,8 @@ class EncodedSet:
         return len(self.offsets) - 1
 
     def take(self, idx: Sequence[int] | np.ndarray | slice) -> "EncodedSet":
-        """The samples at ``idx`` (index array or slice), in that order, packed anew."""
+        """The samples at ``idx`` (index array or slice), in that order, packed anew
+        in the same dtypes."""
         starts = self.offsets[:-1][idx]
         counts = self.offsets[1:][idx] - starts
         offsets = np.concatenate(([0], np.cumsum(counts)))
@@ -235,8 +238,8 @@ def task_label(sample: ToxiSample, task: Task) -> int | np.ndarray:
 def encode_corpus(
     samples: Sequence[ToxiSample], vocab: Vocab, lex: Lexicon, cfg: TkeConfig
 ) -> EncodedSet:
-    tok = array("q")
-    tox = array("q")
+    tok = array("i")  # int32: a vocabulary of characters stays far below 2**31 ids
+    tox = array("b")  # int8: category ids run from 0 to NUM_CATEGORIES
     offsets = [0]
     for sample in samples:
         tok.fromlist(vocab.encode(sample.text[: cfg.pad_len]))
@@ -244,8 +247,8 @@ def encode_corpus(
         offsets.append(len(tok))
     labels = [task_label(sample, cfg.task) for sample in samples]
     return EncodedSet(
-        tok=np.frombuffer(tok, dtype=np.int64),
-        tox=np.frombuffer(tox, dtype=np.int64),
+        tok=np.frombuffer(tok, dtype=np.int32),
+        tox=np.frombuffer(tox, dtype=np.int8),
         offsets=np.array(offsets, dtype=np.int64),
         labels=np.array(labels, dtype=np.float64 if cfg.multilabel else np.int64),
     )
@@ -284,7 +287,8 @@ def _forward_batch(
     uniq, inverse = np.unique(batch.tok, return_inverse=True)
     bag = np.bincount(rows * len(uniq) + inverse, minlength=B * len(uniq))
     bag = bag.reshape(B, len(uniq)).astype(np.float64)
-    pooled = bag @ params.W[uniq]
+    W_rows = params.W[uniq]
+    pooled = bag @ W_rows
     catbag = None
     if cfg.enhancement and cfg.lam != 0.0:
         m1 = params.C.shape[0]
@@ -296,7 +300,7 @@ def _forward_batch(
     z = dropped @ params.U + params.b_h
     hidden = np.tanh(z)
     scores = hidden @ params.V + params.b
-    cache = (uniq, bag, catbag, counts, dropped, dropout_mask, hidden)
+    cache = (uniq, W_rows, bag, catbag, counts, dropped, dropout_mask, hidden)
     return scores, cache
 
 
@@ -380,12 +384,13 @@ def loss_and_grads(
     """Mean weighted CE over the batch, analytic gradients for every block,
     and the batch's class scores.
 
-    W's gradient is row-sparse: the pair ``(rows, values)`` of the batch's
-    distinct token ids, ascending, and their gradient rows; every other
-    row of it is zero.  The other blocks' gradients are dense arrays.
+    W's gradient is row-sparse: the triple ``(rows, values, W_rows)`` of
+    the batch's distinct token ids, ascending, their gradient rows (every
+    other row of it is zero) and ``W[rows]``, the copy of those rows that
+    the forward pass gathered.  The other blocks' gradients are dense arrays.
     """
     scores, cache = _forward_batch(batch, params, cfg, dropout_mask)
-    uniq, bag, catbag, counts, dropped, dmask, hidden = cache
+    uniq, W_rows, bag, catbag, counts, dropped, dmask, hidden = cache
     loss, dscores = _batch_loss(scores, batch.labels, class_weights)
 
     dhidden = dscores @ params.V.T
@@ -395,7 +400,7 @@ def loss_and_grads(
     g = dpooled / counts[:, None]
     dC = np.zeros_like(params.C) if catbag is None else cfg.lam * (catbag.T @ g)
     grads = {
-        "W": (uniq, bag.T @ g),
+        "W": (uniq, bag.T @ g, W_rows),
         "C": dC,
         "U": dropped.T @ dz,
         "b_h": dz.sum(axis=0),
@@ -412,7 +417,7 @@ def _dense_flat(grads: dict) -> np.ndarray:
 
 def _flat_grads(grads: dict, params: ModelParams) -> np.ndarray:
     """``grads`` laid out like ``params.flat``, W's row-sparse gradient scattered in."""
-    rows, values = grads["W"]
+    rows, values, _ = grads["W"]
     dW = np.zeros_like(params.W)
     dW[rows] = values
     return np.concatenate([dW.ravel(), _dense_flat(grads)])
@@ -476,14 +481,16 @@ class _AdamW:
     """AdamW whose moments and parameters update in place.
 
     ``m`` and ``v`` are one buffer each, laid out like ``ModelParams.flat``.
-    W's gradient is, as ``loss_and_grads`` gives it, the row-sparse pair
-    ``(rows, values)`` with distinct rows, and its step is the lazy update
-    (LazyAdam, torch's SparseAdam): only the listed rows of m, v and W
-    move, the bias correction uses the global step t, and weight decay
-    reaches those rows only.  The five dense blocks step as one slice,
-    ``flat[W.size:]``, in place.  The operations and their order are those
-    of the textbook expression, so a dense block, or a row listed at every
-    step, gets bitwise the textbook update.
+    W's gradient is, as ``loss_and_grads`` gives it, the row-sparse triple
+    ``(rows, values, W_rows)`` with distinct rows, ``W_rows`` being a copy
+    of ``W[rows]`` as it stands before the step; the step updates that copy
+    in place and scatters it back, so W's rows are not gathered twice.
+    W's step is the lazy update (LazyAdam, torch's SparseAdam): only the
+    listed rows of m, v and W move, the bias correction uses the global
+    step t, and weight decay reaches those rows only.  The five dense
+    blocks step as one slice, ``flat[W.size:]``, in place.  The operations
+    and their order are those of the textbook expression, so a dense block,
+    or a row listed at every step, gets bitwise the textbook update.
     """
 
     def __init__(self, params: ModelParams, lr: float, weight_decay: float):
@@ -496,9 +503,9 @@ class _AdamW:
     def step(self, params: ModelParams, grads: dict) -> None:
         self.t += 1
         W, n = params.W, params.W.size
-        rows, g = grads["W"]
+        rows, g, q = grads["W"]
         mW, vW = self.m[:n].reshape(W.shape), self.v[:n].reshape(W.shape)
-        m, v, q = mW[rows], vW[rows], W[rows]
+        m, v = mW[rows], vW[rows]
         self._update(m, v, q, g)
         mW[rows], vW[rows], W[rows] = m, v, q
         self._update(self.m[n:], self.v[n:], params.flat[n:], _dense_flat(grads))
@@ -692,7 +699,10 @@ def save_checkpoint(
             for name, arr in params.blocks().items()
         },
     }
-    Path(path).write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+    # streamed: the whole text at once would be a 2-byte-per-character string
+    # (the vocabulary is CJK) twice the size of the file, plus its encoding
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, ensure_ascii=False)
 
 
 def load_checkpoint(path: str | Path, lex: Lexicon | None = None) -> tuple[ModelParams, TkeConfig, Vocab]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import statistics
 import sys
 from dataclasses import asdict, fields, replace
@@ -468,7 +469,16 @@ def cmd_kappa(args) -> int:
     return EXIT_OK
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_pipeline(args) -> int:
+    from concurrent.futures import ThreadPoolExecutor  # here, not at the top: only this command pays its import
+
     cfg_base = _assemble_config(args)
     lex = load_lexicon(_lexicon_file(args))
     spec = SplitSpec(train_ratio=args.train_ratio, seed=args.split_seed, stratify=args.stratify)
@@ -487,13 +497,27 @@ def cmd_pipeline(args) -> int:
     _write_json(outdir / "stats.json", stats)
     write_corpus(outdir / "train.jsonl", train_set)
     write_corpus(outdir / "test.jsonl", test_set)
-    for seed in seeds:
-        cfg = replace(cfg_base, seed=seed)
-        params, _ = train(encoded, cfg, vocab_size=len(vocab))
-        save_checkpoint(outdir / f"model_seed_{seed}.json", params, cfg, vocab, lex)
-        payload = _evaluate(test_selected, test_encoded, params, cfg)
-        payload["seed"] = seed
-        _write_json(outdir / f"report_seed_{seed}.json", payload)
+
+    def run_seeds(share: list[int]) -> None:
+        # each seed's model is saved and evaluated by the worker that trained
+        # it, so no finished model waits in memory for the others
+        for seed in share:
+            cfg = replace(cfg_base, seed=seed)
+            params, _ = train(encoded, cfg, vocab_size=len(vocab))
+            save_checkpoint(outdir / f"model_seed_{seed}.json", params, cfg, vocab, lex)
+            payload = _evaluate(test_selected, test_encoded, params, cfg)
+            payload["seed"] = seed
+            _write_json(outdir / f"report_seed_{seed}.json", payload)
+
+    # worker j trains seeds[j::workers]; the main thread is worker 0, so two
+    # seeds cost one helper thread.  Each seed's run is deterministic on its
+    # own, so the files do not depend on the worker count.
+    workers = min(len(seeds), _usable_cpus())
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        helpers = [pool.submit(run_seeds, seeds[j::workers]) for j in range(1, workers)]
+        run_seeds(seeds[0::workers])
+        for helper in helpers:
+            helper.result()  # re-raises a helper's error here
 
     # aggregate strictly from the per-seed reports on disk
     reports = [json.loads((outdir / f"report_seed_{seed}.json").read_text(encoding="utf-8")) for seed in seeds]

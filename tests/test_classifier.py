@@ -122,8 +122,9 @@ def test_encodings_hold_only_the_texts_tokens():
     vocab = Vocab.build(s.text for s in corpus)
     encoded = encode_corpus(corpus, vocab, lex, cfg)
     held = encoded.tok.nbytes + encoded.tox.nbytes
-    # two int64 ids per kept character, none for padding
-    assert held == 16 * sum(min(len(s.text), cfg.pad_len) for s in corpus)
+    # an int32 token id and an int8 category id per kept character, none for padding
+    assert encoded.tok.dtype == np.int32 and encoded.tox.dtype == np.int8
+    assert held == 5 * sum(min(len(s.text), cfg.pad_len) for s in corpus)
 
 
 @pytest.mark.parametrize("task", [Task.TOXIC, Task.GROUP])
@@ -225,7 +226,7 @@ def _embed_rows(enc, params, lam):
     cfg = _cfg(d=params.W.shape[1], pad_len=1, lam=lam)
     n = len(enc.tok)
     one_token_each = EncodedSet(enc.tok, enc.tox, np.arange(n + 1), np.zeros(n, dtype=np.int64))
-    _, (_, _, _, _, pooled, _, _) = _forward_batch(one_token_each, params, cfg)
+    _, (_, _, _, _, _, pooled, _, _) = _forward_batch(one_token_each, params, cfg)
     return pooled
 
 
@@ -483,6 +484,16 @@ def test_lambda_zero_c_gradient_exactly_zero():
     assert np.all(grads["C"] == 0.0)
 
 
+def test_w_gradient_carries_a_copy_of_the_gathered_rows():
+    cfg = _cfg(d=4, h=3)
+    params = init_params(6, cfg)
+    rows, values, W_rows = loss_and_grads(_enc([4, 2, 4], [0, 1, 0], 1), params, cfg, np.ones(2))[1]["W"]
+    np.testing.assert_array_equal(rows, [2, 4])
+    assert values.shape == W_rows.shape == (2, 4)
+    np.testing.assert_array_equal(W_rows, params.W[rows])
+    assert not np.shares_memory(W_rows, params.flat)
+
+
 def test_grad_check_batch_cap():
     cfg = _cfg()
     params = init_params(4, cfg)
@@ -600,7 +611,7 @@ def test_adamw_in_place_matches_textbook_expression():
     for t in range(1, 21):
         grads = {k: rng.normal(size=a.shape) for k, a in dense.items()}
         rows = np.flatnonzero(rng.random(5) < 0.5)
-        optimizer.step(params, grads | {"W": (rows, rng.normal(size=(len(rows), 3)))})
+        optimizer.step(params, grads | {"W": (rows, rng.normal(size=(len(rows), 3)), params.W[rows])})
         for k, g in grads.items():
             m[k] = 0.9 * m[k] + (1 - 0.9) * g
             v[k] = 0.999 * v[k] + (1 - 0.999) * g * g
@@ -627,7 +638,7 @@ def test_adamw_lazy_step_on_every_row_matches_textbook_expression():
         optimizer = _AdamW(params, lr=lr, weight_decay=wd)
         for t in range(1, 21):
             grads = {k: rng.normal(size=p.shape) * (rng.random(p.shape) < 0.5) for k, p in ref.items()}
-            optimizer.step(params, grads | {"W": (np.arange(6), grads["W"])})
+            optimizer.step(params, grads | {"W": (np.arange(6), grads["W"], params.W[np.arange(6)])})
             for k, g in grads.items():
                 m[k] = 0.9 * m[k] + (1 - 0.9) * g
                 v[k] = 0.999 * v[k] + (1 - 0.999) * g * g
@@ -648,7 +659,7 @@ def test_adamw_lazy_step_leaves_untouched_rows_alone():
     for _ in range(10):
         rows = np.flatnonzero(rng.random(7) < 0.5)  # row 7 is never listed
         before = [a.copy() for a in (params.W, *moment_rows)]
-        optimizer.step(params, dense | {"W": (rows, rng.normal(size=(len(rows), 3)))})
+        optimizer.step(params, dense | {"W": (rows, rng.normal(size=(len(rows), 3)), params.W[rows])})
         still = np.setdiff1d(np.arange(8), rows)
         for old, new in zip(before, (params.W, *moment_rows)):
             np.testing.assert_array_equal(new[still], old[still])

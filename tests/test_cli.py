@@ -795,6 +795,46 @@ def test_pipeline_encodes_each_split_once(tmp_path, capsys, monkeypatch):
     assert sum(encoded) == n_clean
 
 
+_SMALL_MODEL = ["--task", "toxic", "--d", "8", "--h", "8", "--pad-len", "16", "--epochs", "2"]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_threaded_pipeline_models_equal_training_alone(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    infile = tmp_path / "raw.jsonl"
+    write_corpus(infile, separable_corpus(120, seed=8))
+    outdir = tmp_path / "run"
+    argv = ["pipeline", "--in", str(infile), "--outdir", str(outdir), "--seeds", "1,2,3", *_SMALL_MODEL]
+    assert main(argv) == EXIT_OK
+    for seed in (1, 2, 3):
+        alone = tmp_path / f"alone_{seed}.json"
+        argv = ["train", "--in", str(outdir / "train.jsonl"), "--out", str(alone), "--seed", str(seed), *_SMALL_MODEL]
+        assert main(argv) == EXIT_OK
+        assert alone.read_bytes() == (outdir / f"model_seed_{seed}.json").read_bytes(), seed
+    capsys.readouterr()
+
+
+def test_pipeline_reports_a_helper_threads_failure(tmp_path, capsys, monkeypatch):
+    # with two workers the main thread trains seeds 1 and 3 and a helper seed 2
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    infile = tmp_path / "raw.jsonl"
+    write_corpus(infile, separable_corpus(60, seed=8))
+    real = cli.train
+    seen = {}
+    for failing in (1, 2):
+        def train(encoded, cfg, vocab_size):
+            if cfg.seed == failing:
+                raise ClassifierError("no model for this seed")
+            return real(encoded, cfg, vocab_size)
+
+        monkeypatch.setattr(cli, "train", train)
+        outdir = tmp_path / f"fail_{failing}"
+        argv = ["pipeline", "--in", str(infile), "--outdir", str(outdir), "--seeds", "1,2,3", *_SMALL_MODEL]
+        seen[failing] = main(argv), capsys.readouterr().err
+        assert not (outdir / "aggregate.json").exists()
+    assert seen[2] == seen[1] == (EXIT_DATA, "error: no model for this seed\n")
+
+
 def test_pipeline_bad_seeds_is_a_usage_error(tmp_path, capsys):
     infile = tmp_path / "raw.jsonl"
     write_corpus(infile, separable_corpus(20, seed=8))
