@@ -388,6 +388,9 @@ def loss_and_grads(
     the batch's distinct token ids, ascending, their gradient rows (every
     other row of it is zero) and ``W[rows]``, the copy of those rows that
     the forward pass gathered.  The other blocks' gradients are dense arrays.
+    The copy serves one optimizer step on the W it was gathered from:
+    ``_AdamW.step`` writes it back unchecked, so a step after W has changed,
+    or a second step with the same gradients, would undo that change.
     """
     scores, cache = _forward_batch(batch, params, cfg, dropout_mask)
     uniq, W_rows, bag, catbag, counts, dropped, dmask, hidden = cache
@@ -485,6 +488,8 @@ class _AdamW:
     ``(rows, values, W_rows)`` with distinct rows, ``W_rows`` being a copy
     of ``W[rows]`` as it stands before the step; the step updates that copy
     in place and scatters it back, so W's rows are not gathered twice.
+    Nothing checks that the copy is current (checking would cost the gather
+    it saves), so each gradient must be stepped once, before W changes.
     W's step is the lazy update (LazyAdam, torch's SparseAdam): only the
     listed rows of m, v and W move, the bias correction uses the global
     step t, and weight decay reaches those rows only.  The five dense

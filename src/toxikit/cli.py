@@ -17,6 +17,7 @@ import math
 import os
 import statistics
 import sys
+import threading
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -476,6 +477,12 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# Concurrent trains slow each other down and each holds its own model, so
+# pipeline trains at most this many seeds at once: the one count whose
+# wall time and peak memory were measured (pipeline-toxic, 2 CPUs).
+_MAX_SEED_WORKERS = 2
+
+
 def cmd_pipeline(args) -> int:
     from concurrent.futures import ThreadPoolExecutor  # here, not at the top: only this command pays its import
 
@@ -498,21 +505,30 @@ def cmd_pipeline(args) -> int:
     write_corpus(outdir / "train.jsonl", train_set)
     write_corpus(outdir / "test.jsonl", test_set)
 
+    stop = threading.Event()  # set by the first worker to fail or be interrupted
+
     def run_seeds(share: list[int]) -> None:
         # each seed's model is saved and evaluated by the worker that trained
-        # it, so no finished model waits in memory for the others
-        for seed in share:
-            cfg = replace(cfg_base, seed=seed)
-            params, _ = train(encoded, cfg, vocab_size=len(vocab))
-            save_checkpoint(outdir / f"model_seed_{seed}.json", params, cfg, vocab, lex)
-            payload = _evaluate(test_selected, test_encoded, params, cfg)
-            payload["seed"] = seed
-            _write_json(outdir / f"report_seed_{seed}.json", payload)
+        # it, so no finished model waits in memory for the others; after a
+        # failure anywhere, every worker stops once its current seed is done
+        try:
+            for seed in share:
+                if stop.is_set():
+                    return
+                cfg = replace(cfg_base, seed=seed)
+                params, _ = train(encoded, cfg, vocab_size=len(vocab))
+                save_checkpoint(outdir / f"model_seed_{seed}.json", params, cfg, vocab, lex)
+                payload = _evaluate(test_selected, test_encoded, params, cfg)
+                payload["seed"] = seed
+                _write_json(outdir / f"report_seed_{seed}.json", payload)
+        except BaseException:
+            stop.set()
+            raise
 
     # worker j trains seeds[j::workers]; the main thread is worker 0, so two
     # seeds cost one helper thread.  Each seed's run is deterministic on its
     # own, so the files do not depend on the worker count.
-    workers = min(len(seeds), _usable_cpus())
+    workers = min(len(seeds), _MAX_SEED_WORKERS, _usable_cpus())
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:
         helpers = [pool.submit(run_seeds, seeds[j::workers]) for j in range(1, workers)]
         run_seeds(seeds[0::workers])

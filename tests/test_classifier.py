@@ -702,6 +702,28 @@ def test_train_loss_is_size_weighted_minibatch_mean(monkeypatch):
         assert stats.train_loss == loss_sum / n_fit
 
 
+def test_train_steps_with_the_current_rows_of_w(monkeypatch):
+    # _AdamW.step writes the gradient's copy of W's rows back unchecked, so a
+    # stale copy would silently revert rows; train must hand it a fresh one
+    lex = load_lexicon(lexicon_path())
+    corpus = _train_corpus(lex, n=45)
+    cfg = TkeConfig(task=Task.TOXIC, d=8, h=8, pad_len=12, epochs=3, batch=8, seed=4)
+    vocab = Vocab.build(s.text for s in corpus)
+    enc = encode_corpus(corpus, vocab, lex, cfg)
+    real = _AdamW.step
+    steps = []
+
+    def checking(self, params, grads):
+        rows, _, W_rows = grads["W"]
+        np.testing.assert_array_equal(W_rows, params.W[rows])
+        steps.append(len(rows))
+        real(self, params, grads)
+
+    monkeypatch.setattr(_AdamW, "step", checking)
+    train(enc, cfg, vocab_size=len(vocab))
+    assert len(steps) == cfg.epochs * math.ceil((len(enc) - max(1, int(len(enc) * cfg.val_fraction))) / cfg.batch)
+
+
 def test_train_deterministic_per_seed():
     lex = load_lexicon(lexicon_path())
     corpus = _train_corpus(lex)

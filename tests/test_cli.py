@@ -1,6 +1,7 @@
 import base64
 import json
 import math
+import threading
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -798,14 +799,23 @@ def test_pipeline_encodes_each_split_once(tmp_path, capsys, monkeypatch):
 _SMALL_MODEL = ["--task", "toxic", "--d", "8", "--h", "8", "--pad-len", "16", "--epochs", "2"]
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-def test_threaded_pipeline_models_equal_training_alone(tmp_path, capsys, monkeypatch, workers):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_threaded_pipeline_models_equal_training_alone(tmp_path, capsys, monkeypatch, cpus):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    real = cli.train
+    threads = set()
+
+    def train(encoded, cfg, vocab_size):
+        threads.add(threading.get_ident())
+        return real(encoded, cfg, vocab_size)
+
+    monkeypatch.setattr(cli, "train", train)
     infile = tmp_path / "raw.jsonl"
     write_corpus(infile, separable_corpus(120, seed=8))
     outdir = tmp_path / "run"
     argv = ["pipeline", "--in", str(infile), "--outdir", str(outdir), "--seeds", "1,2,3", *_SMALL_MODEL]
     assert main(argv) == EXIT_OK
+    assert len(threads) == min(cpus, 2)  # at most two seeds train at once
     for seed in (1, 2, 3):
         alone = tmp_path / f"alone_{seed}.json"
         argv = ["train", "--in", str(outdir / "train.jsonl"), "--out", str(alone), "--seed", str(seed), *_SMALL_MODEL]
@@ -815,23 +825,31 @@ def test_threaded_pipeline_models_equal_training_alone(tmp_path, capsys, monkeyp
 
 
 def test_pipeline_reports_a_helper_threads_failure(tmp_path, capsys, monkeypatch):
-    # with two workers the main thread trains seeds 1 and 3 and a helper seed 2
+    # with two workers the main thread trains seeds 1 and 3 and a helper 2 and 4
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     infile = tmp_path / "raw.jsonl"
     write_corpus(infile, separable_corpus(60, seed=8))
     real = cli.train
     seen = {}
     for failing in (1, 2):
+        failed = threading.Event()
+        called = []
+
         def train(encoded, cfg, vocab_size):
+            called.append(cfg.seed)
             if cfg.seed == failing:
+                failed.set()
                 raise ClassifierError("no model for this seed")
+            assert failed.wait(10)  # the other worker's seed is still training when the failure comes
             return real(encoded, cfg, vocab_size)
 
         monkeypatch.setattr(cli, "train", train)
         outdir = tmp_path / f"fail_{failing}"
-        argv = ["pipeline", "--in", str(infile), "--outdir", str(outdir), "--seeds", "1,2,3", *_SMALL_MODEL]
+        argv = ["pipeline", "--in", str(infile), "--outdir", str(outdir), "--seeds", "1,2,3,4", *_SMALL_MODEL]
         seen[failing] = main(argv), capsys.readouterr().err
         assert not (outdir / "aggregate.json").exists()
+        # each worker stops after its current seed: seeds 3 and 4 never start
+        assert failing in called and set(called) <= {1, 2}, called
     assert seen[2] == seen[1] == (EXIT_DATA, "error: no model for this seed\n")
 
 
