@@ -49,6 +49,7 @@ from .corpus import (
     read_lines,
     split_dataset,
     write_corpus,
+    write_jsonl,
 )
 from .lexicon import find_matches, load_lexicon
 from .metrics import MetricsError, expression_accuracy_breakdown, fleiss_kappa, weighted_prf
@@ -204,25 +205,19 @@ def cmd_normalize(args) -> int:
 def cmd_match(args) -> int:
     lex = load_lexicon(_lexicon_file(args))
     samples = read_corpus(args.infile)
-    matched = 0
-    with Path(args.out).open("w", encoding="utf-8") as fh:
-        for sample in samples:
-            matches = find_matches(sample.text, lex)
-            matched += bool(matches)
-            row = {
-                "id": sample.id,
-                "matches": [
-                    {
-                        "start": m.start,
-                        "end": m.end,
-                        "term": m.entry.term,
-                        "category": m.entry.category.name.lower(),
-                    }
-                    for m in matches
-                ],
-            }
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
-    print(f"samples={len(samples)} matched={matched}")
+    found = [find_matches(sample.text, lex) for sample in samples]
+    rows = (
+        {
+            "id": sample.id,
+            "matches": [
+                {"start": m.start, "end": m.end, "term": m.entry.term, "category": m.entry.category.name.lower()}
+                for m in matches
+            ],
+        }
+        for sample, matches in zip(samples, found)
+    )
+    write_jsonl(args.out, rows)
+    print(f"samples={len(samples)} matched={sum(map(bool, found))}")
     return EXIT_OK
 
 
@@ -262,22 +257,15 @@ def cmd_pseudolabel(args) -> int:
     result = iterate_to_fixpoint(
         pairs, lex, accept, min_freq=args.min_freq, min_score=args.min_score, max_n=args.max_n
     )
-    with Path(args.out).open("w", encoding="utf-8") as fh:
-        for row in result.labels:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": row.sample_id,
-                        "pseudo_label": row.pseudo_label.value,
-                        "matches": [
-                            {"start": m.start, "end": m.end, "term": m.entry.term}
-                            for m in row.matches
-                        ],
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    rows = (
+        {
+            "id": row.sample_id,
+            "pseudo_label": row.pseudo_label.value,
+            "matches": [{"start": m.start, "end": m.end, "term": m.entry.term} for m in row.matches],
+        }
+        for row in result.labels
+    )
+    write_jsonl(args.out, rows)
     if args.report:
         with Path(args.report).open("w", encoding="utf-8") as fh:
             fh.write("term\ttoxic_freq\tclean_freq\tscore\n")

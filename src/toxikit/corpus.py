@@ -16,8 +16,10 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -138,14 +140,14 @@ def validate_hierarchy(sample: ToxiSample) -> list[str]:
     return violations
 
 
-def _require(record: dict, field: str, index: int):
-    if field not in record:
-        raise CorpusError(f"record {index}: missing field '{field}'")
-    return record[field]
+# a record's fields, in the order a missing one is reported
+_FIELDS = ("id", "text", "platform", "topic", "toxic", "hate", "groups", "expression")
+_FIELD_SET = frozenset(_FIELDS)
+# a lone surrogate, such as JSON's "\ud800" decodes to, cannot be written as UTF-8
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def _decode_flag(record: dict, field: str, index: int) -> int:
-    value = _require(record, field, index)
+def _decode_flag(value, field: str, index: int) -> int:
     if isinstance(value, bool):
         value = int(value)
     if not isinstance(value, int) or value not in (0, 1):
@@ -175,24 +177,30 @@ def parse_sample(record: dict, index: int = 0) -> ToxiSample:
     if not isinstance(record, dict):
         raise CorpusError(f"record {index}: expected a JSON object, got {type(record).__name__}")
 
-    sample_id = _require(record, "id", index)
+    if not record.keys() >= _FIELD_SET:
+        missing = next(field for field in _FIELDS if field not in record)
+        raise CorpusError(f"record {index}: missing field '{missing}'")
+
+    sample_id = record["id"]
     if not isinstance(sample_id, int) or isinstance(sample_id, bool) or sample_id < 0:
         raise CorpusError(f"record {index}: field 'id' must be a non-negative integer")
-    text = _require(record, "text", index)
+    text = record["text"]
     if not isinstance(text, str):
         raise CorpusError(f"record {index}: field 'text' must be a string")
+    if (lone := _LONE_SURROGATE.search(text)) is not None:
+        raise CorpusError(f"record {index}: field 'text' holds a lone surrogate at index {lone.start()}")
 
-    platform = _decode_enum(_require(record, "platform", index), "field 'platform'", Platform, index)
-    topic = _decode_enum(_require(record, "topic", index), "field 'topic'", Topic, index)
-    toxic = _decode_flag(record, "toxic", index)
-    hate = _decode_flag(record, "hate", index)
+    platform = _decode_enum(record["platform"], "field 'platform'", Platform, index)
+    topic = _decode_enum(record["topic"], "field 'topic'", Topic, index)
+    toxic = _decode_flag(record["toxic"], "toxic", index)
+    hate = _decode_flag(record["hate"], "hate", index)
 
-    raw_groups = _require(record, "groups", index)
+    raw_groups = record["groups"]
     if not isinstance(raw_groups, list):
         raise CorpusError(f"record {index}: field 'groups' must be an array")
     groups = frozenset(_decode_enum(g, "field 'groups' entry", TargetGroup, index) for g in raw_groups)
 
-    raw_expr = _require(record, "expression", index)
+    raw_expr = record["expression"]
     expression = None
     if raw_expr not in (None, ""):
         expression = _decode_enum(raw_expr, "field 'expression' (if not null)", Expression, index)
@@ -256,7 +264,7 @@ def _json_line(line: str, path: Path, lineno: int, what: str):
         return json.loads(line.rstrip("\r\n"))
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{path}:{lineno}: {what}: {exc.msg} at column {exc.colno}") from None
-    except RecursionError as exc:
+    except (RecursionError, ValueError) as exc:  # ValueError: an integer over int()'s digit limit
         raise CorpusError(f"{path}:{lineno}: {what}: {exc}") from None
 
 
@@ -314,12 +322,16 @@ def read_corpus(path: str | Path) -> list[ToxiSample]:
     return samples
 
 
+def write_jsonl(path: str | Path, rows: Iterable) -> None:
+    """The one JSON Lines writer: each row on a line, as ``json.dumps(row, ensure_ascii=False)`` writes it."""
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(encode(row) + "\n")
+
+
 def write_corpus(path: str | Path, samples: Iterable[ToxiSample]) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps({SCHEMA_KEY: SCHEMA_VERSION}) + "\n")
-        for sample in samples:
-            fh.write(json.dumps(sample_to_record(sample), ensure_ascii=False) + "\n")
+    write_jsonl(path, chain([{SCHEMA_KEY: SCHEMA_VERSION}], map(sample_to_record, samples)))
 
 
 def _round_half_up(x: float) -> int:

@@ -40,9 +40,6 @@ class Category(IntEnum):
     GENERAL = 5
 
 
-_CATEGORY_BY_NAME = {c.name.lower(): c for c in Category}
-
-
 class Surface(str, Enum):
     EXPLICIT = "explicit"
     IMPLICIT = "implicit"
@@ -57,6 +54,15 @@ class RuleTag(str, Enum):
     METAPHOR = "metaphor"
     CODE_MIXING = "code_mixing"
     BORROWED_WORD = "borrowed_word"
+
+
+# each TSV column's accepted values, lowercased -> member; a category is
+# written as its name or as its id, one of the digits 1-5
+_COLUMNS = {
+    "category": {key: c for c in Category for key in (c.name.lower(), str(c.value))},
+    "surface": {e.value: e for e in Surface},
+    "rule_tag": {e.value: e for e in RuleTag},
+}
 
 
 @dataclass(frozen=True)
@@ -119,19 +125,10 @@ class Lexicon:
         return Lexicon(self.entries + tuple(new_entries))
 
 
-def _parse_category(raw: str, where: str) -> Category:
-    key = raw.strip().lower()
-    if key in _CATEGORY_BY_NAME:
-        return _CATEGORY_BY_NAME[key]
-    if key.isdigit() and int(key) in set(Category):
-        return Category(int(key))
-    raise LexiconError(f"{where}: unknown category {raw!r}")
-
-
-def _parse_enum(enum_cls, raw: str, what: str, where: str):
+def _parse_column(what: str, raw: str, where: str):
     try:
-        return enum_cls(raw.strip().lower())
-    except ValueError:
+        return _COLUMNS[what][raw.strip().lower()]
+    except KeyError:
         raise LexiconError(f"{where}: unknown {what} {raw!r}") from None
 
 
@@ -159,9 +156,9 @@ def load_lexicon(path: str | Path) -> Lexicon:
         entries.append(
             InsultEntry(
                 term=term,
-                category=_parse_category(raw_cat, where),
-                surface=_parse_enum(Surface, raw_surface, "surface", where),
-                rule_tag=_parse_enum(RuleTag, raw_tag, "rule_tag", where),
+                category=_parse_column("category", raw_cat, where),
+                surface=_parse_column("surface", raw_surface, where),
+                rule_tag=_parse_column("rule_tag", raw_tag, where),
             )
         )
     return Lexicon(entries)

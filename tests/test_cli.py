@@ -24,7 +24,7 @@ from toxikit.classifier import (
     save_checkpoint,
 )
 from toxikit.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from toxikit.corpus import write_corpus
+from toxikit.corpus import sample_to_record, write_corpus
 from toxikit.lexicon import load_lexicon
 from toxikit.pseudolabel import PseudoLabel, iterate_to_fixpoint
 from toxikit.resources import lexicon_path
@@ -559,6 +559,25 @@ def test_train_and_eval_refuse_an_empty_text(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--model", str(model), "--test", str(bad)]) == EXIT_DATA
     assert capsys.readouterr().err == f"error: {bad}: sample {corpus[3].id} has an empty text\n"
+
+
+def test_a_lone_surrogate_is_refused_before_anything_is_written(tmp_path, capsys):
+    records = [sample_to_record(s) for s in labeled_corpus(6, seed=2)]
+    records[1]["text"] = "\ud800" + records[1]["text"]
+    infile = tmp_path / "lone.jsonl"  # json.dumps escapes the surrogate as \ud800
+    infile.write_text("".join(json.dumps(r) + "\n" for r in [{"toxicn_schema": 1}, *records]), encoding="utf-8")
+    refusal = f"{infile}:3: record 1: field 'text' holds a lone surrogate at index 0"
+    assert main(["validate", "--in", str(infile)]) == EXIT_DATA
+    assert capsys.readouterr().out == f"{refusal}\nrecords=6 invalid=1\n"
+    out, model, outdir = tmp_path / "clean.jsonl", tmp_path / "model.json", tmp_path / "run"
+    for argv in (
+        ["normalize", "--in", str(infile), "--out", str(out)],
+        ["train", "--task", "toxic", "--in", str(infile), "--out", str(model)],
+        ["pipeline", "--task", "toxic", "--seeds", "1", "--in", str(infile), "--outdir", str(outdir)],
+    ):
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {refusal}\n"
+    assert not out.exists() and not model.exists() and not outdir.exists()
 
 
 def test_train_with_no_usable_sample_names_the_file(tmp_path, capsys):

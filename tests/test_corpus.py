@@ -4,7 +4,10 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from synthcorpus import labeled_corpus
 from toxikit.corpus import (
     CorpusError,
     Expression,
@@ -21,6 +24,7 @@ from toxikit.corpus import (
     split_dataset,
     validate_hierarchy,
     write_corpus,
+    write_jsonl,
 )
 
 
@@ -120,8 +124,12 @@ def test_parse_normalizes_empty_to_absent():
 
 
 def test_parse_errors_name_field_and_record():
-    with pytest.raises(CorpusError, match="record 3: missing field 'text'"):
-        parse_sample({k: v for k, v in _record().items() if k != "text"}, index=3)
+    for field in _record():
+        with pytest.raises(CorpusError, match=rf"^record 3: missing field '{field}'$"):
+            parse_sample({k: v for k, v in _record().items() if k != field}, index=3)
+    # a missing field is reported before a bad value in a field checked earlier
+    with pytest.raises(CorpusError, match=r"^record 3: missing field 'text'$"):
+        parse_sample({k: v for k, v in _record(id=-1).items() if k != "text"}, index=3)
     with pytest.raises(CorpusError, match="record 0: field 'toxic'"):
         parse_sample(_record(toxic=2))
     with pytest.raises(CorpusError, match="record 5: hierarchy violation"):
@@ -149,6 +157,16 @@ def test_enum_errors_name_field_allowed_values_and_value(overrides, field, enum_
         parse_sample(_record(**overrides), index=4)
     allowed = ", ".join(e.value for e in enum_cls)
     assert str(info.value) == f"record 4: {field} must be one of {allowed}, got {bad!r}"
+
+
+def test_lone_surrogate_in_text_refused_with_its_index():
+    for text, at in (("\ud800甲", 0), ("甲乙\udfff", 2), ("甲\udc00\ud83d", 1)):
+        with pytest.raises(CorpusError, match=rf"^record 2: field 'text' holds a lone surrogate at index {at}$"):
+            parse_sample(_record(text=text), index=2)
+    # a JSON surrogate pair decodes to one astral character, which is kept
+    pair = json.loads('"\\ud83d\\ude00甲"')
+    assert pair == "\U0001F600甲"
+    assert parse_sample(_record(text=pair)).text == pair
 
 
 def test_bool_not_accepted_as_id():
@@ -187,6 +205,29 @@ def test_file_roundtrip_and_stability(tmp_path):
     assert read_corpus(crlf) == _tiny_corpus()
 
 
+def test_labeled_corpus_round_trips(tmp_path):
+    corpus = labeled_corpus(300, seed=5)
+    write_corpus(tmp_path / "c.jsonl", corpus)
+    assert read_corpus(tmp_path / "c.jsonl") == corpus
+
+
+_JSON_TEXT = st.text(st.sampled_from('甲骂😀"\\\x00\x1f\x7f\n\r\t\u2028 a') | st.characters(codec="utf-8"), max_size=12)
+_JSON_VALUES = st.recursive(
+    st.none() | st.integers() | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(_JSON_VALUES, max_size=6))
+def test_write_jsonl_writes_json_dumps_lines(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("jsonl") / "rows.jsonl"
+    write_jsonl(path, iter(rows))
+    expected = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
 def test_header_required(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(sample_to_record(make())) + "\n", encoding="utf-8")
@@ -214,6 +255,9 @@ def test_malformed_line_reports_lineno(tmp_path):
     path.write_text('{"toxicn_schema": 1}\n' + record + "\r" + record + "\n", encoding="utf-8")
     extra = rf"c\.jsonl:2: malformed JSON: Extra data at column {len(record) + 2}$"
     with pytest.raises(CorpusError, match=extra):  # a lone CR ends no line
+        read_corpus(path)
+    path.write_text('{"toxicn_schema": 1}\n{"id": ' + "9" * 5000 + "}\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=r"c\.jsonl:2: malformed JSON: Exceeds the limit \(4300 digits\)"):
         read_corpus(path)
     path.write_text('{"toxicn_schema": 1}\n' + "[" * 100_000 + "\n", encoding="utf-8")
     with pytest.raises(CorpusError, match=r"c\.jsonl:2: malformed JSON: maximum recursion depth"):

@@ -10,6 +10,7 @@ from toxikit.lexicon import (
     InsultEntry,
     Lexicon,
     LexiconError,
+    RuleTag,
     Surface,
     find_matches,
     load_lexicon,
@@ -229,3 +230,29 @@ def test_load_errors_carry_line_numbers(tmp_path):
     path.write_text("骂\tgeneral\texplicit\tsarcasm\n", encoding="utf-8")
     with pytest.raises(LexiconError, match="unknown rule_tag"):
         load_lexicon(path)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    ["²", "①", "05", "٥", "1" * 5000, "0", "6"],
+    ids=["superscript-2", "circled-1", "leading-zero", "arabic-indic-5", "5000-digits", "0", "6"],
+)
+def test_load_refuses_a_category_that_is_neither_name_nor_digit(tmp_path, raw):
+    path = tmp_path / "lex.tsv"
+    path.write_text(f"好\tgeneral\texplicit\tnone\n骂\t{raw}\texplicit\tnone\n", encoding="utf-8")
+    with pytest.raises(LexiconError) as info:
+        load_lexicon(path)
+    assert str(info.value) == f"{path}:2: unknown category {raw!r}"
+
+
+def test_load_accepts_every_category_digit_and_name_in_any_case(tmp_path):
+    rows = {}
+    for category in Category:
+        spellings = (str(category.value), category.name.lower(), category.name, category.name.title(), f" {category.value} ")
+        for spelling, suffix in zip(spellings, "甲乙丙丁戊"):
+            rows[f"骂{'一二三四五'[category.value - 1]}{suffix}"] = (spelling, category)
+    path = tmp_path / "lex.tsv"
+    path.write_text("".join(f"{term}\t{raw}\tExplicit\tNONE\n" for term, (raw, _) in rows.items()), encoding="utf-8")
+    lex = load_lexicon(path)
+    assert {e.term: e.category for e in lex} == {term: category for term, (_, category) in rows.items()}
+    assert {(e.surface, e.rule_tag) for e in lex} == {(Surface.EXPLICIT, RuleTag.NONE)}
