@@ -18,6 +18,7 @@ import os
 import statistics
 import sys
 import threading
+from contextlib import suppress
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -25,6 +26,7 @@ import numpy as np
 
 from . import resources
 from .classifier import (
+    ClassifierError,
     EncodedSet,
     LexiconMismatchError,
     Task,
@@ -86,9 +88,32 @@ class _Parser(argparse.ArgumentParser):
 
 # ---------------------------------------------------------------- config
 
-# key=value config files accept exactly the TkeConfig fields, each parsed
-# as the type of its default value
+def _number(kind: type, text: str) -> int | float:
+    """``kind(text)`` for int or float, refusing the other scripts' digits and '_' that both take."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII decimal number: {text!r}")
+    return kind(text)
+
+
+# the config keys: each TkeConfig field, read as the type of its default value
 _CONFIG_FIELDS = {f.name: type(getattr(TkeConfig(), f.name)) for f in fields(TkeConfig)}
+
+
+def _config_value(key: str, text: str, where: str):
+    """TkeConfig field ``key`` read from a config line or a flag and checked
+    alone; an error names ``where``, the file's ``path:line`` or the flag."""
+    kind, text = _CONFIG_FIELDS[key], text.strip()
+    try:
+        if kind is bool:
+            value = {"true": True, "1": True, "false": False, "0": False}[text.lower()]
+        else:
+            value = _number(kind, text) if kind in (int, float) else kind(text)
+        TkeConfig(**{key: value})
+    except ClassifierError as exc:  # a value of the right kind, out of range
+        raise CorpusError(f"{where}: {exc}") from None
+    except (KeyError, ValueError):
+        raise CorpusError(f"{where}: bad value {text!r} for {key}") from None
+    return value
 
 
 def _parse_config_file(path: str) -> dict:
@@ -98,54 +123,43 @@ def _parse_config_file(path: str) -> dict:
             raise CorpusError(f"{where}: expected key=value")
         key, _, raw = line.partition("=")
         key = key.strip()
-        raw = raw.strip()
         if key not in _CONFIG_FIELDS:
             raise CorpusError(f"{where}: unknown config key {key!r}")
-        kind = _CONFIG_FIELDS[key]
-        try:
-            if kind is bool:
-                if raw.lower() not in ("true", "false", "0", "1"):
-                    raise ValueError
-                values[key] = raw.lower() in ("true", "1")
-            else:
-                values[key] = kind(raw)
-        except ValueError:
-            raise CorpusError(f"{where}: bad value {raw!r} for {key}") from None
+        values[key] = _config_value(key, raw, where)
     return values
 
 
 def _add_model_flags(sub) -> None:
     sub.add_argument("--config", help="key=value config file; flags override it")
-    sub.add_argument("--d", type=int, default=None, help="embedding dimension")
-    sub.add_argument("--h", type=int, default=None, help="hidden dimension")
-    sub.add_argument("--lam", type=float, default=None, help="enhancement strength in [0,1]")
-    sub.add_argument("--pad-len", type=int, default=None)
-    sub.add_argument("--epochs", type=int, default=None)
-    sub.add_argument("--batch", type=int, default=None)
-    sub.add_argument("--lr", type=float, default=None)
-    sub.add_argument("--dropout", type=float, default=None)
-    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--task", default=None, help=f"one of {', '.join(t.value for t in Task)}")
+    sub.add_argument("--d", default=None, help="embedding dimension")
+    sub.add_argument("--h", default=None, help="hidden dimension")
+    sub.add_argument("--lam", default=None, help="enhancement strength in [0,1]")
+    sub.add_argument("--pad-len", default=None)
+    sub.add_argument("--epochs", default=None)
+    sub.add_argument("--batch", default=None)
+    sub.add_argument("--lr", default=None)
+    sub.add_argument("--dropout", default=None)
+    sub.add_argument("--seed", default=None)
     sub.add_argument("--no-enhancement", action="store_true", help="ablate the lexicon term")
-    sub.add_argument("--weight-decay", type=float, default=None)
+    sub.add_argument("--weight-decay", default=None)
 
 
 def _assemble_config(args) -> TkeConfig:
     merged = _parse_config_file(args.config) if args.config else {}
     for key in _CONFIG_FIELDS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
+        if (flag := getattr(args, key, None)) is not None:  # argparse reads --epochs=-- as []
+            merged[key] = _config_value(key, flag if isinstance(flag, str) else "--", f"--{key.replace('_', '-')}")
     if args.no_enhancement:
         merged["enhancement"] = False
     if "task" not in merged:
         raise CorpusError("no task given (flag --task or config key task)")
-    merged["task"] = Task(merged["task"])
     return TkeConfig(**merged)
 
 
 def _parse_int(text: str, where: str) -> int:
     try:
-        return int(text)
+        return _number(int, text)
     except ValueError:
         raise CorpusError(f"{where}: expected an integer, got {text!r}") from None
 
@@ -162,23 +176,19 @@ def _int_at_least(minimum: int):
     """argparse type for integers no smaller than ``minimum``."""
 
     def parse(text: str) -> int:
-        try:
-            if int(text) >= minimum:
-                return int(text)
-        except ValueError:
-            pass
+        with suppress(ValueError):
+            if (value := _number(int, text)) >= minimum:
+                return value
         raise argparse.ArgumentTypeError(f"expected an integer ≥ {minimum}, got {text!r}")
 
     return parse
 
 
 def _finite_float(text: str) -> float:
-    """argparse type for thresholds: a float that is neither NaN nor infinite."""
-    try:
-        if math.isfinite(float(text)):
-            return float(text)
-    except ValueError:
-        pass
+    """argparse type for thresholds and ratios: a float that is neither NaN nor infinite."""
+    with suppress(ValueError):
+        if math.isfinite(value := _number(float, text)):
+            return value
     raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
@@ -583,7 +593,6 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("train", help="train one subtask model")
-    p.add_argument("--task", choices=[t.value for t in Task], default=None)
     p.add_argument("--lexicon", default=None)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
@@ -607,12 +616,11 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_kappa)
 
     p = sub.add_parser("pipeline", help="normalize → stats → split → seed-looped train/eval")
-    p.add_argument("--task", choices=[t.value for t in Task], default=None)
     p.add_argument("--lexicon", default=None)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--outdir", required=True)
     p.add_argument("--seeds", type=_seed_list, default=None, help="comma-separated, default 1,2,3,4,5")
-    p.add_argument("--train-ratio", type=float, default=0.8)
+    p.add_argument("--train-ratio", type=_finite_float, default=0.8)
     p.add_argument("--split-seed", type=_int_at_least(0), default=0)
     p.add_argument("--stratify", action="store_true")
     _add_model_flags(p)

@@ -164,11 +164,6 @@ def load_lexicon(path: str | Path) -> Lexicon:
     return Lexicon(entries)
 
 
-def _match_order(match: LexiconMatch) -> tuple[int, int]:
-    """The order of ``find_matches``: start ascending, then length descending."""
-    return match.start, match.start - match.end
-
-
 def find_matches(text: str, lex: Lexicon) -> list[LexiconMatch]:
     """All occurrences of all terms, overlaps included.
 

@@ -12,11 +12,11 @@ encoded once as dense character ids, and for each n a sorted table of
 exact int64 gram codes carries the toxic and clean document frequencies.
 The fixpoint labels and counts the whole corpus in its first round only.
 A term admitted later can change only the documents that contain it, so
-a later round scans just those with a lexicon of the new terms,
-merges the new matches in, and moves their grams from the counts under
-the old spans and label to those under the new.  Its final, quiet
-round's ranking is returned as ``candidates``, the same list a
-from-scratch count over the final labels would rank.
+a later round relabels just those with ``pseudo_label`` under the grown
+lexicon and moves their grams from the counts under the old spans and
+label to those under the new.  Its final, quiet round's ranking is
+returned as ``candidates``, the same list a from-scratch count over the
+final labels would rank.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .lexicon import Category, InsultEntry, Lexicon, LexiconMatch, RuleTag, Surface, _match_order, find_matches
+from .lexicon import Category, InsultEntry, Lexicon, LexiconMatch, RuleTag, Surface, find_matches
 from .normalize import normalize_text
 
 
@@ -278,16 +278,11 @@ def iterate_to_fixpoint(
         ]
         lex = lex.extended(entries)
         # matches are only ever added, so exactly the documents holding a new term change
-        fresh = Lexicon(entries)
         changed = [i for i, text in enumerate(texts) if any(t in text for t in new_terms)]
         before = [labels[i] for i in changed]
-        for i in changed:
-            matches = labels[i].matches + tuple(find_matches(texts[i], fresh))
-            labels[i] = PseudoLabeledSample(
-                sample_id=labels[i].sample_id,
-                pseudo_label=PseudoLabel.TOXIC,
-                matches=tuple(sorted(matches, key=_match_order)),
-            )
+        after = pseudo_label([corpus[i] for i in changed], lex)
+        for i, row in zip(changed, after):
+            labels[i] = row
         changed_texts = [texts[i] for i in changed]
         tables.tally(changed_texts, before, -1)
-        tables.tally(changed_texts, [labels[i] for i in changed], 1)
+        tables.tally(changed_texts, after, 1)

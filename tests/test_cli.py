@@ -754,12 +754,93 @@ def test_train_rejects_zero_epochs_and_non_finite_steps(tmp_path, capsys, flags,
     model = tmp_path / "m.json"
     argv = ["train", "--task", "toxic", "--in", str(corpus_path), "--out", str(model), "--d", "4", "--h", "4"]
     assert main(argv + flags) == EXIT_DATA
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {flags[0]}: " in err and message in err
     assert not model.exists()
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"{flags[0].removeprefix('--').replace('-', '_')}={flags[1]}\n", encoding="utf-8")
     assert main(argv + ["--config", str(cfgfile)]) == EXIT_DATA
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {cfgfile}:1: " in err and message in err
+
+
+@pytest.mark.parametrize(
+    "kind,content,bad",
+    [
+        ("normalize", "1\n٣\n", "٣"),
+        ("kappa", "3\t0\n١\t2\n", "١"),
+        ("train", "d=4\nepochs=٢\n", "٢"),
+        ("train", "d=4\nlr=1_0e-3\n", "1_0e-3"),
+    ],
+    ids=["exclude-id", "kappa-cell", "config-int", "config-float"],
+)
+def test_a_file_number_in_other_digits_or_with_underscores_names_its_line(
+    tmp_path, capsys, corpus_file, kind, content, bad
+):
+    # int() and float() take both; a file read as '3' where it says '٣' is a silent wrong answer
+    path = tmp_path / "side.txt"
+    path.write_text(content, encoding="utf-8")
+    assert main(_reader_argv(kind, path, corpus_file, str(tmp_path / "out"))) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"error: {path}:2: " in err and repr(bad) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--epochs", "٢"), ("--d", "abc"), ("--lr", "1_0e-3"), ("--pad-len", "８"), ("--task", "bogus")]
+)
+def test_a_bad_model_flag_exits_2_naming_the_flag(tmp_path, capsys, corpus_file, flag, value):
+    model = tmp_path / "m.json"
+    argv = ["train", "--task", "toxic", "--in", str(corpus_file), "--out", str(model), flag, value]
+    assert main(argv) == EXIT_DATA
+    key = flag.removeprefix("--").replace("-", "_")
+    assert f"error: {flag}: bad value {value!r} for {key}" in capsys.readouterr().err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normalize", "--in", "x", "--out", "y", "--min-chars", "٤"],
+        ["pseudolabel", "--in", "x", "--out", "y", "--min-score", "1_0"],
+        ["pipeline", "--in", "x", "--outdir", "y", "--seeds", "١,2"],
+        ["pipeline", "--in", "x", "--outdir", "y", "--train-ratio", "٠.5"],
+    ],
+    ids=["int-at-least", "finite-float", "seed-list", "train-ratio"],
+)
+def test_a_flag_number_in_other_digits_or_with_underscores_is_a_usage_error(capsys, argv):
+    assert main(argv) == EXIT_USAGE
+    assert f"argument {argv[-2]}: " in capsys.readouterr().err
+
+
+# TkeConfig fields with no flag that takes a value (enhancement has only --no-enhancement)
+_FLAGLESS_KEYS = {"enhancement", "val_fraction", "patience"}
+_CONFIG_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"), max_size=12) | st.lists(
+    st.sampled_from(["0", "1", "3", "-", ".", "5", "e", "nan", "inf", "_", "٣", "８", " ", "\u3000", "\t", "#", "=",
+                     "+", "toxic", "group", "true", "x"]),
+    max_size=6,
+).map("".join)
+
+
+def _config_or_exit_2(argv):
+    """The TkeConfig that train would use, or EXIT_DATA where main would exit 2."""
+    try:
+        return cli._assemble_config(cli._build_parser().parse_args(argv))
+    except ValueError:  # main reports every data error with exit 2
+        return EXIT_DATA
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(sorted({f.name for f in fields(TkeConfig)} - _FLAGLESS_KEYS)), text=_CONFIG_TEXT)
+@example(key="epochs", text="0")
+@example(key="lam", text=" 0.5\u3000")
+@example(key="batch", text="--")  # argparse hands the flag [], not a string
+def test_a_model_flag_and_a_config_line_read_the_same_value(tmp_path, key, text):
+    base = ["train", "--in", "x", "--out", "y"] + (["--task", "toxic"] if key != "task" else [])
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{key}={text}\n", encoding="utf-8")
+    from_flag = _config_or_exit_2(base + [f"--{key.replace('_', '-')}={text}"])
+    assert from_flag == _config_or_exit_2(base + ["--config", str(cfgfile)])
 
 
 def test_train_requires_task(tmp_path, capsys):

@@ -491,20 +491,22 @@ def test_labeled_fixpoint_mines_less_than_once_per_round(monkeypatch):
 
 
 @pytest.mark.parametrize("make,min_freq,min_score", [(chained_fixture, 2, 1.5), (_labeled_fixpoint_case, 3, 2.0)])
-def test_fixpoint_matches_each_document_against_the_full_lexicon_once(monkeypatch, make, min_freq, min_score):
+def test_fixpoint_relabels_only_documents_holding_an_admitted_term(monkeypatch, make, min_freq, min_score):
     corpus, seed_lex, accept = make()
-    seed_term = seed_lex.entries[0].term
-    full = []
+    matched = []
     real = pseudolabel.find_matches
 
     def recording(text, lex):
-        if seed_term in lex:
-            full.append(text)
+        matched.append(text)
         return real(text, lex)
 
-    # later rounds scan only the documents holding a new term, with a lexicon of the new terms alone
+    # the first round matches every document; a later one only those holding a term it admitted
     monkeypatch.setattr(pseudolabel, "find_matches", recording)
     result = iterate_to_fixpoint(corpus, seed_lex, accept, min_freq=min_freq, min_score=min_score)
+    monkeypatch.undo()
+    added = [t for batch in result.added_per_round for t in batch]
     assert result.iterations >= 3
-    assert len(full) == len(corpus)
+    assert matched[: len(corpus)] == [text for _, text in corpus]
+    assert all(any(t in text for t in added) for text in matched[len(corpus):])
+    assert len(matched) == len(corpus) + _changed_documents(corpus, seed_lex, result.added_per_round)
     assert list(result.labels) == pseudo_label(corpus, result.lexicon)
