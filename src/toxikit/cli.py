@@ -261,8 +261,7 @@ def cmd_derive(args) -> int:
 
 def cmd_pseudolabel(args) -> int:
     lex = load_lexicon(_lexicon_file(args))
-    samples = read_corpus(args.infile)
-    pairs = [(s.id, s.text) for s in samples]
+    pairs = [(s.id, s.text) for s in read_corpus(args.infile)]  # the samples are not held while it runs
     accept = [line for _, line in read_lines(args.accept)] if args.accept else []
     result = iterate_to_fixpoint(
         pairs, lex, accept, min_freq=args.min_freq, min_score=args.min_score, max_n=args.max_n
@@ -629,10 +628,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _refuse_dashes(parser: _Parser, args) -> None:
+    """A usage error for a flag given as ``--flag=--``.
+
+    argparse takes that ``--`` for the end of the options, drops it and
+    stores [] without calling the flag's type.  The untyped model flags
+    are left to ``_assemble_config``, whose ``_config_value`` names them.
+    """
+    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = commands[args.command]
+    for action in command._actions:
+        if getattr(args, action.dest, None) == [] and (action.type or action.dest not in _CONFIG_FIELDS):
+            command.error(f"argument {'/'.join(action.option_strings)}: expected a value, got '--'")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "func", None):
+            _refuse_dashes(parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     if not getattr(args, "func", None):

@@ -76,6 +76,11 @@ def _code_points(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
 
 
+# positions, prefix ranks and counts are int32, so a corpus laid end to end
+# with one separator per document may hold at most this many characters
+_MAX_CHARS = 2**31 - 1
+
+
 class _GramTables:
     """Toxic and clean document frequencies of a corpus's n-grams, n = 1..max_n.
 
@@ -90,6 +95,14 @@ class _GramTables:
     ``toxic[n-1]`` and ``clean[n-1]`` are the int32 counts beside it.
     ``tally`` moves the counts by run lengths over sorted gram indices, so
     a tally costs time in the grams it counts, not in the table size.
+
+    Memory: character ids, document indices, positions, prefix ranks and
+    counts are int32, and only the gram codes of the n being counted are
+    int64, so a corpus may hold at most ``_MAX_CHARS`` characters (one
+    separator per document included); a larger one is refused with a
+    ValueError.  Each n's temporaries are freed before the next n is
+    built, so counting holds the kept tables plus a bounded number of
+    bytes per corpus character, whatever ``max_n`` is.
     """
 
     def __init__(self, texts: Sequence[str], rows: Sequence[PseudoLabeledSample], max_n: int):
@@ -114,12 +127,14 @@ class _GramTables:
             is_toxic = toxic[docs]
             _add_runs(self.toxic[n - 1], grams[is_toxic], sign)
             _add_runs(self.clean[n - 1], grams[~is_toxic], sign)
+            del docs, grams, is_toxic  # not held while the next n is built
 
     def grams(
         self, texts: Sequence[str], rows: Sequence[PseudoLabeledSample]
     ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """Yield (n, document index, gram table index) for each distinct
-        (document, n-gram) pair with ≥1 occurrence not fully inside a match span.
+        """Yield (n, document index, gram table index), both int32, for each
+        distinct (document, n-gram) pair with ≥1 occurrence not fully inside
+        a match span.
 
         Whitespace-bearing n-grams are skipped; they straddle what the
         normalizer already decided are separate fragments.  Documents are
@@ -130,38 +145,64 @@ class _GramTables:
         given, which are the whole corpus; later texts are looked up.
         """
         lengths = np.fromiter((len(t) + 1 for t in texts), np.int64, len(texts))
+        if (total := int(lengths.sum())) > _MAX_CHARS:
+            raise ValueError(
+                f"corpus too large to mine: {total} characters with one separator per document,"
+                f" over the limit of {_MAX_CHARS} that int32 positions hold"
+            )
         starts = np.cumsum(lengths) - lengths
-        ids = np.searchsorted(self.alphabet, _code_points(" ".join(texts) + " "))
+        ids = np.searchsorted(self.alphabet, _code_points(" ".join(texts) + " ")).astype(np.int32)
         space = self.space[ids]
-        doc = np.repeat(np.arange(len(texts)), lengths)
-        reach = np.zeros(len(ids), np.int64)
+        doc = np.repeat(np.arange(len(texts), dtype=np.int32), lengths)
+        reach = np.zeros(len(ids), np.int32)
         spans = [(start + m.start, start + m.end) for start, row in zip(starts.tolist(), rows) for m in row.matches]
         if spans:
-            at, end = np.array(spans, np.int64).T
+            at, end = np.array(spans, np.int32).T
             np.maximum.at(reach, at, end)
-            reach = np.maximum.accumulate(reach)
+            np.maximum.accumulate(reach, out=reach)
         size = len(self.alphabet)
-        pos = np.flatnonzero(~space)
-        prefix = np.zeros(len(pos), np.int64)
+        pos = np.flatnonzero(~space).astype(np.int32)
+        prefix = np.zeros(len(pos), np.int32)
         for n in range(1, self.max_n + 1):
             if not len(pos):
                 return
-            rank = self._index(n, prefix * size + ids[pos + n - 1])
+            # each array is deleted once spent, so none is held while a later one is built
+            code = prefix.astype(np.int64)  # the only int64 array per position
+            code *= size
+            code += ids[pos + (n - 1)]
+            rank = self._index(n, code)
+            del code
             counted = pos + n > reach[pos]
-            yield (n, *_distinct_pairs(doc[pos[counted]], rank[counted], len(texts)))
+            docs, grams = doc[pos[counted]], rank[counted]
             # an (n+1)-gram is whitespace-free when its n-prefix and its last character are
             longer = ~space[pos + n]
             pos, prefix = pos[longer], rank[longer]
+            del rank, counted, longer
+            pairs = _distinct_pairs(docs, grams, len(texts))
+            del docs, grams
+            yield (n, *pairs)
+            del pairs
 
     def _index(self, n: int, code: np.ndarray) -> np.ndarray:
-        """Each code's index in the n-gram table; the first codes given build the table."""
+        """Each code's int32 index in the n-gram table; the first codes given build the table.
+
+        The table is the sorted distinct codes, and each code's index is the
+        number of distinct codes below it: one argsort, and the running
+        count of run starts scattered back through it.
+        """
         if len(self.codes) < n:
-            table, index = np.unique(code, return_inverse=True)
+            order = np.argsort(code)
+            ordered = code[order]
+            first = _run_starts(ordered)
+            table = ordered[first]
+            del ordered
+            index = np.empty(len(code), np.int32)
+            index[order] = np.cumsum(first, dtype=np.int32) - 1
             self.codes.append(table)
             self.toxic.append(np.zeros(len(table), np.int32))
             self.clean.append(np.zeros(len(table), np.int32))
             return index
-        return np.searchsorted(self.codes[n - 1], code)
+        return np.searchsorted(self.codes[n - 1], code).astype(np.int32)
 
     def decode(self, n: int, index: np.ndarray) -> list[str]:
         """The n-grams at ``index`` of the n-gram table, by following prefix ranks down."""
@@ -176,14 +217,20 @@ class _GramTables:
 
 
 def _distinct_pairs(docs: np.ndarray, grams: np.ndarray, n_docs: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct (document, gram) pairs.
+    """The distinct (document, gram) pairs, as int32 arrays.
 
-    One sort of the keys gram × n_docs + document puts repeats side by
-    side; the keys stay below (distinct grams) × n_docs, within int64.
+    One in-place sort of the int64 keys gram × n_docs + document puts
+    repeats side by side; the keys stay below (distinct grams) × n_docs,
+    within int64.
     """
-    pairs = np.sort(grams * n_docs + docs)
-    pairs = pairs[_run_starts(pairs)]
-    return pairs % n_docs, pairs // n_docs
+    keys = grams.astype(np.int64)
+    keys *= n_docs
+    keys += docs
+    keys.sort()
+    keys = keys[_run_starts(keys)]
+    docs = (keys % n_docs).astype(np.int32)
+    keys //= n_docs
+    return docs, keys.astype(np.int32)
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
@@ -277,8 +324,10 @@ def iterate_to_fixpoint(
             for t in new_terms
         ]
         lex = lex.extended(entries)
-        # matches are only ever added, so exactly the documents holding a new term change
-        changed = [i for i, text in enumerate(texts) if any(t in text for t in new_terms)]
+        # matches are only ever added, so exactly the documents holding a new
+        # term change; a text without any new term's first character holds none
+        starts = Lexicon(entries)._starts
+        changed = [i for i, text in enumerate(texts) if starts.search(text) and any(t in text for t in new_terms)]
         before = [labels[i] for i in changed]
         after = pseudo_label([corpus[i] for i in changed], lex)
         for i, row in zip(changed, after):

@@ -1,3 +1,4 @@
+import argparse
 import base64
 import json
 import math
@@ -811,6 +812,54 @@ def test_a_bad_model_flag_exits_2_naming_the_flag(tmp_path, capsys, corpus_file,
 def test_a_flag_number_in_other_digits_or_with_underscores_is_a_usage_error(capsys, argv):
     assert main(argv) == EXIT_USAGE
     assert f"argument {argv[-2]}: " in capsys.readouterr().err
+
+
+def _commands() -> dict[str, argparse.ArgumentParser]:
+    parser = cli._build_parser()
+    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return commands
+
+
+# (command, flag, read by _config_value) for each flag of each subcommand that takes a value
+_VALUE_FLAGS = [
+    (name, action.option_strings[0], action.type is None and action.dest in cli._CONFIG_FIELDS)
+    for name, command in _commands().items()
+    for action in command._actions
+    if action.option_strings and action.nargs is None
+]
+
+
+def test_the_value_flags_include_every_typed_flag():
+    typed = {(c, f) for c, f, model in _VALUE_FLAGS if not model}
+    assert {("normalize", "--min-chars"), ("pseudolabel", "--min-freq"), ("pseudolabel", "--min-score"),
+            ("pseudolabel", "--max-n"), ("gradcheck", "--configs"), ("gradcheck", "--seed"),
+            ("pipeline", "--seeds"), ("pipeline", "--train-ratio"), ("pipeline", "--split-seed")} <= typed
+    assert ("train", "--epochs", True) in _VALUE_FLAGS
+
+
+@pytest.mark.parametrize("command,flag,model", _VALUE_FLAGS, ids=[f"{c}{f}" for c, f, _ in _VALUE_FLAGS])
+def test_a_flag_given_as_equals_dashes_is_refused_naming_it(tmp_path, capsys, command, flag, model):
+    # argparse drops the "--" of --flag=-- and hands the flag [] without
+    # calling its type; a model flag is read, and refused, by _config_value
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    write_corpus(inputs / "c.jsonl", labeled_corpus(20, seed=2))
+    out = tmp_path / "out"
+    required = {
+        "--in": inputs / "c.jsonl", "--test": inputs / "c.jsonl", "--out": out / "o", "--outdir": out,
+        "--model": inputs / "m.json", "--term": "x", "--rule": "code_mixing",
+    }
+    argv = [command]
+    for action in _commands()[command]._actions:
+        if action.required and action.option_strings[0] != flag:
+            argv += [action.option_strings[0], str(required[action.option_strings[0]])]
+    assert main(argv + [f"{flag}=--"]) == (EXIT_DATA if model else EXIT_USAGE)
+    err = capsys.readouterr().err
+    if model:
+        assert f"error: {flag}: bad value '--' for " in err
+    else:
+        assert f"error: argument {flag}: expected a value, got '--'" in err
+    assert not out.exists()
 
 
 # TkeConfig fields with no flag that takes a value (enhancement has only --no-enhancement)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -292,6 +293,62 @@ def test_first_round_candidates_over_an_alphabet_wider_than_2_to_the_13():
     found = iterate_to_fixpoint(corpus, lex, [], min_freq=1, min_score=1.0, max_n=6).candidates
     assert len(found) > 0
     assert _as_rows(found) == _naive_extraction(pseudo_label(corpus, lex), corpus, lex, 1, 1.0, 6)
+
+
+
+def test_first_round_candidates_with_gram_codes_past_2_to_the_31():
+    # BMP CJK (Extension A and the unified block) plus Extension B: more
+    # than 2^16 characters, so a 2-gram code, prefix rank × alphabet size
+    # plus the last character's id, passes 2^31 and needs int64
+    rng = random.Random(9)
+    chars = [chr(c) for block in ((0x3400, 0xA000), (0x20000, 0x2A6E0)) for c in range(*block)]
+    common, rare = chars[6600:6640], chars[:6600] + chars[6640:]
+    rng.shuffle(rare)
+    # every rare character once, each followed by a common one
+    texts = ["".join(ch + rng.choice(common) for ch in rare[k:k + 24]) for k in range(0, len(rare), 24)]
+    corpus = list(enumerate(texts))
+    lex = lex_of(*common[:3])
+    labeled = pseudo_label(corpus, lex)
+    tables = pseudolabel._GramTables(texts, labeled, 3)
+    assert len(tables.alphabet) > 2**16
+    assert tables.codes[1].max() >= 2**31
+    found = pseudolabel._rank(tables, (e.term for e in lex), 1, 1.0)
+    assert len(found) > 0
+    assert _as_rows(found) == _naive_extraction(labeled, corpus, lex, 1, 1.0, 3)
+
+
+def test_gram_tables_refuse_a_corpus_over_the_position_limit(monkeypatch):
+    # int32 positions hold 2^31 - 1 characters; a smaller limit stands in for it here
+    assert pseudolabel._MAX_CHARS == 2**31 - 1
+    texts = ["甲乙丙", "丁戊"]  # 3 + 1 + 2 + 1 = 7 characters with the separators
+    rows = pseudo_label(list(enumerate(texts)), Lexicon([]))
+    monkeypatch.setattr(pseudolabel, "_MAX_CHARS", 7)
+    assert len(pseudolabel._GramTables(texts, rows, 2).codes) == 2
+    monkeypatch.setattr(pseudolabel, "_MAX_CHARS", 6)
+    with pytest.raises(ValueError, match="7 characters.* limit of 6 "):
+        pseudolabel._GramTables(texts, rows, 2)
+
+
+def test_gram_tables_transient_memory_is_bounded_per_character():
+    # A whole-corpus tally holds the tables it keeps plus temporaries per
+    # corpus character: about 47 bytes of them at int32 positions and
+    # ranks with one level's int64 codes, and 104 when every per-position
+    # array was int64.  2,000 Zipf-drawn texts of 87,408 characters.
+    rng = random.Random(0)
+    chars = [chr(0x4E00 + i) for i in range(3000)]
+    weights = [1 / (k + 1) for k in range(len(chars))]
+    texts = ["".join(rng.choices(chars, weights, k=rng.randint(5, 80))) for _ in range(2000)]
+    rows = pseudo_label(list(enumerate(texts)), lex_of(*[text[3:5] for text in texts[:30]]))
+    assert sum(row.pseudo_label is PseudoLabel.TOXIC for row in rows) > 500
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tables = pseudolabel._GramTables(texts, rows, 4)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    kept = sum(table.nbytes for table in tables.codes + tables.toxic + tables.clean)
+    assert (peak - kept) / sum(len(text) + 1 for text in texts) < 75
 
 
 # ---------------------------------------------------------------- _GramTables counts
