@@ -1,7 +1,8 @@
 """Command-line entry point chaining the pipeline stages.
 
-Exit codes: 0 success, 1 usage error, 2 data error (bad file/record,
-message carries file and line where known), 3 internal check failure.
+Exit codes: 0 success, 1 usage error (a bad value on the command line, whatever
+the flag, reported as ``argument --flag: <what is wrong>``), 2 data error (a bad
+file or record, the message naming ``path:line`` where known), 3 internal check failure.
 
 Config files are line-oriented ``key=value`` ('#' comments); flags given
 on the command line take precedence over the file.  The bundled resource
@@ -18,7 +19,6 @@ import os
 import statistics
 import sys
 import threading
-from contextlib import suppress
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -26,7 +26,6 @@ import numpy as np
 
 from . import resources
 from .classifier import (
-    ClassifierError,
     EncodedSet,
     LexiconMismatchError,
     Task,
@@ -86,7 +85,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-# ---------------------------------------------------------------- config
+# ---------------------------------------------------------------- values
 
 def _number(kind: type, text: str) -> int | float:
     """``kind(text)`` for int or float, refusing the other scripts' digits and '_' that both take."""
@@ -95,38 +94,76 @@ def _number(kind: type, text: str) -> int | float:
     return kind(text)
 
 
+def _checked(kind: type, text: str, least: int | None = None) -> int | float:
+    """An ASCII int, or a finite float, ≥ ``least`` if given; else a ValueError saying what was expected."""
+    try:
+        value = _number(kind, text)
+        if (kind is int or math.isfinite(value)) and (least is None or value >= least):
+            return value
+    except ValueError:
+        pass
+    bound = "" if least is None else f" ≥ {least}"
+    raise ValueError(f"expected {'an integer' if kind is int else 'a finite number'}{bound}, got {text!r}")
+
+
 # the config keys: each TkeConfig field, read as the type of its default value
 _CONFIG_FIELDS = {f.name: type(getattr(TkeConfig(), f.name)) for f in fields(TkeConfig)}
 
 
-def _config_value(key: str, text: str, where: str):
-    """TkeConfig field ``key`` read from a config line or a flag and checked
-    alone; an error names ``where``, the file's ``path:line`` or the flag."""
+def _config_value(key: str, text: str):
+    """TkeConfig field ``key`` read from a config line or a flag and checked alone."""
     kind, text = _CONFIG_FIELDS[key], text.strip()
     try:
         if kind is bool:
             value = {"true": True, "1": True, "false": False, "0": False}[text.lower()]
         else:
             value = _number(kind, text) if kind in (int, float) else kind(text)
-        TkeConfig(**{key: value})
-    except ClassifierError as exc:  # a value of the right kind, out of range
-        raise CorpusError(f"{where}: {exc}") from None
     except (KeyError, ValueError):
-        raise CorpusError(f"{where}: bad value {text!r} for {key}") from None
+        raise ValueError(f"bad value {text!r} for {key}") from None
+    TkeConfig(**{key: value})  # a value of the right kind, out of range: its message says which
+    return value
+
+
+# every number flag but the model flags: dest -> (kind, least value); --seeds is a comma-separated list
+_NUMBER_FLAGS = dict(min_chars=(int, 1), min_freq=(int, 0), min_score=(float, None), max_n=(int, 1), configs=(int, 1),
+                     check_seed=(int, 0), split_seed=(int, 0), train_ratio=(float, None), seeds=(int, 0))
+
+
+def _flag_value(dest: str, text: str | list | None):
+    """The value of the flag stored at ``dest`` given as ``text``, or a ValueError saying what is wrong."""
+    if text == []:  # argparse takes the -- of --flag=-- for the end of the options and stores []
+        raise ValueError("expected a value, got '--'")
+    if dest in _CONFIG_FIELDS and text is not None:
+        return _config_value(dest, text)
+    if dest not in _NUMBER_FLAGS:
+        return text  # a path, a word, or a flag not given
+    kind, least = _NUMBER_FLAGS[dest]
+    value = [_checked(kind, s, least) for s in text.split(",")] if dest == "seeds" else _checked(kind, text, least)
+    if dest == "seeds" and len(set(value)) != len(value):
+        raise ValueError(f"repeated seed in {text!r}")
+    if dest == "train_ratio":
+        SplitSpec(train_ratio=value, seed=0)  # its own check: a ratio in (0, 1)
     return value
 
 
 def _parse_config_file(path: str) -> dict:
     values: dict = {}
     for where, line in read_lines(path):
-        if "=" not in line:
+        key, equals, raw = line.partition("=")
+        if not equals:
             raise CorpusError(f"{where}: expected key=value")
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_FIELDS:
+        if (key := key.strip()) not in _CONFIG_FIELDS:
             raise CorpusError(f"{where}: unknown config key {key!r}")
-        values[key] = _config_value(key, raw, where)
+        values[key] = _in_file(where, _config_value, key, raw)
     return values
+
+
+def _in_file(where: str, read, *args):
+    """``read(*args)``, its ValueError turned into a data error naming ``where``, a file's ``path:line``."""
+    try:
+        return read(*args)
+    except ValueError as exc:
+        raise CorpusError(f"{where}: {exc}") from None
 
 
 def _add_model_flags(sub) -> None:
@@ -141,55 +178,16 @@ def _add_model_flags(sub) -> None:
     sub.add_argument("--lr", default=None)
     sub.add_argument("--dropout", default=None)
     sub.add_argument("--seed", default=None)
-    sub.add_argument("--no-enhancement", action="store_true", help="ablate the lexicon term")
+    sub.add_argument("--no-enhancement", dest="enhancement", action="store_const", const=False, help="ablate the lexicon")
     sub.add_argument("--weight-decay", default=None)
 
 
 def _assemble_config(args) -> TkeConfig:
     merged = _parse_config_file(args.config) if args.config else {}
-    for key in _CONFIG_FIELDS:
-        if (flag := getattr(args, key, None)) is not None:  # argparse reads --epochs=-- as []
-            merged[key] = _config_value(key, flag if isinstance(flag, str) else "--", f"--{key.replace('_', '-')}")
-    if args.no_enhancement:
-        merged["enhancement"] = False
+    merged.update((key, value) for key in _CONFIG_FIELDS if (value := getattr(args, key, None)) is not None)
     if "task" not in merged:
         raise CorpusError("no task given (flag --task or config key task)")
     return TkeConfig(**merged)
-
-
-def _parse_int(text: str, where: str) -> int:
-    try:
-        return _number(int, text)
-    except ValueError:
-        raise CorpusError(f"{where}: expected an integer, got {text!r}") from None
-
-
-def _seed_list(text: str) -> list[int]:
-    """argparse type for --seeds: comma-separated integers ≥ 0, none repeated."""
-    seeds = [_int_at_least(0)(s) for s in text.split(",")]
-    if len(set(seeds)) != len(seeds):
-        raise argparse.ArgumentTypeError(f"repeated seed in {text!r}")
-    return seeds
-
-
-def _int_at_least(minimum: int):
-    """argparse type for integers no smaller than ``minimum``."""
-
-    def parse(text: str) -> int:
-        with suppress(ValueError):
-            if (value := _number(int, text)) >= minimum:
-                return value
-        raise argparse.ArgumentTypeError(f"expected an integer ≥ {minimum}, got {text!r}")
-
-    return parse
-
-
-def _finite_float(text: str) -> float:
-    """argparse type for thresholds and ratios: a float that is neither NaN nor infinite."""
-    with suppress(ValueError):
-        if math.isfinite(value := _number(float, text)):
-            return value
-    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
 def _lexicon_file(args) -> str | Path:
@@ -204,7 +202,7 @@ def _write_json(path: str | Path, payload) -> None:
 # ---------------------------------------------------------------- commands
 
 def cmd_normalize(args) -> int:
-    exclude = {_parse_int(line, where) for where, line in read_lines(args.exclude)} if args.exclude else set()
+    exclude = {_in_file(where, _checked, int, line) for where, line in read_lines(args.exclude)} if args.exclude else set()
     samples = [s for s in read_corpus(args.infile) if s.id not in exclude]
     kept, dropped_brief, dropped_dup = clean_corpus(samples, args.min_chars)
     write_corpus(args.out, kept)
@@ -447,7 +445,7 @@ def run_gradcheck(n_configs: int, seed: int) -> tuple[float, float]:
 
 
 def cmd_gradcheck(args) -> int:
-    worst, corrupted = run_gradcheck(args.configs, args.seed)
+    worst, corrupted = run_gradcheck(args.configs, args.check_seed)
     print(f"max_rel_error={worst:.3e} corrupted_self_test={corrupted:.3e}")
     if worst < GRAD_TOLERANCE and corrupted > CORRUPT_FLOOR:
         return EXIT_OK
@@ -455,14 +453,12 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_kappa(args) -> int:
-    wheres, rows = [], []
-    for where, line in read_lines(args.infile):
-        wheres.append(where)
-        rows.append([_parse_int(cell, where) for cell in line.split("\t")])
+    lines = list(read_lines(args.infile))
+    rows = [[_in_file(where, _checked, int, cell) for cell in line.split("\t")] for where, line in lines]
     try:
         value = fleiss_kappa(rows)
     except MetricsError as exc:
-        raise MetricsError(f"{args.infile if exc.item is None else wheres[exc.item]}: {exc}") from None
+        raise MetricsError(f"{args.infile if exc.item is None else lines[exc.item][0]}: {exc}") from None
     print(f"kappa={value:.4f}")
     return EXIT_OK
 
@@ -486,7 +482,6 @@ def cmd_pipeline(args) -> int:
     cfg_base = _assemble_config(args)
     lex = load_lexicon(_lexicon_file(args))
     spec = SplitSpec(train_ratio=args.train_ratio, seed=args.split_seed, stratify=args.stratify)
-    seeds = args.seeds or [1, 2, 3, 4, 5]
 
     clean, _, _ = clean_corpus(read_corpus(args.infile))
     stats = _stats_payload(corpus_stats(clean))
@@ -525,16 +520,16 @@ def cmd_pipeline(args) -> int:
     # worker j trains seeds[j::workers]; the main thread is worker 0, so two
     # seeds cost one helper thread.  Each seed's run is deterministic on its
     # own, so the files do not depend on the worker count.
-    workers = min(len(seeds), _MAX_SEED_WORKERS, _usable_cpus())
+    workers = min(len(args.seeds), _MAX_SEED_WORKERS, _usable_cpus())
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        helpers = [pool.submit(run_seeds, seeds[j::workers]) for j in range(1, workers)]
-        run_seeds(seeds[0::workers])
+        helpers = [pool.submit(run_seeds, args.seeds[j::workers]) for j in range(1, workers)]
+        run_seeds(args.seeds[0::workers])
         for helper in helpers:
             helper.result()  # re-raises a helper's error here
 
     # aggregate strictly from the per-seed reports on disk
-    reports = [json.loads((outdir / f"report_seed_{seed}.json").read_text(encoding="utf-8")) for seed in seeds]
-    aggregate = {"task": cfg_base.task.value, "seeds": seeds, "n_test": reports[0]["n_test"]}
+    reports = [json.loads((outdir / f"report_seed_{seed}.json").read_text(encoding="utf-8")) for seed in args.seeds]
+    aggregate = {"task": cfg_base.task.value, "seeds": args.seeds, "n_test": reports[0]["n_test"]}
     for metric in ("precision", "recall", "f1"):
         values = [r[metric] for r in reports]
         mean = statistics.fmean(values)
@@ -549,12 +544,12 @@ def cmd_pipeline(args) -> int:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="toxikit", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("normalize", help="clean texts, drop brief and duplicate samples")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-chars", type=_int_at_least(1), default=4, help="content characters a kept text needs")
+    p.add_argument("--min-chars", default="4", help="content characters a kept text needs")
     p.add_argument("--exclude", help="file of sample ids to drop (ad filtering)")
     p.set_defaults(func=cmd_normalize)
 
@@ -577,9 +572,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--accept", default=None, help="reviewed terms, one per line")
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None, help="candidates TSV")
-    p.add_argument("--min-freq", type=_int_at_least(0), default=3)
-    p.add_argument("--min-score", type=_finite_float, default=3.0)
-    p.add_argument("--max-n", type=_int_at_least(1), default=4)
+    p.add_argument("--min-freq", default="3")
+    p.add_argument("--min-score", default="3.0")
+    p.add_argument("--max-n", default="4")
     p.set_defaults(func=cmd_pseudolabel)
 
     p = sub.add_parser("validate", help="check every record against the label hierarchy")
@@ -606,8 +601,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--configs", type=_int_at_least(1), default=3)
-    p.add_argument("--seed", type=_int_at_least(0), default=7)
+    p.add_argument("--configs", default="3")
+    p.add_argument("--seed", dest="check_seed", default="7")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("kappa", help="Fleiss' kappa over an items × categories count TSV")
@@ -618,9 +613,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--lexicon", default=None)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--outdir", required=True)
-    p.add_argument("--seeds", type=_seed_list, default=None, help="comma-separated, default 1,2,3,4,5")
-    p.add_argument("--train-ratio", type=_finite_float, default=0.8)
-    p.add_argument("--split-seed", type=_int_at_least(0), default=0)
+    p.add_argument("--seeds", default="1,2,3,4,5", help="comma-separated, none repeated")
+    p.add_argument("--train-ratio", default="0.8")
+    p.add_argument("--split-seed", default="0")
     p.add_argument("--stratify", action="store_true")
     _add_model_flags(p)
     p.set_defaults(func=cmd_pipeline)
@@ -628,31 +623,31 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _refuse_dashes(parser: _Parser, args) -> None:
-    """A usage error for a flag given as ``--flag=--``.
+def _value_flags(command: _Parser) -> list[argparse.Action]:
+    """The flags of a subcommand that take a value."""
+    return [a for a in command._actions if a.option_strings and a.nargs is None]
 
-    argparse takes that ``--`` for the end of the options, drops it and
-    stores [] without calling the flag's type.  The untyped model flags
-    are left to ``_assemble_config``, whose ``_config_value`` names them.
-    """
-    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    command = commands[args.command]
-    for action in command._actions:
-        if getattr(args, action.dest, None) == [] and (action.type or action.dest not in _CONFIG_FIELDS):
-            command.error(f"argument {'/'.join(action.option_strings)}: expected a value, got '--'")
+
+def read_command_line(argv=None) -> argparse.Namespace:
+    """The parsed command line, each value flag's text replaced by its value.
+    A bad value, whatever the flag, is a usage error (SystemExit 1) naming it."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = sub.choices[args.command]
+    for action in _value_flags(command):
+        try:
+            setattr(args, action.dest, _flag_value(action.dest, getattr(args, action.dest)))
+        except ValueError as exc:
+            command.error(f"argument {'/'.join(action.option_strings)}: {exc}")
+    return args
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "func", None):
-            _refuse_dashes(parser, args)
-    except SystemExit as exc:
+        args = read_command_line(argv)
+    except SystemExit as exc:  # argparse's, after it printed why
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if not getattr(args, "func", None):
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # every data-error class is a ValueError

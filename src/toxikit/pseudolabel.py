@@ -109,8 +109,7 @@ class _GramTables:
         if max_n < 1:
             raise ValueError(f"max_n must be ≥ 1, got {max_n}")
         self.max_n = max_n
-        self.alphabet = np.unique(_code_points(" " + "".join(texts)))
-        self.space = np.array([chr(c).isspace() for c in self.alphabet.tolist()])
+        self.alphabet: np.ndarray | None = None  # set by the first ``grams``, from the corpus it encodes
         self.codes: list[np.ndarray] = []
         self.toxic: list[np.ndarray] = []
         self.clean: list[np.ndarray] = []
@@ -141,8 +140,8 @@ class _GramTables:
         laid end to end, each followed by a space, so no gram crosses two.
         ``reach[i]`` is the furthest end of any match starting at or before
         ``i``, so the gram at ``i..j`` lies inside a match exactly when
-        ``j <= reach[i]``.  The n-gram tables are built from the first texts
-        given, which are the whole corpus; later texts are looked up.
+        ``j <= reach[i]``.  The first texts given, the whole corpus, build the
+        alphabet and the n-gram tables; later texts are looked up in them.
         """
         lengths = np.fromiter((len(t) + 1 for t in texts), np.int64, len(texts))
         if (total := int(lengths.sum())) > _MAX_CHARS:
@@ -151,7 +150,11 @@ class _GramTables:
                 f" over the limit of {_MAX_CHARS} that int32 positions hold"
             )
         starts = np.cumsum(lengths) - lengths
-        ids = np.searchsorted(self.alphabet, _code_points(" ".join(texts) + " ")).astype(np.int32)
+        ids = _code_points(" ".join(texts) + " ")  # code points, until replaced by their dense ids
+        if self.alphabet is None:  # the corpus: its characters are the alphabet
+            self.alphabet = np.unique(ids)
+            self.space = np.array([chr(c).isspace() for c in self.alphabet.tolist()])
+        ids = np.searchsorted(self.alphabet, ids).astype(np.int32)
         space = self.space[ids]
         doc = np.repeat(np.arange(len(texts), dtype=np.int32), lengths)
         reach = np.zeros(len(ids), np.int32)

@@ -333,7 +333,7 @@ def test_every_reader_exits_0_or_2_on_arbitrary_bytes(tmp_path, corpus_file, kin
     path = tmp_path / _READER_FILE.get(kind, "input")
     path.write_bytes(data)
     if kind == "train":  # the config is parsed only: a fuzzed d, h or epochs must not allocate or train
-        args = cli._build_parser().parse_args(["train", "--in", "x", "--out", "y", "--config", str(path)])
+        args = cli.read_command_line(["train", "--in", "x", "--out", "y", "--config", str(path)])
         try:
             cli._assemble_config(args)
         except (ValueError, OSError):  # what main reports with exit 2
@@ -754,9 +754,9 @@ def test_train_rejects_zero_epochs_and_non_finite_steps(tmp_path, capsys, flags,
     write_corpus(corpus_path, separable_corpus(5, seed=1))
     model = tmp_path / "m.json"
     argv = ["train", "--task", "toxic", "--in", str(corpus_path), "--out", str(model), "--d", "4", "--h", "4"]
-    assert main(argv + flags) == EXIT_DATA
+    assert main(argv + flags) == EXIT_USAGE  # a bad value on the command line
     err = capsys.readouterr().err
-    assert f"error: {flags[0]}: " in err and message in err
+    assert f"error: argument {flags[0]}: " in err and message in err
     assert not model.exists()
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"{flags[0].removeprefix('--').replace('-', '_')}={flags[1]}\n", encoding="utf-8")
@@ -790,12 +790,12 @@ def test_a_file_number_in_other_digits_or_with_underscores_names_its_line(
 @pytest.mark.parametrize(
     "flag,value", [("--epochs", "٢"), ("--d", "abc"), ("--lr", "1_0e-3"), ("--pad-len", "８"), ("--task", "bogus")]
 )
-def test_a_bad_model_flag_exits_2_naming_the_flag(tmp_path, capsys, corpus_file, flag, value):
+def test_a_bad_model_flag_exits_1_naming_the_flag(tmp_path, capsys, corpus_file, flag, value):
     model = tmp_path / "m.json"
     argv = ["train", "--task", "toxic", "--in", str(corpus_file), "--out", str(model), flag, value]
-    assert main(argv) == EXIT_DATA
+    assert main(argv) == EXIT_USAGE
     key = flag.removeprefix("--").replace("-", "_")
-    assert f"error: {flag}: bad value {value!r} for {key}" in capsys.readouterr().err
+    assert f"error: argument {flag}: bad value {value!r} for {key}" in capsys.readouterr().err
     assert not model.exists()
 
 
@@ -814,52 +814,85 @@ def test_a_flag_number_in_other_digits_or_with_underscores_is_a_usage_error(caps
     assert f"argument {argv[-2]}: " in capsys.readouterr().err
 
 
-def _commands() -> dict[str, argparse.ArgumentParser]:
-    parser = cli._build_parser()
-    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return commands
-
-
-# (command, flag, read by _config_value) for each flag of each subcommand that takes a value
+(_COMMANDS,) = (a.choices for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+# (command, flag) for each flag of each subcommand that takes a value: the flags read_command_line reads
 _VALUE_FLAGS = [
-    (name, action.option_strings[0], action.type is None and action.dest in cli._CONFIG_FIELDS)
-    for name, command in _commands().items()
-    for action in command._actions
-    if action.option_strings and action.nargs is None
+    (name, action.option_strings[0]) for name, command in _COMMANDS.items() for action in cli._value_flags(command)
 ]
 
 
 def test_the_value_flags_include_every_typed_flag():
-    typed = {(c, f) for c, f, model in _VALUE_FLAGS if not model}
+    # every number flag, and the model flags, are declared as text and read after argparse
     assert {("normalize", "--min-chars"), ("pseudolabel", "--min-freq"), ("pseudolabel", "--min-score"),
             ("pseudolabel", "--max-n"), ("gradcheck", "--configs"), ("gradcheck", "--seed"),
-            ("pipeline", "--seeds"), ("pipeline", "--train-ratio"), ("pipeline", "--split-seed")} <= typed
-    assert ("train", "--epochs", True) in _VALUE_FLAGS
+            ("pipeline", "--seeds"), ("pipeline", "--train-ratio"), ("pipeline", "--split-seed"),
+            ("train", "--epochs")} <= set(_VALUE_FLAGS)
+    dests = {action.dest for command in _COMMANDS.values() for action in cli._value_flags(command)}
+    assert set(cli._NUMBER_FLAGS) <= dests
+    assert all(action.type is None for command in _COMMANDS.values() for action in command._actions)
 
 
-@pytest.mark.parametrize("command,flag,model", _VALUE_FLAGS, ids=[f"{c}{f}" for c, f, _ in _VALUE_FLAGS])
-def test_a_flag_given_as_equals_dashes_is_refused_naming_it(tmp_path, capsys, command, flag, model):
-    # argparse drops the "--" of --flag=-- and hands the flag [] without
-    # calling its type; a model flag is read, and refused, by _config_value
-    inputs = tmp_path / "inputs"
-    inputs.mkdir()
-    write_corpus(inputs / "c.jsonl", labeled_corpus(20, seed=2))
-    out = tmp_path / "out"
+def _argv_for(command: str, flag: str, root: Path) -> list[str]:
+    """``command`` with each of its required flags but ``flag``, naming files under ``root``."""
     required = {
-        "--in": inputs / "c.jsonl", "--test": inputs / "c.jsonl", "--out": out / "o", "--outdir": out,
-        "--model": inputs / "m.json", "--term": "x", "--rule": "code_mixing",
+        "--in": root / "inputs" / "c.jsonl", "--test": root / "inputs" / "c.jsonl", "--out": root / "out" / "o",
+        "--outdir": root / "out", "--model": root / "inputs" / "m.json", "--term": "x", "--rule": "code_mixing",
     }
     argv = [command]
-    for action in _commands()[command]._actions:
+    for action in _COMMANDS[command]._actions:
         if action.required and action.option_strings[0] != flag:
             argv += [action.option_strings[0], str(required[action.option_strings[0]])]
-    assert main(argv + [f"{flag}=--"]) == (EXIT_DATA if model else EXIT_USAGE)
-    err = capsys.readouterr().err
-    if model:
-        assert f"error: {flag}: bad value '--' for " in err
-    else:
-        assert f"error: argument {flag}: expected a value, got '--'" in err
-    assert not out.exists()
+    return argv
+
+
+@pytest.mark.parametrize("command,flag", _VALUE_FLAGS, ids=[f"{c}{f}" for c, f in _VALUE_FLAGS])
+def test_a_flag_given_as_equals_dashes_is_refused_naming_it(tmp_path, capsys, command, flag):
+    # argparse drops the "--" of --flag=-- and hands the flag [] without
+    # calling its type; read_command_line refuses it, model flag or not
+    (tmp_path / "inputs").mkdir()
+    write_corpus(tmp_path / "inputs" / "c.jsonl", labeled_corpus(20, seed=2))
+    assert main(_argv_for(command, flag, tmp_path) + [f"{flag}=--"]) == EXIT_USAGE
+    assert f"error: argument {flag}: expected a value, got '--'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_FLAG_TEXT = st.text(max_size=10) | st.lists(
+    st.sampled_from(["--", "-", "-1", "0", "1", "3", ",", ".", "5", "e", "nan", "inf", "_", "٣", "８", " ", "=", "+",
+                     "toxic", "code_mixing", "x", "-h", "--in", "--out"]),
+    max_size=5,
+).map("".join)
+
+
+def _read_or_exit_1(argv):
+    """The namespace main would run its command with, or EXIT_USAGE where main exits 1 before any command."""
+    try:
+        return vars(cli.read_command_line(argv))
+    except SystemExit as exc:
+        assert exc.code == EXIT_USAGE
+        assert main(argv) == EXIT_USAGE
+        return EXIT_USAGE
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command_flag=st.sampled_from(_VALUE_FLAGS), text=_FLAG_TEXT)
+@example(command_flag=("pipeline", "--seeds"), text="2,1")
+@example(command_flag=("train", "--lam"), text=" 0.5")
+@example(command_flag=("gradcheck", "--seed"), text="-1")
+@example(command_flag=("train", "--epochs"), text="--")
+@example(command_flag=("normalize", "--out"), text="--")
+def test_a_value_flag_reads_the_same_value_in_both_forms_or_exits_1(tmp_path, capsys, command_flag, text):
+    command, flag = command_flag
+    (dest,) = {a.dest for a in cli._value_flags(_COMMANDS[command]) if a.option_strings[0] == flag}
+    argv = _argv_for(command, flag, tmp_path)
+    joined = _read_or_exit_1(argv + [f"{flag}={text}"])
+    spaced = _read_or_exit_1(argv + [flag, text])
+    if joined != EXIT_USAGE and spaced != EXIT_USAGE:
+        assert joined == spaced
+    for read in (joined, spaced):  # a path or a word is its text, never argparse's [] for --flag=--
+        if read != EXIT_USAGE and dest not in cli._CONFIG_FIELDS and dest not in cli._NUMBER_FLAGS:
+            assert read[dest] == text
+    assert not (tmp_path / "out").exists()
+    capsys.readouterr()
 
 
 # TkeConfig fields with no flag that takes a value (enhancement has only --no-enhancement)
@@ -871,10 +904,12 @@ _CONFIG_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_cha
 ).map("".join)
 
 
-def _config_or_exit_2(argv):
-    """The TkeConfig that train would use, or EXIT_DATA where main would exit 2."""
+def _config_or_exit_code(argv):
+    """The TkeConfig that train would use, or the code main would exit with."""
     try:
-        return cli._assemble_config(cli._build_parser().parse_args(argv))
+        return cli._assemble_config(cli.read_command_line(argv))
+    except SystemExit as exc:  # a bad flag value
+        return exc.code
     except ValueError:  # main reports every data error with exit 2
         return EXIT_DATA
 
@@ -884,12 +919,17 @@ def _config_or_exit_2(argv):
 @example(key="epochs", text="0")
 @example(key="lam", text=" 0.5\u3000")
 @example(key="batch", text="--")  # argparse hands the flag [], not a string
-def test_a_model_flag_and_a_config_line_read_the_same_value(tmp_path, key, text):
+def test_a_model_flag_and_a_config_line_read_the_same_value(tmp_path, capsys, key, text):
     base = ["train", "--in", "x", "--out", "y"] + (["--task", "toxic"] if key != "task" else [])
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"{key}={text}\n", encoding="utf-8")
-    from_flag = _config_or_exit_2(base + [f"--{key.replace('_', '-')}={text}"])
-    assert from_flag == _config_or_exit_2(base + ["--config", str(cfgfile)])
+    from_flag = _config_or_exit_code(base + [f"--{key.replace('_', '-')}={text}"])
+    from_file = _config_or_exit_code(base + ["--config", str(cfgfile)])
+    if isinstance(from_file, TkeConfig):
+        assert from_flag == from_file
+    else:  # refused: on the command line a usage error, in a file a data error
+        assert (from_flag, from_file) == (EXIT_USAGE, EXIT_DATA)
+    capsys.readouterr()
 
 
 def test_train_requires_task(tmp_path, capsys):
@@ -1029,7 +1069,7 @@ def test_pipeline_bad_train_ratio_leaves_no_outdir(tmp_path, capsys):
     write_corpus(infile, separable_corpus(20, seed=8))
     outdir = tmp_path / "run"
     argv = ["pipeline", "--task", "toxic", "--in", str(infile), "--outdir", str(outdir), "--train-ratio", "1.5"]
-    assert main(argv) == EXIT_DATA
+    assert main(argv) == EXIT_USAGE
     assert "train_ratio" in capsys.readouterr().err
     assert not outdir.exists()
 
