@@ -10,11 +10,12 @@ isolated and every gradient is checkable against finite differences.
 Mean pooling is linear, so no per-token embedding tensor is built (the
 bag-of-embeddings trick of fastText).  An ``EncodedSet`` packs a set's
 ids end to end with n+1 offsets, each sample's own tokens cut to
-``pad_len`` and nothing padded.  A batch's token ids are reduced to
-their unique set U; ``bag[i, j]`` counts occurrences of U[j] in sample i
-and ``catbag[i, c]`` counts tokens of category c, so the pooled vector
-is ``(bag @ W[U] + λ·catbag @ C) / n``.  The backward pass is the
-transpose: ``dW[U] = bagᵀ g`` and ``dC = λ·catbagᵀ g`` with
+``pad_len`` and nothing padded; ``_check_set`` checks it once, where it
+enters ``train``, ``predict`` or ``grad_check``.  A batch's token ids
+are reduced to their unique set U; ``bag[i, j]`` counts occurrences of
+U[j] in sample i and ``catbag[i, c]`` counts tokens of category c, so
+the pooled vector is ``(bag @ W[U] + λ·catbag @ C) / n``.  The backward
+pass is the transpose: ``dW[U] = bagᵀ g`` and ``dC = λ·catbagᵀ g`` with
 ``g = dpooled / n``, and W's gradient is kept as those rows alone, beside
 the rows ``W[U]`` that the forward pass gathered, which the AdamW step
 updates and scatters back without gathering them again.
@@ -265,23 +266,35 @@ def init_params(vocab_size: int, cfg: TkeConfig) -> ModelParams:
     return params
 
 
+def _check_set(encoded: EncodedSet, params: ModelParams, cfg: TkeConfig) -> None:
+    """Refuse a set that ``params`` cannot score for ``cfg``'s task, once for all its batches:
+    ``take`` of a checked set is checked.  Every rule of a model's input is here, and only here."""
+    k, labels = cfg.n_classes, encoded.labels
+    if not encoded:
+        raise ClassifierError("empty set")
+    if params.V.shape[1] != k:
+        raise ClassifierError(f"head has {params.V.shape[1]} classes but task {cfg.task.value} needs {k}")
+    if (encoded.offsets[1:] - encoded.offsets[:-1] < 1).any():
+        raise ClassifierError("empty sequence")
+    if not (UNK_ID <= encoded.tok.min(initial=UNK_ID) and encoded.tok.max(initial=UNK_ID) < len(params.W)
+            and 0 <= encoded.tox.min(initial=0) and encoded.tox.max(initial=0) < len(params.C)):
+        raise ClassifierError("token or toxic id out of range for the parameter tables")
+    shape = (len(encoded), k) if cfg.multilabel else (len(encoded),)
+    if labels.shape != shape or not (cfg.multilabel or labels.dtype.kind in "iu"):
+        raise ClassifierError(f"task {cfg.task.value} needs {'' if cfg.multilabel else 'integer '}labels of shape "
+                              f"{shape}, got {labels.dtype} labels of shape {labels.shape}")
+    if not cfg.multilabel and (labels.min(initial=0) < 0 or labels.max(initial=0) >= k):
+        raise ClassifierError(f"label out of range for {k} classes")
+
+
 def _forward_batch(
     batch: EncodedSet,
     params: ModelParams,
     cfg: TkeConfig,
     dropout_mask: np.ndarray | None = None,
 ):
-    """Class scores for a packed batch, and the cache the backward pass reads."""
-    if (
-        batch.tok.min(initial=UNK_ID) < UNK_ID
-        or batch.tok.max(initial=UNK_ID) >= params.W.shape[0]
-        or batch.tox.min(initial=0) < 0
-        or batch.tox.max(initial=0) >= params.C.shape[0]
-    ):
-        raise ClassifierError("token or toxic id out of range for the parameter tables")
+    """Class scores for a packed batch of a set that ``_check_set`` passed, and the cache the backward pass reads."""
     counts = batch.offsets[1:] - batch.offsets[:-1]
-    if (counts < 1).any():
-        raise ClassifierError("empty sequence")
     B = len(counts)
     rows = np.repeat(np.arange(B), counts)
     uniq, inverse = np.unique(batch.tok, return_inverse=True)
@@ -324,7 +337,7 @@ def _bce_with_logits(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def _batch_loss(
-    scores: np.ndarray, labels: np.ndarray, class_weights: np.ndarray, need_grad: bool = True
+    scores: np.ndarray, labels: np.ndarray, weights: np.ndarray, need_grad: bool = True
 ) -> tuple[float, np.ndarray | None]:
     """Mean weighted cross-entropy over a batch, and its gradient in the scores.
 
@@ -335,17 +348,12 @@ def _batch_loss(
     """
     if not np.isfinite(scores).all():
         raise ClassifierError("non-finite scores")
-    weights = np.asarray(class_weights, dtype=np.float64)
-    if (weights <= 0).any():
-        raise ClassifierError("class weights must be positive")
     B, k = scores.shape
     if labels.ndim == 2:
         loss = float((weights * _bce_with_logits(scores, labels)).mean())
         if not need_grad:
             return loss, None
         return loss, weights * (_sigmoid(scores) - labels) / (B * k)
-    if labels.min() < 0 or labels.max() >= k:
-        raise ClassifierError(f"label out of range for {k} classes")
     logp = _log_softmax(scores)
     w_true = weights[labels]
     loss = float(np.mean(-w_true * logp[np.arange(B), labels]))
@@ -381,8 +389,8 @@ def loss_and_grads(
     class_weights: np.ndarray,
     dropout_mask: np.ndarray | None = None,
 ) -> tuple[float, dict, np.ndarray]:
-    """Mean weighted CE over the batch, analytic gradients for every block,
-    and the batch's class scores.
+    """Mean weighted CE over a checked batch (see ``_check_set``), analytic
+    gradients for every block, and the batch's class scores.
 
     W's gradient is row-sparse: the triple ``(rows, values, W_rows)`` of
     the batch's distinct token ids, ascending, their gradient rows (every
@@ -433,7 +441,7 @@ def finite_diff_grads(
     class_weights: np.ndarray,
     step: float = 1e-5,
 ) -> np.ndarray:
-    """Central-difference gradients laid out like ``params.flat``; the oracle for loss_and_grads."""
+    """Central-difference gradients of a checked batch, laid out like ``params.flat``; the oracle for loss_and_grads."""
 
     def batch_loss() -> float:
         scores, _ = _forward_batch(batch, params, cfg)
@@ -469,8 +477,10 @@ def grad_check(
     """
     if len(batch) > 8:
         raise ClassifierError("grad_check batches are capped at 8 samples")
-    if class_weights is None:
-        class_weights = np.ones(cfg.n_classes)
+    class_weights = np.ones(cfg.n_classes) if class_weights is None else np.asarray(class_weights, dtype=np.float64)
+    if (class_weights <= 0).any():
+        raise ClassifierError("class weights must be positive")
+    _check_set(batch, params, cfg)
     analytic = _flat_grads(loss_and_grads(batch, params, cfg, class_weights)[1], params)
     numeric = finite_diff_grads(batch, params, cfg, class_weights, step=step)
     if corrupt:
@@ -592,9 +602,8 @@ def train(
     over its minibatches, scored as they were trained (dropout on, each
     before its own step).
     """
-    if not train_set:
-        raise ClassifierError("empty training set")
     params = init_params(vocab_size, cfg)
+    _check_set(train_set, params, cfg)
     class_weights = class_weights_for(train_set.labels, cfg)
     loop_rng = np.random.default_rng([cfg.seed, 1])
 
@@ -653,12 +662,7 @@ def predict(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(labels, probabilities). Argmax for single-label tasks; 0.5-threshold
     per label for the group task with a highest-probability fallback."""
-    if not test_set:
-        raise ClassifierError("empty test set")
-    if params.V.shape[1] != cfg.n_classes:
-        raise ClassifierError(
-            f"head has {params.V.shape[1]} classes but task {cfg.task.value} needs {cfg.n_classes}"
-        )
+    _check_set(test_set, params, cfg)
     scores = _chunked_scores(test_set, params, cfg)
     if cfg.multilabel:
         probs = _sigmoid(scores)

@@ -236,9 +236,6 @@ def cmd_derive(args) -> int:
         table = PinyinTable.load(resource_dir / "pinyin.tsv")
         print(gen_abbreviation(args.term, table).variant)
     elif rule is DerivationRule.HOMOPHONIC:
-        if not args.pool:
-            print("derive --rule homophonic requires --pool", file=sys.stderr)
-            return EXIT_USAGE
         table = PinyinTable.load(resource_dir / "pinyin.tsv")
         for cand in gen_homophones(args.term, table, args.pool):
             print(f"{cand.variant}\t{cand.note}")
@@ -640,6 +637,8 @@ def read_command_line(argv=None) -> argparse.Namespace:
             setattr(args, action.dest, _flag_value(action.dest, getattr(args, action.dest)))
         except ValueError as exc:
             command.error(f"argument {'/'.join(action.option_strings)}: {exc}")
+    if args.command == "derive" and args.rule == DerivationRule.HOMOPHONIC.value and not args.pool:
+        command.error("argument --pool: --rule homophonic needs a non-empty --pool")
     return args
 
 

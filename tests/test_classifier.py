@@ -254,12 +254,11 @@ def test_embed_hand_arithmetic():
 
 def test_embed_range_checks():
     params = _fixture_params(vocab_size=4)
-    with pytest.raises(ClassifierError):
-        _embed_rows(_enc([9], [0]), params, 0.5)
-    with pytest.raises(ClassifierError):
-        _embed_rows(_enc([2], [7]), params, 0.5)
-    with pytest.raises(ClassifierError):
-        _embed_rows(_enc([-1], [0]), params, 0.5)
+    for enc in (_enc([9], [0]), _enc([2], [7]), _enc([-1], [0])):
+        with pytest.raises(ClassifierError, match="token or toxic id out of range"):
+            train(enc, _cfg(), vocab_size=4)
+        with pytest.raises(ClassifierError, match="token or toxic id out of range"):
+            grad_check(params, enc, _cfg())
 
 
 def test_predict_rejects_out_of_range_ids():
@@ -365,12 +364,13 @@ def test_forward_matches_hand_computation():
 def test_forward_all_pad_rejected():
     cfg = _cfg()
     params = _fixture_params()
-    with pytest.raises(ClassifierError, match="empty sequence"):
-        _scores(_enc([], []), params, cfg)
     # offsets that run backwards give a sample a negative length
     backwards = EncodedSet(np.array([2, 3]), np.array([0, 0]), np.array([0, 2, 1, 2]), np.zeros(3, dtype=np.int64))
-    with pytest.raises(ClassifierError, match="empty sequence"):
-        _scores(backwards, params, cfg)
+    for enc in (_enc([], []), backwards):
+        with pytest.raises(ClassifierError, match="empty sequence"):
+            predict(enc, params, cfg)
+        with pytest.raises(ClassifierError, match="empty sequence"):
+            train(enc, cfg, vocab_size=4)
 
 
 def test_prediction_depends_on_c_only_through_c0_when_nontoxic():
@@ -423,12 +423,15 @@ def test_loss_rejects_non_finite():
 
 
 def test_loss_rejects_bad_weights_and_labels():
-    scores = np.array([0.2, -0.4])
-    with pytest.raises(ClassifierError, match="positive"):
-        _loss(scores, 0, np.array([1.0, 0.0]))
+    cfg = _cfg()
+    params = _fixture_params()
+    with pytest.raises(ClassifierError, match="class weights must be positive"):
+        grad_check(params, _enc([2, 3], [0, 1], 0), cfg, class_weights=np.array([1.0, 0.0]))
     for label in (2, -1):
-        with pytest.raises(ClassifierError, match="label out of range"):
-            _loss(scores, label, np.array([1.0, 1.0]))
+        with pytest.raises(ClassifierError, match="label out of range for 2 classes"):
+            grad_check(params, _enc([2, 3], [0, 1], label), cfg)
+        with pytest.raises(ClassifierError, match="label out of range for 2 classes"):
+            train(_enc([2, 3], [0, 1], label), cfg, vocab_size=4)
 
 
 def test_class_weights_inverse_frequency_mean_one():
@@ -810,6 +813,45 @@ def test_train_without_validation_runs_every_epoch_and_returns_the_last(n, val_f
 def test_train_empty_set_rejected():
     with pytest.raises(ClassifierError):
         train(_set([], [], []), _cfg(), vocab_size=4)
+
+
+def test_train_refuses_a_bad_id_in_the_last_sample_before_any_step(monkeypatch):
+    import toxikit.classifier as classifier
+
+    cfg = TkeConfig(task=Task.TOXIC, d=4, h=3, pad_len=6, epochs=2, batch=8, seed=3)
+    good = _random_check_batch(np.random.default_rng(5), cfg, 12, size=40)
+    tok = good.tok.copy()
+    tok[-1] = 12  # one past the vocabulary, in the last sample only
+    steps = []
+    real_step = classifier._AdamW.step
+    monkeypatch.setattr(classifier._AdamW, "step", lambda self, *a: steps.append(1) or real_step(self, *a))
+    train(good, cfg, vocab_size=12)
+    assert steps, "the spy saw no step of a good set"
+    steps.clear()
+    with pytest.raises(ClassifierError, match="token or toxic id out of range"):
+        train(EncodedSet(tok, good.tox, good.offsets, good.labels), cfg, vocab_size=12)
+    assert steps == []
+
+
+@pytest.mark.parametrize(
+    "task, labels",
+    [
+        (Task.GROUP, np.ones((8, 1))),  # the BCE would broadcast one flag over the four groups
+        (Task.GROUP, np.ones(8)),
+        (Task.TOXIC, np.zeros((8, 1), dtype=np.int64)),
+        (Task.TOXIC, np.zeros((8, 2), dtype=np.int64)),
+        (Task.TYPE, np.zeros(8)),  # float class indices
+        (Task.EXPRESSION, np.zeros(7, dtype=np.int64)),  # one label short
+    ],
+)
+def test_labels_that_do_not_fit_the_task_are_refused(task, labels):
+    cfg = TkeConfig(task=task, d=4, h=3, pad_len=6, epochs=1, batch=4, seed=1)
+    tokens = [[2, 3], [3], [2, 2, 3], [3, 2], [2], [3, 3], [2, 3, 3], [3, 2, 2]]
+    bad = _set(tokens, [[0] * len(t) for t in tokens], labels)
+    for run in (lambda: train(bad, cfg, vocab_size=4), lambda: predict(bad, init_params(4, cfg), cfg)):
+        with pytest.raises(ClassifierError, match=rf"task {task.value} needs .*got {labels.dtype} labels of shape "
+                                                  rf"{re.escape(str(labels.shape))}"):
+            run()
 
 
 # ---------------------------------------------------------------- predict

@@ -201,8 +201,11 @@ def test_derive_outputs(capsys):
 
 
 def test_derive_homophonic_requires_pool(capsys):
-    assert main(["derive", "--term", "南蛮", "--rule", "homophonic"]) == EXIT_USAGE
-    capsys.readouterr()
+    for pool in ([], ["--pool", ""], ["--pool="]):
+        assert main(["derive", "--term", "南蛮", "--rule", "homophonic", *pool]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: toxikit derive")
+        assert "toxikit derive: error: argument --pool: " in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------- pseudolabel / validate / stats
