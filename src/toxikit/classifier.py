@@ -270,10 +270,14 @@ def _check_set(encoded: EncodedSet, params: ModelParams, cfg: TkeConfig) -> None
     """Refuse a set that ``params`` cannot score for ``cfg``'s task, once for all its batches:
     ``take`` of a checked set is checked.  Every rule of a model's input is here, and only here."""
     k, labels = cfg.n_classes, encoded.labels
-    if not encoded:
+    if len(encoded.offsets) < 2:  # no sample, or no offsets at all
         raise ClassifierError("empty set")
     if params.V.shape[1] != k:
         raise ClassifierError(f"head has {params.V.shape[1]} classes but task {cfg.task.value} needs {k}")
+    start, end, n_tok, n_tox = encoded.offsets[0], encoded.offsets[-1], len(encoded.tok), len(encoded.tox)
+    if start != 0 or not end == n_tok == n_tox:
+        raise ClassifierError("offsets must run from 0 to the number of token ids, one category id per token id; "
+                              f"got offsets {start} to {end}, {n_tok} token ids and {n_tox} category ids")
     if (encoded.offsets[1:] - encoded.offsets[:-1] < 1).any():
         raise ClassifierError("empty sequence")
     if not (UNK_ID <= encoded.tok.min(initial=UNK_ID) and encoded.tok.max(initial=UNK_ID) < len(params.W)
@@ -593,9 +597,10 @@ def train(
     """Train from scratch; deterministic per cfg.seed.
 
     A validation slice (cfg.val_fraction, at least one sample, only when
-    the set has ≥ 5 samples) is carved off the end of a seeded shuffle
-    and drives early stopping: no improvement for cfg.patience epochs
-    stops the run, and the best-validation-loss snapshot is returned.
+    val_fraction > 0 and the set has ≥ 5 samples) is carved off the end
+    of a seeded shuffle and drives early stopping: no improvement for
+    cfg.patience epochs stops the run, and the best-validation-loss
+    snapshot is returned.
     Without a carve-out every epoch runs, with None for its validation
     scores, and the last epoch's parameters are returned.
     Each epoch's training loss and accuracy are the size-weighted means
@@ -608,8 +613,7 @@ def train(
     loop_rng = np.random.default_rng([cfg.seed, 1])
 
     order = loop_rng.permutation(len(train_set))
-    n_val = int(len(train_set) * cfg.val_fraction) if len(train_set) >= 5 else 0
-    n_val = max(n_val, 1) if n_val else 0
+    n_val = max(1, int(len(train_set) * cfg.val_fraction)) if len(train_set) >= 5 and cfg.val_fraction > 0 else 0
     fit_idx = order[: len(order) - n_val]
     val = train_set.take(order[len(order) - n_val :])
 

@@ -14,6 +14,10 @@ of distinct term lengths that share its first character; it does not
 depend on lexicon size.  Overlapping and nested occurrences are all
 reported.  ``token_category`` projects matches down to one category id
 per character — the per-token toxic signal consumed by the classifier.
+It paints each match's span as one slice, shortest match first and,
+among equal lengths, the largest category id first, so a character
+keeps the category of the longest match over it, a tie going to the
+smallest id.
 """
 
 from __future__ import annotations
@@ -186,24 +190,9 @@ def find_matches(text: str, lex: Lexicon) -> list[LexiconMatch]:
 
 
 def token_category(text: str, lex: Lexicon) -> list[int]:
-    """Category id (0..5) per character of ``text``.
-
-    A token covered by a match gets that match's category; when several
-    matches cover it, the longest wins, ties broken by the smallest
-    category id.  Uncovered tokens get 0 (non-toxic).
-    """
+    """Category id (0..5) per character of ``text``: 0 where no match covers
+    it, else the category of the last match painted over it."""
     cats = [0] * len(text)
-    matches = find_matches(text, lex)
-    if not matches:
-        return cats
-    best_len = [0] * len(text)
-    for match in matches:
-        length = match.end - match.start
-        cat = int(match.entry.category)
-        for i in range(match.start, match.end):
-            if length > best_len[i]:
-                best_len[i] = length
-                cats[i] = cat
-            elif length == best_len[i] and cat < cats[i]:
-                cats[i] = cat
+    for m in sorted(find_matches(text, lex), key=lambda m: (m.end - m.start, -m.entry.category)):
+        cats[m.start : m.end] = [int(m.entry.category)] * (m.end - m.start)
     return cats

@@ -304,7 +304,6 @@ def iterate_to_fixpoint(
     relabel and recount the documents that contain a newly admitted term.
     """
     accepted = {normalize_text(t) for t in accept_list}
-    accepted.discard("")
     lex = seed_lex
     texts = [text for _, text in corpus]
     labels = pseudo_label(corpus, lex)

@@ -144,8 +144,9 @@ def gen_homophones(
 
     Two characters count as homophones when their toneless syllable sets
     intersect.  Pool characters missing from the table are skipped (their
-    reading is unknown).  Output is deduplicated, excludes the original
-    term, and preserves character length.
+    reading is unknown).  Each position's options are distinct characters,
+    the term's own first, so every combination after the first is a new
+    variant: output holds no repeat and not the term, and preserves length.
     """
     readings = [set(table.syllables(ch)) for ch in term]  # raises on unmapped term char
     pool_chars = sorted(set(pool))
@@ -158,12 +159,8 @@ def gen_homophones(
         per_position.append(options)
 
     out: list[VariantCandidate] = []
-    seen: set[str] = set()
-    for combo in itertools.product(*per_position):
+    for combo in itertools.islice(itertools.product(*per_position), 1, None):
         variant = "".join(combo)
-        if variant == term or variant in seen:
-            continue
-        seen.add(variant)
         swaps = ",".join(
             f"{term[i]}→{combo[i]}" for i in range(len(term)) if combo[i] != term[i]
         )

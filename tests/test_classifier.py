@@ -781,6 +781,17 @@ def test_train_returns_best_validation_snapshot():
     assert math.isclose(float(np.mean(losses)), best, rel_tol=1e-9)
 
 
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_train_carves_out_one_validation_sample_from_five_samples_up(n):
+    """0.1 of 5-9 samples rounds down to none; the carve-out still takes one."""
+    lex = load_lexicon(lexicon_path())
+    corpus = _train_corpus(lex, n=n, seed=3)
+    cfg = TkeConfig(task=Task.TOXIC, d=8, h=8, pad_len=12, epochs=2, seed=4, val_fraction=0.1)
+    vocab = Vocab.build(s.text for s in corpus)
+    _, history = train(encode_corpus(corpus, vocab, lex, cfg), cfg, vocab_size=len(vocab))
+    assert history[0].val_loss is not None and history[0].val_accuracy in (0.0, 1.0)
+
+
 def test_early_stopping_cuts_run_short():
     lex = load_lexicon(lexicon_path())
     corpus = _train_corpus(lex, n=30, seed=8)
@@ -811,8 +822,10 @@ def test_train_without_validation_runs_every_epoch_and_returns_the_last(n, val_f
 
 
 def test_train_empty_set_rejected():
-    with pytest.raises(ClassifierError):
-        train(_set([], [], []), _cfg(), vocab_size=4)
+    no_offsets = EncodedSet(np.array([2]), np.array([0]), np.array([], dtype=np.int64), np.zeros(0, dtype=np.int64))
+    for empty in (_set([], [], []), no_offsets):
+        with pytest.raises(ClassifierError, match="empty set"):
+            train(empty, _cfg(), vocab_size=4)
 
 
 def test_train_refuses_a_bad_id_in_the_last_sample_before_any_step(monkeypatch):
@@ -851,6 +864,18 @@ def test_labels_that_do_not_fit_the_task_are_refused(task, labels):
     for run in (lambda: train(bad, cfg, vocab_size=4), lambda: predict(bad, init_params(4, cfg), cfg)):
         with pytest.raises(ClassifierError, match=rf"task {task.value} needs .*got {labels.dtype} labels of shape "
                                                   rf"{re.escape(str(labels.shape))}"):
+            run()
+
+
+@pytest.mark.parametrize("tox, offsets", [([0, 0, 0], [1, 3]), ([0, 0, 0], [0, 5]), ([0, 0], [0, 1, 3])],
+                         ids=["offsets_start_past_0", "offsets_end_past_the_ids", "tox_shorter_than_tok"])
+def test_offsets_must_span_the_ids_exactly(tox, offsets):
+    # offsets [1, 3] trained on without token 0, and [0, 5] failed in NumPy
+    cfg = TkeConfig(task=Task.TOXIC, d=4, h=3, pad_len=6, epochs=1, batch=4, seed=1)
+    bad = EncodedSet(np.array([2, 3, 2]), np.array(tox), np.array(offsets), np.zeros(len(offsets) - 1, dtype=np.int64))
+    for run in (lambda: train(bad, cfg, vocab_size=4), lambda: predict(bad, init_params(4, cfg), cfg)):
+        with pytest.raises(ClassifierError, match=rf"got offsets {offsets[0]} to {offsets[-1]}, 3 token ids "
+                                                  rf"and {len(tox)} category ids"):
             run()
 
 

@@ -142,6 +142,10 @@ def test_token_category_uncovered_is_zero():
 
 @settings(max_examples=200, deadline=None)
 @given(_META_TERMS, st.text(alphabet=_META_TEXT, max_size=40))
+# two equal-length terms of different categories overlap, both inside a longer
+# third term; the text holds them once with the longer term and once without
+@example(["黑鬼", "鬼老", "]黑鬼老"], "]黑鬼老+黑鬼老")
+@example(["-^", "*-", ".*-^"], "a.*-^0*-^")
 def test_token_category_follows_the_painting_rule(terms, text):
     cats_by_term = {t: Category(1 + sum(map(ord, t)) % 5) for t in terms}
     lex = Lexicon(entry(t, c) for t, c in cats_by_term.items())

@@ -66,7 +66,10 @@ def test_homophones_empty_pool(pinyin):
 
 
 def test_homophones_exclude_original_and_preserve_length(pinyin):
-    for cand in gen_homophones("南蛮", pinyin, "满曼男南蛮"):
+    # the pool repeats a character and holds the term's own characters
+    cands = gen_homophones("南蛮", pinyin, "满满曼男南蛮")
+    assert cands and len({cand.variant for cand in cands}) == len(cands)
+    for cand in cands:
         assert cand.variant != "南蛮"
         assert len(cand.variant) == 2
         assert cand.rule is DerivationRule.HOMOPHONIC
