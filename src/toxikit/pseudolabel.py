@@ -10,6 +10,10 @@ grows, the pseudo-toxic set grows monotonically and the loop terminates.
 Gram counts live in NumPy arrays (``_GramTables``): the corpus is
 encoded once as dense character ids, and for each n a sorted table of
 exact int64 gram codes carries the toxic and clean document frequencies.
+A table keeps only the grams held by at least ``min_freq`` documents (and
+at least one), the least a candidate needs; a gram is never in more
+documents than its prefix, so a longer gram is formed only where its
+prefix was kept.
 The fixpoint labels and counts the whole corpus in its first round only.
 A term admitted later can change only the documents that contain it, so
 a later round relabels just those with ``pseudo_label`` under the grown
@@ -90,11 +94,17 @@ class _GramTables:
     character (a 1-gram's prefix rank is 0).  Codes are exact and stay
     below corpus length × alphabet size, so they fit int64 for every n.
     ``codes[n-1]`` lists, sorted, the code of every whitespace-free n-gram
-    of the corpus, masked or not, so that every prefix has a rank and any
-    document of the corpus can later be looked up in the tables;
-    ``toxic[n-1]`` and ``clean[n-1]`` are the int32 counts beside it.
-    ``tally`` moves the counts by run lengths over sorted gram indices, so
-    a tally costs time in the grams it counts, not in the table size.
+    held by at least ``min_df`` documents of the corpus, masked or not
+    (its raw document frequency); ``toxic[n-1]`` and ``clean[n-1]`` are the
+    int32 counts beside it.  A gram's toxic count never exceeds its raw
+    document frequency, so no dropped gram can reach a ``min_freq`` of
+    ``min_df``, and since no gram is in more documents than its prefix, an
+    (n+1)-gram is formed only where its n-prefix was kept (the Apriori
+    principle).  Every kept prefix thus has a rank, and any document of the
+    corpus can later be looked up in the tables: a gram missing from them
+    was dropped, and counts as absent and unextended.  ``tally`` moves the
+    counts by run lengths over sorted gram indices, so a tally costs time
+    in the grams it counts, not in the table size.
 
     Memory: character ids, document indices, positions, prefix ranks and
     counts are int32, and only the gram codes of the n being counted are
@@ -105,10 +115,11 @@ class _GramTables:
     bytes per corpus character, whatever ``max_n`` is.
     """
 
-    def __init__(self, texts: Sequence[str], rows: Sequence[PseudoLabeledSample], max_n: int):
+    def __init__(self, texts: Sequence[str], rows: Sequence[PseudoLabeledSample], max_n: int, min_df: int = 1):
         if max_n < 1:
             raise ValueError(f"max_n must be ≥ 1, got {max_n}")
         self.max_n = max_n
+        self.min_df = max(min_df, 1)
         self.alphabet: np.ndarray | None = None  # set by the first ``grams``, from the corpus it encodes
         self.codes: list[np.ndarray] = []
         self.toxic: list[np.ndarray] = []
@@ -142,6 +153,8 @@ class _GramTables:
         ``i``, so the gram at ``i..j`` lies inside a match exactly when
         ``j <= reach[i]``.  The first texts given, the whole corpus, build the
         alphabet and the n-gram tables; later texts are looked up in them.
+        A gram index of −1 marks a gram the tables dropped: it is neither
+        counted nor extended.
         """
         lengths = np.fromiter((len(t) + 1 for t in texts), np.int64, len(texts))
         if (total := int(lengths.sum())) > _MAX_CHARS:
@@ -151,7 +164,7 @@ class _GramTables:
             )
         starts = np.cumsum(lengths) - lengths
         ids = _code_points(" ".join(texts) + " ")  # code points, until replaced by their dense ids
-        if self.alphabet is None:  # the corpus: its characters are the alphabet
+        if build := self.alphabet is None:  # the corpus: its characters are the alphabet
             self.alphabet = np.unique(ids)
             self.space = np.array([chr(c).isspace() for c in self.alphabet.tolist()])
         ids = np.searchsorted(self.alphabet, ids).astype(np.int32)
@@ -161,6 +174,7 @@ class _GramTables:
         spans = [(start + m.start, start + m.end) for start, row in zip(starts.tolist(), rows) for m in row.matches]
         if spans:
             at, end = np.array(spans, np.int32).T
+            del spans
             np.maximum.at(reach, at, end)
             np.maximum.accumulate(reach, out=reach)
         size = len(self.alphabet)
@@ -173,39 +187,64 @@ class _GramTables:
             code = prefix.astype(np.int64)  # the only int64 array per position
             code *= size
             code += ids[pos + (n - 1)]
-            rank = self._index(n, code)
+            rank = self._build(n, code, doc, pos, len(texts)) if build else self._lookup(n, code)
             del code
-            counted = pos + n > reach[pos]
+            kept = rank >= 0
+            counted = kept & (pos + n > reach[pos])
             docs, grams = doc[pos[counted]], rank[counted]
-            # an (n+1)-gram is whitespace-free when its n-prefix and its last character are
-            longer = ~space[pos + n]
+            # an (n+1)-gram is kept only where its n-prefix is, and is
+            # whitespace-free when its n-prefix and its last character are
+            longer = kept & ~space[pos + n]
             pos, prefix = pos[longer], rank[longer]
-            del rank, counted, longer
+            del rank, kept, counted, longer
             pairs = _distinct_pairs(docs, grams, len(texts))
             del docs, grams
             yield (n, *pairs)
             del pairs
 
-    def _index(self, n: int, code: np.ndarray) -> np.ndarray:
-        """Each code's int32 index in the n-gram table; the first codes given build the table.
+    def _build(self, n: int, code: np.ndarray, doc: np.ndarray, pos: np.ndarray, n_docs: int) -> np.ndarray:
+        """Build the n-gram table from the corpus's codes at positions ``pos``,
+        sorting ``code`` in place and reusing it; return each code's int32
+        index in the table, −1 where its gram was dropped.
 
         The table is the sorted distinct codes, and each code's index is the
-        number of distinct codes below it: one argsort, and the running
-        count of run starts scattered back through it.
+        running count of run starts scattered back through the argsort.  A
+        gram held by fewer than ``min_df`` documents (``doc`` gives each
+        position's document) is then dropped and the indices renumbered.
         """
-        if len(self.codes) < n:
-            order = np.argsort(code)
-            ordered = code[order]
-            first = _run_starts(ordered)
-            table = ordered[first]
-            del ordered
-            index = np.empty(len(code), np.int32)
-            index[order] = np.cumsum(first, dtype=np.int32) - 1
-            self.codes.append(table)
-            self.toxic.append(np.zeros(len(table), np.int32))
-            self.clean.append(np.zeros(len(table), np.int32))
-            return index
-        return np.searchsorted(self.codes[n - 1], code).astype(np.int32)
+        order = np.argsort(code)
+        code.sort()
+        first = _run_starts(code)
+        table = code[first]
+        rank = np.cumsum(first, dtype=np.int32)
+        rank -= 1
+        del first
+        index = np.empty(len(code), np.int32)
+        index[order] = rank
+        del order, rank
+        if self.min_df > 1:
+            keep = _document_frequency(doc[pos], index, n_docs, code) >= self.min_df
+            table = table[keep]
+            renumber = np.cumsum(keep, dtype=np.int32) - 1
+            renumber[~keep] = -1
+            index = renumber[index]
+        self.codes.append(table)
+        self.toxic.append(np.zeros(len(table), np.int32))
+        self.clean.append(np.zeros(len(table), np.int32))
+        return index
+
+    def _lookup(self, n: int, code: np.ndarray) -> np.ndarray:
+        """Each code's int32 index in the n-gram table, −1 for a code the table lacks.
+
+        A code falls between two kept codes when its gram was dropped for
+        too few documents; its insertion point is a neighbour's index, so
+        only an exact hit counts.
+        """
+        table = self.codes[n - 1]
+        index = np.searchsorted(table, code)
+        hit = index < len(table)
+        hit[hit] = table[index[hit]] == code[hit]
+        return np.where(hit, index, -1).astype(np.int32)
 
     def decode(self, n: int, index: np.ndarray) -> list[str]:
         """The n-grams at ``index`` of the n-gram table, by following prefix ranks down."""
@@ -219,21 +258,40 @@ class _GramTables:
         return [flat[i:i + n] for i in range(0, len(flat), n)]
 
 
-def _distinct_pairs(docs: np.ndarray, grams: np.ndarray, n_docs: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct (document, gram) pairs, as int32 arrays.
-
-    One in-place sort of the int64 keys gram × n_docs + document puts
-    repeats side by side; the keys stay below (distinct grams) × n_docs,
-    within int64.
+def _sorted_keys(docs: np.ndarray, grams: np.ndarray, n_docs: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The int64 keys gram × n_docs + document, sorted in place, so that
+    repeats of a (document, gram) pair sit side by side and the pairs of a
+    gram in one run; the keys stay below (distinct grams) × n_docs, within
+    int64.  They are written into ``out`` when given, an int64 array as
+    long as ``docs``.
     """
-    keys = grams.astype(np.int64)
-    keys *= n_docs
+    keys = np.multiply(grams, n_docs, out=out, dtype=np.int64)
     keys += docs
     keys.sort()
+    return keys
+
+
+def _distinct_pairs(docs: np.ndarray, grams: np.ndarray, n_docs: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (document, gram) pairs, as int32 arrays, sorted by gram."""
+    keys = _sorted_keys(docs, grams, n_docs)
     keys = keys[_run_starts(keys)]
     docs = (keys % n_docs).astype(np.int32)
     keys //= n_docs
     return docs, keys.astype(np.int32)
+
+
+def _document_frequency(docs: np.ndarray, grams: np.ndarray, n_docs: int, out: np.ndarray) -> np.ndarray:
+    """The number of distinct documents that hold each gram index, as int32,
+    for gram indices that run 0..max(grams) without a gap; the sorted keys
+    are written into ``out``.
+
+    A (document, gram) pair starts each run of equal keys, and a gram each
+    run of equal key // n_docs.
+    """
+    keys = _sorted_keys(docs, grams, n_docs, out)
+    pair = _run_starts(keys)
+    keys //= n_docs
+    return np.add.reduceat(pair, np.flatnonzero(_run_starts(keys)), dtype=np.int32)
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
@@ -307,7 +365,7 @@ def iterate_to_fixpoint(
     lex = seed_lex
     texts = [text for _, text in corpus]
     labels = pseudo_label(corpus, lex)
-    tables = _GramTables(texts, labels, max_n)
+    tables = _GramTables(texts, labels, max_n, min_freq)
     added_rounds: list[tuple[str, ...]] = []
     while True:
         candidates = _rank(tables, (e.term for e in lex), min_freq, min_score)

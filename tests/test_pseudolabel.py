@@ -331,36 +331,50 @@ def test_gram_tables_refuse_a_corpus_over_the_position_limit(monkeypatch):
 
 def test_gram_tables_transient_memory_is_bounded_per_character():
     # A whole-corpus tally holds the tables it keeps plus temporaries per
-    # corpus character: about 47 bytes of them at int32 positions and
+    # corpus character: about 47–59 bytes of them at int32 positions and
     # ranks with one level's int64 codes, and 104 when every per-position
-    # array was int64.  2,000 Zipf-drawn texts of 87,408 characters.
+    # array was int64.  Kept to the grams held by 3 or more documents, the
+    # tables shrink from about 38 bytes per character to under 2, and the
+    # whole peak from about 96 to 53.  2,000 Zipf-drawn texts of 87,408
+    # characters.
     rng = random.Random(0)
     chars = [chr(0x4E00 + i) for i in range(3000)]
     weights = [1 / (k + 1) for k in range(len(chars))]
     texts = ["".join(rng.choices(chars, weights, k=rng.randint(5, 80))) for _ in range(2000)]
     rows = pseudo_label(list(enumerate(texts)), lex_of(*[text[3:5] for text in texts[:30]]))
     assert sum(row.pseudo_label is PseudoLabel.TOXIC for row in rows) > 500
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tables = pseudolabel._GramTables(texts, rows, 4)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    kept = sum(table.nbytes for table in tables.codes + tables.toxic + tables.clean)
-    assert (peak - kept) / sum(len(text) + 1 for text in texts) < 75
+    n_chars = sum(len(text) + 1 for text in texts)
+    for min_df in (1, 3):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tables = pseudolabel._GramTables(texts, rows, 4, min_df)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        kept = sum(table.nbytes for table in tables.codes + tables.toxic + tables.clean)
+        assert (peak - kept) / n_chars < 75
+        del tables
+    # kept and peak are now the floor-3 build's: the pruned tables, and the whole peak with them
+    assert kept / n_chars < 5
+    assert peak / n_chars < 70
 
 
 # ---------------------------------------------------------------- _GramTables counts
 
-def _table_counts(tables):
-    """{gram: (toxic df, clean df)} over every table entry with a nonzero count."""
+def _every_table_count(tables):
+    """{gram: (toxic df, clean df)} over every table entry, zero counts included."""
     counts = {}
     for n, codes in enumerate(tables.codes, start=1):
         for gram, t, c in zip(tables.decode(n, np.arange(len(codes))), tables.toxic[n - 1], tables.clean[n - 1]):
-            if t or c:
-                counts[gram] = (int(t), int(c))
+            counts[gram] = (int(t), int(c))
+    assert len(counts) == sum(len(codes) for codes in tables.codes)
     return counts
+
+
+def _table_counts(tables):
+    """{gram: (toxic df, clean df)} over every table entry with a nonzero count."""
+    return {gram: counts for gram, counts in _every_table_count(tables).items() if any(counts)}
 
 
 def _naive_table_counts(rows, texts, max_n):
@@ -398,6 +412,39 @@ def test_gram_tables_tally_back_out_to_zero_and_of_no_rows_to_nothing(case):
     tables.tally(texts, rows, -1)
     tables.tally(texts, rows, -1)
     assert all(t.dtype == np.int32 and not t.any() for t in tables.toxic + tables.clean)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mining_case(), st.integers(0, 4))
+def test_gram_tables_keep_exactly_the_grams_held_by_min_df_documents(case, min_df):
+    # raw document frequency counts every whitespace-free occurrence, inside a match or not
+    corpus, lex, max_n, _, _ = case
+    texts = [text for _, text in corpus]
+    rows = pseudo_label(corpus, lex)
+    raw = Counter(gram for text in texts for gram in naive_doc_ngrams(text, [], max_n))
+    counted = _naive_table_counts(rows, texts, max_n)
+    tables = pseudolabel._GramTables(texts, rows, max_n, min_df)
+    expected = {gram: counted.get(gram, (0, 0)) for gram, df in raw.items() if df >= max(min_df, 1)}
+    # at a floor of 0 or 1 that is every whitespace-free gram, as the unpruned tables held
+    assert _every_table_count(tables) == expected
+
+
+def test_recount_of_a_dropped_gram_between_two_kept_codes_moves_no_neighbour():
+    # Sorted by code point 丙 < 乙 < 甲, so 乙's 1-gram code lies between
+    # those of 丙 and 甲, and the 2-gram 甲乙's between those of 甲丙 and
+    # 甲甲.  乙 and 甲乙 are held by one document only, so a floor of 2 drops
+    # them; a later round that relabels that document looks them up and
+    # must find nothing, not the neighbour its insertion point names.
+    texts = ["丙甲丙", "丙甲丙", "甲甲", "甲甲", "甲乙"]
+    rows = pseudo_label(list(enumerate(texts)), Lexicon([]))
+    tables = pseudolabel._GramTables(texts, rows, 2, 2)
+    before = _every_table_count(tables)
+    assert set(before) == {"丙", "甲", "丙甲", "甲丙", "甲甲"}
+    assert before["甲"] == (0, 5)
+    relabeled = [PseudoLabeledSample(4, PseudoLabel.TOXIC, ())]
+    tables.tally(texts[4:], rows[4:], -1)
+    tables.tally(texts[4:], relabeled, 1)
+    assert _every_table_count(tables) == {**before, "甲": (1, 4)}
 
 
 def swallowed_fixture():
