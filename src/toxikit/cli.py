@@ -45,6 +45,7 @@ from .corpus import (
     SplitSpec,
     ToxiSample,
     corpus_stats,
+    iter_corpus,
     iter_corpus_samples,
     read_corpus,
     read_lines,
@@ -256,7 +257,7 @@ def cmd_derive(args) -> int:
 
 def cmd_pseudolabel(args) -> int:
     lex = load_lexicon(_lexicon_file(args))
-    pairs = [(s.id, s.text) for s in read_corpus(args.infile)]  # the samples are not held while it runs
+    pairs = [(s.id, s.text) for s in iter_corpus(args.infile)]  # no sample outlives its pair
     accept = [line for _, line in read_lines(args.accept)] if args.accept else []
     result = iterate_to_fixpoint(
         pairs, lex, accept, min_freq=args.min_freq, min_score=args.min_score, max_n=args.max_n

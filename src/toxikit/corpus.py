@@ -19,7 +19,7 @@ import random
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from itertools import chain, combinations
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -157,6 +157,11 @@ def _decode_flag(value, field: str, index: int) -> int:
 
 # each enum's value -> member, so decoding a record costs dict lookups, not enum calls
 _MEMBERS = {cls: {e.value: e for e in cls} for cls in (Platform, Topic, TargetGroup, Expression)}
+# every set of target groups, each mapped to itself, so that samples share one object per set
+_GROUP_SETS = {
+    groups: groups
+    for groups in map(frozenset, chain.from_iterable(combinations(TargetGroup, k) for k in range(len(TargetGroup) + 1)))
+}
 
 
 def _decode_enum(value, what: str, enum_cls, index: int):
@@ -198,7 +203,7 @@ def parse_sample(record: dict, index: int = 0) -> ToxiSample:
     raw_groups = record["groups"]
     if not isinstance(raw_groups, list):
         raise CorpusError(f"record {index}: field 'groups' must be an array")
-    groups = frozenset(_decode_enum(g, "field 'groups' entry", TargetGroup, index) for g in raw_groups)
+    groups = _GROUP_SETS[frozenset(_decode_enum(g, "field 'groups' entry", TargetGroup, index) for g in raw_groups)]
 
     raw_expr = record["expression"]
     expression = None
@@ -308,18 +313,21 @@ def iter_corpus_samples(path: str | Path) -> Iterator[ToxiSample | CorpusError]:
             yield sample
 
 
-def read_corpus(path: str | Path) -> list[ToxiSample]:
-    """Read a corpus file, checking the schema header on line 1.
+def iter_corpus(path: str | Path) -> Iterator[ToxiSample]:
+    """Yield each sample of a corpus file, checking the schema header on line 1.
 
     Sample ids must be unique within the file.  The first rejected record
     raises its CorpusError (see ``iter_corpus_samples``).
     """
-    samples = []
     for item in iter_corpus_samples(path):
         if isinstance(item, CorpusError):
             raise item
-        samples.append(item)
-    return samples
+        yield item
+
+
+def read_corpus(path: str | Path) -> list[ToxiSample]:
+    """Every sample of a corpus file, as ``iter_corpus`` yields them."""
+    return list(iter_corpus(path))
 
 
 def write_jsonl(path: str | Path, rows: Iterable) -> None:

@@ -7,13 +7,15 @@ the pseudo-toxic set; a human reviews them into an accept list, and
 accepted term is newly discoverable.  Because the lexicon only ever
 grows, the pseudo-toxic set grows monotonically and the loop terminates.
 
-Gram counts live in NumPy arrays (``_GramTables``): the corpus is
-encoded once as dense character ids, and for each n a sorted table of
-exact int64 gram codes carries the toxic and clean document frequencies.
-A table keeps only the grams held by at least ``min_freq`` documents (and
-at least one), the least a candidate needs; a gram is never in more
-documents than its prefix, so a longer gram is formed only where its
-prefix was kept.
+Gram counts live in NumPy arrays (``_GramTables``): for each n a sorted
+table of exact int64 gram codes carries the toxic and clean document
+frequencies.  A table keeps only the grams held by at least ``min_freq``
+documents (and at least one), the least a candidate needs; a gram is
+never in more documents than its prefix or its suffix, so a longer gram
+is formed only where both were kept.  The tables are counted level by
+level over chunks of whole documents, each encoded once as dense
+character ids, so the count holds a few bytes per position where a gram
+may still start, not per-position arrays of the whole corpus.
 The fixpoint labels and counts the whole corpus in its first round only.
 A term admitted later can change only the documents that contain it, so
 a later round relabels just those with ``pseudo_label`` under the grown
@@ -80,9 +82,143 @@ def _code_points(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
 
 
-# positions, prefix ranks and counts are int32, so a corpus laid end to end
-# with one separator per document may hold at most this many characters
+# gram ranks and counts are int32, and a level's table holds at most one gram
+# per character, so a corpus laid end to end with one separator per document
+# may hold at most this many characters
 _MAX_CHARS = 2**31 - 1
+# documents are mined in chunks of at most this many characters, a longer
+# document in a chunk of its own
+_CHUNK_CHARS = 2**16
+
+
+def _chunk_bounds(texts: Sequence[str]) -> Iterator[tuple[int, int]]:
+    """(start, stop) of each chunk of consecutive documents, counting one separator per document."""
+    start = chars = 0
+    for i, text in enumerate(texts):
+        if chars + len(text) + 1 > _CHUNK_CHARS and i > start:
+            yield start, i
+            start, chars = i, 0
+        chars += len(text) + 1
+    if start < len(texts):
+        yield start, len(texts)
+
+
+class _Chunk:
+    """Consecutive documents of a tally, laid end to end, each followed by a
+    space so that no gram crosses two, and the positions where a gram of
+    the level being counted starts.
+
+    A position survives to level n when the tables hold the (n−1)-grams
+    that start at it and at the next position, so its n-gram's prefix and
+    suffix were both kept; a gram containing whitespace is never kept.  For
+    each survivor the chunk keeps ``prefix``, the index of its (n−1)-gram
+    among the chunk's distinct (n−1)-grams sorted by code (``rank`` maps
+    that index to the gram's table index); ``doc``, its document within
+    the chunk; and ``cover``, up to ``max_n``, how many characters from it
+    lie inside one match, so the n-gram there is inside a match exactly
+    when ``n <= cover``.
+
+    Table indices rise with gram codes, so sorting the survivors by
+    (prefix index, last character) sorts them by gram code: one sort per
+    level gives the chunk's distinct grams, its distinct (document, gram)
+    pairs and whether a pair has an occurrence outside every match.  The
+    sort key stays within int64 for every alphabet: a chunk of several
+    documents holds at most ``_CHUNK_CHARS`` characters, and one of a
+    single document needs no document bits.
+    """
+
+    def __init__(self, texts: Sequence[str], rows: Sequence[PseudoLabeledSample], max_n: int):
+        lengths = [len(text) + 1 for text in texts]
+        self.chars = _code_points(" ".join(texts) + " ")  # code points, until ``start`` makes them dense ids
+        self.doc_bits = (len(texts) - 1).bit_length()
+        self.toxic = np.array([row.pseudo_label is PseudoLabel.TOXIC for row in rows], bool)
+        self.doc = np.repeat(np.arange(len(texts), dtype=np.min_scalar_type(len(texts))), lengths)
+        # reach[i] is the furthest end of any match starting at or before i
+        reach = np.zeros(len(self.chars), np.int32)
+        starts = np.cumsum(lengths) - lengths
+        spans = [(start + m.start, start + m.end) for start, row in zip(starts.tolist(), rows) for m in row.matches]
+        if spans:
+            at, end = np.array(spans, np.int32).T
+            np.maximum.at(reach, at, end)
+            np.maximum.accumulate(reach, out=reach)
+        reach -= np.arange(len(reach), dtype=np.int32)
+        self.cover = np.clip(reach, 0, max_n).astype(np.min_scalar_type(max_n))
+
+    def start(self, lut: np.ndarray, space: np.ndarray) -> None:
+        """Turn the code points into dense ids, ``lut`` mapping one to the
+        other, and make every position that is not whitespace a survivor."""
+        self.chars = lut[self.chars]
+        pos = np.flatnonzero(~space[self.chars])
+        # a survivor's n-gram ends before its document's separator, so pos + n stays below len(chars)
+        self.pos = pos.astype(np.min_scalar_type(len(self.chars)))
+        self.doc, self.cover = self.doc[pos], self.cover[pos]
+        self.prefix = np.zeros(len(pos), np.min_scalar_type(len(pos)))
+        self.rank = np.zeros(1, np.int32)
+        self.size = len(space)
+        self.char_bits = (self.size - 1).bit_length()
+
+    def count(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The codes of the survivors' distinct n-grams, sorted, and the
+        number of documents that hold each, as int32.
+
+        ``prefix`` becomes each survivor's index among these grams, kept
+        until ``advance`` as ``grams``, each the gram's prefix index and
+        last character; ``first`` marks, for each distinct (document,
+        gram) pair with an occurrence outside every match, one survivor.
+        """
+        key = self.prefix.astype(np.int64)
+        key <<= self.char_bits
+        key |= self.chars[self.pos + (n - 1)]
+        key <<= self.doc_bits
+        key |= self.doc
+        key <<= 1
+        key |= self.cover >= n  # so a pair's first occurrence sorts outside a match if any is
+        order = np.argsort(key)
+        key = key[order]
+        inside = (key & 1).astype(bool)
+        key >>= 1
+        pair = _run_starts(key)
+        self.first = np.zeros(len(key), bool)
+        self.first[order[pair & ~inside]] = True
+        del inside
+        key >>= self.doc_bits
+        gram = _run_starts(key)
+        self.prefix[order] = np.cumsum(gram, dtype=np.int32) - 1
+        del order
+        at = np.flatnonzero(gram)
+        self.grams = key[at]
+        if self.grams[-1] < 2**32:  # the common case: held in half the bytes until ``advance``
+            self.grams = self.grams.astype(np.uint32)
+        return self.codes(), np.add.reduceat(pair, at, dtype=np.int32)
+
+    def codes(self) -> np.ndarray:
+        """The table codes of ``grams``: the prefix's table index times the
+        alphabet size, plus the last character's id."""
+        code = self.rank[self.grams >> self.char_bits].astype(np.int64)
+        code *= self.size
+        code += self.grams & ((1 << self.char_bits) - 1)
+        return code
+
+    def advance(self, n: int, index: np.ndarray, toxic: np.ndarray, clean: np.ndarray, sign: int) -> None:
+        """Add ``sign`` to the ``toxic`` or ``clean`` table count of each
+        pair marked ``first``, then keep the survivors of level n + 1;
+        ``index`` is each of ``grams``' table index, −1 where the table
+        lacks it."""
+        found = index >= 0
+        hit = np.flatnonzero(found)
+        in_toxic = self.toxic[self.doc]
+        for table, marked in ((toxic, self.first & in_toxic), (clean, self.first & ~in_toxic)):
+            table[index[hit]] += sign * np.bincount(self.prefix[marked], minlength=len(index))[hit]
+        kept = found[self.prefix]
+        held = np.zeros(len(self.chars), bool)
+        held[self.pos[kept]] = True
+        kept &= held[self.pos + 1]
+        # one index array serves every column: faster than a boolean mask per column
+        kept = np.flatnonzero(kept)
+        self.pos, self.prefix = self.pos[kept], self.prefix[kept]
+        self.doc, self.cover = self.doc[kept], self.cover[kept]
+        self.rank = index
+        del self.grams, self.first
 
 
 class _GramTables:
@@ -98,21 +234,30 @@ class _GramTables:
     (its raw document frequency); ``toxic[n-1]`` and ``clean[n-1]`` are the
     int32 counts beside it.  A gram's toxic count never exceeds its raw
     document frequency, so no dropped gram can reach a ``min_freq`` of
-    ``min_df``, and since no gram is in more documents than its prefix, an
-    (n+1)-gram is formed only where its n-prefix was kept (the Apriori
-    principle).  Every kept prefix thus has a rank, and any document of the
-    corpus can later be looked up in the tables: a gram missing from them
-    was dropped, and counts as absent and unextended.  ``tally`` moves the
-    counts by run lengths over sorted gram indices, so a tally costs time
-    in the grams it counts, not in the table size.
+    ``min_df``, and since no gram is in more documents than its prefix or
+    its suffix, an (n+1)-gram is formed only where both its n-prefix and
+    its n-suffix were kept (the Apriori principle).  Every kept prefix thus
+    has a rank, and any document of the corpus can later be looked up in
+    the tables: a gram missing from them was dropped, and counts as absent
+    and unextended.
 
-    Memory: character ids, document indices, positions, prefix ranks and
-    counts are int32, and only the gram codes of the n being counted are
-    int64, so a corpus may hold at most ``_MAX_CHARS`` characters (one
-    separator per document included); a larger one is refused with a
-    ValueError.  Each n's temporaries are freed before the next n is
-    built, so counting holds the kept tables plus a bounded number of
-    bytes per corpus character, whatever ``max_n`` is.
+    Counting goes level by level over chunks of whole documents
+    (``_Chunk``), as in partition counting of frequent itemsets.  Each
+    chunk sorts its survivors once per level; its distinct grams and their
+    document counts are merged into one sorted running table, which is
+    pruned to ``min_df`` documents when the level ends.  Each chunk then
+    looks its grams up in the pruned table, adds its toxic and clean
+    counts, and keeps the positions whose gram was kept.  A later tally,
+    of the few documents a fixpoint round recounts, takes the same path
+    but skips the running table, so its time follows the grams it counts,
+    not the table size.
+
+    Memory: a level holds a few bytes per surviving position and each
+    chunk's distinct grams, and one chunk's sort at a time.  The running
+    table grows with the level's distinct grams, which grow more slowly
+    than the corpus but do grow.  Gram ranks and counts are int32, so a
+    corpus may hold at most ``_MAX_CHARS`` characters (one separator per
+    document included); a larger one is refused with a ValueError.
     """
 
     def __init__(self, texts: Sequence[str], rows: Sequence[PseudoLabeledSample], max_n: int, min_df: int = 1):
@@ -120,118 +265,55 @@ class _GramTables:
             raise ValueError(f"max_n must be ≥ 1, got {max_n}")
         self.max_n = max_n
         self.min_df = max(min_df, 1)
-        self.alphabet: np.ndarray | None = None  # set by the first ``grams``, from the corpus it encodes
+        self.alphabet: np.ndarray | None = None  # set by the first tally, from the corpus it encodes
         self.codes: list[np.ndarray] = []
         self.toxic: list[np.ndarray] = []
         self.clean: list[np.ndarray] = []
         self.tally(texts, rows, 1)
 
     def tally(self, texts: Sequence[str], rows: Sequence[PseudoLabeledSample], sign: int) -> None:
-        """Add ``sign`` to the toxic or clean count of each row's grams.
-
-        ``grams`` yields each n's gram indices sorted, so a label's share of
-        them is sorted too: one ``_add_runs`` per (n, label).
-        """
-        toxic = np.array([row.pseudo_label is PseudoLabel.TOXIC for row in rows], bool)
-        for n, docs, grams in self.grams(texts, rows):
-            is_toxic = toxic[docs]
-            _add_runs(self.toxic[n - 1], grams[is_toxic], sign)
-            _add_runs(self.clean[n - 1], grams[~is_toxic], sign)
-            del docs, grams, is_toxic  # not held while the next n is built
-
-    def grams(
-        self, texts: Sequence[str], rows: Sequence[PseudoLabeledSample]
-    ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """Yield (n, document index, gram table index), both int32, for each
-        distinct (document, n-gram) pair with ≥1 occurrence not fully inside
-        a match span.
+        """Add ``sign`` to the toxic or clean count of each row's distinct
+        grams with ≥1 occurrence not fully inside a match span.
 
         Whitespace-bearing n-grams are skipped; they straddle what the
-        normalizer already decided are separate fragments.  Documents are
-        laid end to end, each followed by a space, so no gram crosses two.
-        ``reach[i]`` is the furthest end of any match starting at or before
-        ``i``, so the gram at ``i..j`` lies inside a match exactly when
-        ``j <= reach[i]``.  The first texts given, the whole corpus, build the
-        alphabet and the n-gram tables; later texts are looked up in them.
-        A gram index of −1 marks a gram the tables dropped: it is neither
-        counted nor extended.
+        normalizer already decided are separate fragments.  The first
+        texts given, the whole corpus, build the alphabet and the tables;
+        later texts are looked up in them.
         """
-        lengths = np.fromiter((len(t) + 1 for t in texts), np.int64, len(texts))
-        if (total := int(lengths.sum())) > _MAX_CHARS:
+        if (total := sum(len(text) + 1 for text in texts)) > _MAX_CHARS:
             raise ValueError(
                 f"corpus too large to mine: {total} characters with one separator per document,"
-                f" over the limit of {_MAX_CHARS} that int32 positions hold"
+                f" over the limit of {_MAX_CHARS} that int32 gram ranks hold"
             )
-        starts = np.cumsum(lengths) - lengths
-        ids = _code_points(" ".join(texts) + " ")  # code points, until replaced by their dense ids
+        chunks = [_Chunk(texts[a:b], rows[a:b], self.max_n) for a, b in _chunk_bounds(texts)]
         if build := self.alphabet is None:  # the corpus: its characters are the alphabet
-            self.alphabet = np.unique(ids)
+            seen = np.zeros(max((int(chunk.chars.max()) + 1 for chunk in chunks), default=0), bool)
+            for chunk in chunks:
+                seen[chunk.chars] = True
+            self.alphabet = np.flatnonzero(seen).astype("<u4")
             self.space = np.array([chr(c).isspace() for c in self.alphabet.tolist()])
-        ids = np.searchsorted(self.alphabet, ids).astype(np.int32)
-        space = self.space[ids]
-        doc = np.repeat(np.arange(len(texts), dtype=np.int32), lengths)
-        reach = np.zeros(len(ids), np.int32)
-        spans = [(start + m.start, start + m.end) for start, row in zip(starts.tolist(), rows) for m in row.matches]
-        if spans:
-            at, end = np.array(spans, np.int32).T
-            del spans
-            np.maximum.at(reach, at, end)
-            np.maximum.accumulate(reach, out=reach)
+            del seen
         size = len(self.alphabet)
-        pos = np.flatnonzero(~space).astype(np.int32)
-        prefix = np.zeros(len(pos), np.int32)
+        lut = np.zeros(int(self.alphabet[-1]) + 1 if size else 0, np.min_scalar_type(max(size - 1, 0)))
+        lut[self.alphabet] = np.arange(size)
+        for chunk in chunks:
+            chunk.start(lut, self.space)
+        del lut
         for n in range(1, self.max_n + 1):
-            if not len(pos):
+            chunks = [chunk for chunk in chunks if len(chunk.pos)]
+            if not chunks:
                 return
-            # each array is deleted once spent, so none is held while a later one is built
-            code = prefix.astype(np.int64)  # the only int64 array per position
-            code *= size
-            code += ids[pos + (n - 1)]
-            rank = self._build(n, code, doc, pos, len(texts)) if build else self._lookup(n, code)
-            del code
-            kept = rank >= 0
-            counted = kept & (pos + n > reach[pos])
-            docs, grams = doc[pos[counted]], rank[counted]
-            # an (n+1)-gram is kept only where its n-prefix is, and is
-            # whitespace-free when its n-prefix and its last character are
-            longer = kept & ~space[pos + n]
-            pos, prefix = pos[longer], rank[longer]
-            del rank, kept, counted, longer
-            pairs = _distinct_pairs(docs, grams, len(texts))
-            del docs, grams
-            yield (n, *pairs)
-            del pairs
-
-    def _build(self, n: int, code: np.ndarray, doc: np.ndarray, pos: np.ndarray, n_docs: int) -> np.ndarray:
-        """Build the n-gram table from the corpus's codes at positions ``pos``,
-        sorting ``code`` in place and reusing it; return each code's int32
-        index in the table, −1 where its gram was dropped.
-
-        The table is the sorted distinct codes, and each code's index is the
-        running count of run starts scattered back through the argsort.  A
-        gram held by fewer than ``min_df`` documents (``doc`` gives each
-        position's document) is then dropped and the indices renumbered.
-        """
-        order = np.argsort(code)
-        code.sort()
-        first = _run_starts(code)
-        table = code[first]
-        rank = np.cumsum(first, dtype=np.int32)
-        rank -= 1
-        del first
-        index = np.empty(len(code), np.int32)
-        index[order] = rank
-        del order, rank
-        if self.min_df > 1:
-            keep = _document_frequency(doc[pos], index, n_docs, code) >= self.min_df
-            table = table[keep]
-            renumber = np.cumsum(keep, dtype=np.int32) - 1
-            renumber[~keep] = -1
-            index = renumber[index]
-        self.codes.append(table)
-        self.toxic.append(np.zeros(len(table), np.int32))
-        self.clean.append(np.zeros(len(table), np.int32))
-        return index
+            if build:
+                codes, df = _merged(chunk.count(n) for chunk in chunks)
+                self.codes.append(codes[df >= self.min_df])
+                self.toxic.append(np.zeros(len(self.codes[-1]), np.int32))
+                self.clean.append(np.zeros(len(self.codes[-1]), np.int32))
+                del codes, df  # not held while the chunks advance
+            else:
+                for chunk in chunks:
+                    chunk.count(n)
+            for chunk in chunks:
+                chunk.advance(n, self._lookup(n, chunk.codes()), self.toxic[n - 1], self.clean[n - 1], sign)
 
     def _lookup(self, n: int, code: np.ndarray) -> np.ndarray:
         """Each code's int32 index in the n-gram table, −1 for a code the table lacks.
@@ -258,40 +340,33 @@ class _GramTables:
         return [flat[i:i + n] for i in range(0, len(flat), n)]
 
 
-def _sorted_keys(docs: np.ndarray, grams: np.ndarray, n_docs: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The int64 keys gram × n_docs + document, sorted in place, so that
-    repeats of a (document, gram) pair sit side by side and the pairs of a
-    gram in one run; the keys stay below (distinct grams) × n_docs, within
-    int64.  They are written into ``out`` when given, an int64 array as
-    long as ``docs``.
-    """
-    keys = np.multiply(grams, n_docs, out=out, dtype=np.int64)
-    keys += docs
-    keys.sort()
-    return keys
+def _merged(counts: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted union of the chunks' sorted distinct gram codes, with their
+    document counts summed: a code already in the running union adds its
+    count, and a new one is inserted in order."""
+    codes, total = np.empty(0, np.int64), np.empty(0, np.int32)
+    for grams, df in counts:
+        at = np.searchsorted(codes, grams)
+        hit = at < len(codes)
+        hit[hit] = codes[at[hit]] == grams[hit]
+        total[at[hit]] += df[hit]
+        new = np.flatnonzero(~hit)
+        fresh = at[new] + np.arange(len(new))  # the k-th new code goes k places past its insertion point
+        old = np.ones(len(codes) + len(new), bool)
+        old[fresh] = False
+        del at, hit
+        # one column at a time, so a merge holds one new column beside the old ones
+        codes = _spliced(codes, old, grams[new], fresh)
+        total = _spliced(total, old, df[new], fresh)
+    return codes, total
 
 
-def _distinct_pairs(docs: np.ndarray, grams: np.ndarray, n_docs: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct (document, gram) pairs, as int32 arrays, sorted by gram."""
-    keys = _sorted_keys(docs, grams, n_docs)
-    keys = keys[_run_starts(keys)]
-    docs = (keys % n_docs).astype(np.int32)
-    keys //= n_docs
-    return docs, keys.astype(np.int32)
-
-
-def _document_frequency(docs: np.ndarray, grams: np.ndarray, n_docs: int, out: np.ndarray) -> np.ndarray:
-    """The number of distinct documents that hold each gram index, as int32,
-    for gram indices that run 0..max(grams) without a gap; the sorted keys
-    are written into ``out``.
-
-    A (document, gram) pair starts each run of equal keys, and a gram each
-    run of equal key // n_docs.
-    """
-    keys = _sorted_keys(docs, grams, n_docs, out)
-    pair = _run_starts(keys)
-    keys //= n_docs
-    return np.add.reduceat(pair, np.flatnonzero(_run_starts(keys)), dtype=np.int32)
+def _spliced(values: np.ndarray, old: np.ndarray, new: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    """``values`` at the positions ``old`` marks and ``new`` at the indices ``fresh``."""
+    out = np.empty(len(old), values.dtype)
+    out[old] = values
+    out[fresh] = new
+    return out
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
@@ -299,20 +374,6 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     first = np.ones(len(values), bool)
     first[1:] = values[1:] != values[:-1]
     return first
-
-
-def _add_runs(table: np.ndarray, index: np.ndarray, sign: int) -> None:
-    """Add ``sign`` to ``table`` at each element of the sorted ``index``, as
-    ``np.add.at`` would, by one fancy add over the distinct indices, each by
-    ``sign`` times its run length.
-
-    Its time is linear in ``len(index)``: a table-sized ``np.bincount`` is
-    faster over a whole corpus but slower on the few documents a later
-    fixpoint round recounts.  The temporaries end with the call, so none is
-    held while ``grams`` builds the next n's pairs.
-    """
-    first = np.flatnonzero(_run_starts(index))
-    table[index[first]] += sign * np.diff(first, append=len(index))
 
 
 def _rank(tables: _GramTables, known: Iterable[str], min_freq: int, min_score: float) -> list[CandidateTerm]:

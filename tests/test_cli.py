@@ -240,6 +240,17 @@ def test_pseudolabel_end_to_end(tmp_path, capsys):
     assert report.read_text(encoding="utf-8").startswith("term\ttoxic_freq\tclean_freq\tscore")
 
 
+def test_pseudolabel_streams_its_read_but_writes_nothing_after_a_bad_record(tmp_path, capsys, corpus_file):
+    # the last record repeats the first one's id: the read fails after 40 good samples
+    lines = corpus_file.read_text(encoding="utf-8").splitlines()
+    corpus_file.write_text("\n".join(lines + [lines[1]]) + "\n", encoding="utf-8")
+    labels, report = tmp_path / "labels.jsonl", tmp_path / "cand.tsv"
+    argv = ["pseudolabel", "--in", str(corpus_file), "--out", str(labels), "--report", str(report)]
+    assert main(argv) == EXIT_DATA
+    assert f"{corpus_file}:{len(lines) + 1}: record {len(lines) - 1}: duplicate id" in capsys.readouterr().err
+    assert not labels.exists() and not report.exists()
+
+
 def test_pseudolabel_report_is_the_final_rounds_candidates(tmp_path, capsys):
     samples = labeled_corpus(200, seed=11)
     infile = tmp_path / "c.jsonl"

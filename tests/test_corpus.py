@@ -123,6 +123,14 @@ def test_parse_normalizes_empty_to_absent():
     assert sample.groups == frozenset() and sample.expression is None
 
 
+def test_samples_with_the_same_groups_share_one_set():
+    both = ["sexism", "racism"]
+    a, b = parse_sample(_record(groups=both)), parse_sample(_record(groups=both[::-1] + both))
+    assert a.groups == frozenset({TargetGroup.SEXISM, TargetGroup.RACISM}) and a.groups is b.groups
+    clean = _record(toxic=0, hate=0, groups=[], expression=None)
+    assert parse_sample(clean).groups is parse_sample(dict(clean, id=8)).groups
+
+
 def test_parse_errors_name_field_and_record():
     for field in _record():
         with pytest.raises(CorpusError, match=rf"^record 3: missing field '{field}'$"):

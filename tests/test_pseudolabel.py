@@ -318,7 +318,7 @@ def test_first_round_candidates_with_gram_codes_past_2_to_the_31():
 
 
 def test_gram_tables_refuse_a_corpus_over_the_position_limit(monkeypatch):
-    # int32 positions hold 2^31 - 1 characters; a smaller limit stands in for it here
+    # int32 gram ranks hold 2^31 - 1 characters' grams; a smaller limit stands in for it here
     assert pseudolabel._MAX_CHARS == 2**31 - 1
     texts = ["甲乙丙", "丁戊"]  # 3 + 1 + 2 + 1 = 7 characters with the separators
     rows = pseudo_label(list(enumerate(texts)), Lexicon([]))
@@ -329,35 +329,60 @@ def test_gram_tables_refuse_a_corpus_over_the_position_limit(monkeypatch):
         pseudolabel._GramTables(texts, rows, 2)
 
 
-def test_gram_tables_transient_memory_is_bounded_per_character():
-    # A whole-corpus tally holds the tables it keeps plus temporaries per
-    # corpus character: about 47–59 bytes of them at int32 positions and
-    # ranks with one level's int64 codes, and 104 when every per-position
-    # array was int64.  Kept to the grams held by 3 or more documents, the
-    # tables shrink from about 38 bytes per character to under 2, and the
-    # whole peak from about 96 to 53.  2,000 Zipf-drawn texts of 87,408
-    # characters.
+def _zipf_texts(n_texts):
+    """Texts of 5-80 characters drawn from 3,000 CJK characters with Zipf weights."""
     rng = random.Random(0)
     chars = [chr(0x4E00 + i) for i in range(3000)]
     weights = [1 / (k + 1) for k in range(len(chars))]
-    texts = ["".join(rng.choices(chars, weights, k=rng.randint(5, 80))) for _ in range(2000)]
+    return ["".join(rng.choices(chars, weights, k=rng.randint(5, 80))) for _ in range(n_texts)]
+
+
+def _build_peak(texts, rows, min_df):
+    """(traced peak bytes, kept table bytes) of building the tables of ``texts``."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tables = pseudolabel._GramTables(texts, rows, 4, min_df)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak, sum(table.nbytes for table in tables.codes + tables.toxic + tables.clean)
+
+
+def test_gram_tables_transient_memory_is_bounded_per_character():
+    # Counting holds the tables it keeps plus, per corpus character, a few
+    # bytes per surviving position, each chunk's distinct grams and one
+    # level's running table, next to one chunk's sort: about 36-44 bytes
+    # of temporaries per character here, where the whole-corpus count took
+    # 47-59.  Kept to the grams held by 3 or more documents, the tables
+    # shrink from about 38 bytes per character to under 2, and the whole
+    # peak from about 82 to 37.  2,000 Zipf-drawn texts of 87,408 characters.
+    texts = _zipf_texts(2000)
     rows = pseudo_label(list(enumerate(texts)), lex_of(*[text[3:5] for text in texts[:30]]))
     assert sum(row.pseudo_label is PseudoLabel.TOXIC for row in rows) > 500
     n_chars = sum(len(text) + 1 for text in texts)
     for min_df in (1, 3):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tables = pseudolabel._GramTables(texts, rows, 4, min_df)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        kept = sum(table.nbytes for table in tables.codes + tables.toxic + tables.clean)
-        assert (peak - kept) / n_chars < 75
-        del tables
+        peak, kept = _build_peak(texts, rows, min_df)
+        assert (peak - kept) / n_chars < 50
     # kept and peak are now the floor-3 build's: the pruned tables, and the whole peak with them
     assert kept / n_chars < 5
-    assert peak / n_chars < 70
+    assert peak / n_chars < 45
+
+
+def test_gram_tables_build_peak_grows_less_than_the_corpus():
+    # The same texts four times over hold the same distinct grams, so at a
+    # floor of one document the tables are the same, and what grows is the
+    # per-character state: a whole-corpus count peaks about 2.7 times as
+    # high on them, chunked counting about 1.6 times.
+    texts = _zipf_texts(2000)
+    lex = lex_of(*[text[3:5] for text in texts[:30]])
+    _build_peak(texts, pseudo_label(list(enumerate(texts)), lex), 1)  # first-build allocations out of the way
+    peaks = []
+    for corpus in (texts, texts * 4):
+        peak, kept = _build_peak(corpus, pseudo_label(list(enumerate(corpus)), lex), 1)
+        peaks.append(peak)
+    assert kept > 3_000_000  # every gram of the corpus is kept at both sizes
+    assert peaks[1] < 2 * peaks[0]
 
 
 # ---------------------------------------------------------------- _GramTables counts
@@ -427,6 +452,39 @@ def test_gram_tables_keep_exactly_the_grams_held_by_min_df_documents(case, min_d
     expected = {gram: counted.get(gram, (0, 0)) for gram, df in raw.items() if df >= max(min_df, 1)}
     # at a floor of 0 or 1 that is every whitespace-free gram, as the unpruned tables held
     assert _every_table_count(tables) == expected
+
+
+def _two_documents_per_chunk(texts):
+    return ((i, min(i + 2, len(texts))) for i in range(0, len(texts), 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mining_case(), st.integers(0, 4), st.integers(1, 48))
+def test_gram_tables_do_not_depend_on_how_the_corpus_is_chunked(case, min_df, chunk_chars):
+    corpus, lex, max_n, _, _ = case
+    texts = [text for _, text in corpus]
+    rows = pseudo_label(corpus, lex)
+    raw = Counter(gram for text in texts for gram in naive_doc_ngrams(text, [], max_n))
+    counted = _naive_table_counts(rows, texts, max_n)
+    expected = {gram: counted.get(gram, (0, 0)) for gram, df in raw.items() if df >= max(min_df, 1)}
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        # one document per chunk, two, a few characters' worth, and the whole corpus
+        for chars, bounds in ((1, None), (2**31, _two_documents_per_chunk), (chunk_chars, None), (2**31, None)):
+            mp.setattr(pseudolabel, "_CHUNK_CHARS", chars)
+            if bounds:
+                mp.setattr(pseudolabel, "_chunk_bounds", bounds)
+            chunks = list(pseudolabel._chunk_bounds(texts))
+            assert [i for chunk in chunks for i in range(*chunk)] == list(range(len(texts)))
+            assert all(b - a == 1 or sum(len(t) + 1 for t in texts[a:b]) <= chars for a, b in chunks)
+            tables = pseudolabel._GramTables(texts, rows, max_n, min_df)
+            assert _every_table_count(tables) == expected
+            built.append([t.copy() for t in tables.codes + tables.toxic + tables.clean])
+            # a later tally goes through the same chunks, looking the grams up
+            tables.tally(texts, rows, -1)
+            assert not any(t.any() for t in tables.toxic + tables.clean)
+            mp.undo()
+    assert all(len(b) == len(built[-1]) and all(map(np.array_equal, b, built[-1])) for b in built)
 
 
 def test_recount_of_a_dropped_gram_between_two_kept_codes_moves_no_neighbour():
@@ -563,15 +621,15 @@ def _changed_documents(corpus, seed_lex, added_per_round):
 
 
 def _record_mined(monkeypatch):
-    """Patch the gram miner to log how many documents each call mines."""
+    """Patch the gram miner to log how many documents each chunk it mines holds."""
     mined = []
-    real = pseudolabel._GramTables.grams
+    real = pseudolabel._Chunk.__init__
 
-    def recording(self, texts, rows):
+    def recording(self, texts, rows, max_n):
         mined.append(len(texts))
-        return real(self, texts, rows)
+        real(self, texts, rows, max_n)
 
-    monkeypatch.setattr(pseudolabel._GramTables, "grams", recording)
+    monkeypatch.setattr(pseudolabel._Chunk, "__init__", recording)
     return mined
 
 
