@@ -29,11 +29,14 @@ Training: AdamW on weighted cross-entropy (class weights = inverse
 label frequency, normalized to mean 1), deterministic per seed, early
 stopping on an internal validation carve-out with patience 3, inverted
 dropout on the pooled vector during training only.  The parameters and
-each AdamW moment are one float64 buffer that the blocks view.  AdamW is
-lazy on W (a step updates only the rows of the tokens its batch holds);
-the dense blocks update in full, as one slice.  An epoch's training loss
-and accuracy are the size-weighted means over its minibatches, taken with
-dropout on; only the validation carve-out is re-scored after each epoch.
+each AdamW moment are one float32 buffer that the blocks view, and every
+step computes in the parameters' dtype; ``grad_check`` upcasts to
+float64, and ``predict`` takes its probabilities from float64-cast
+scores.  AdamW is lazy on W (a step updates only the rows of the tokens
+its batch holds); the dense blocks update in full, as one slice.  An
+epoch's training loss and accuracy are the size-weighted means over its
+minibatches, taken with dropout on; only the validation carve-out is
+re-scored after each epoch.
 """
 
 from __future__ import annotations
@@ -179,11 +182,12 @@ BLOCK_NAMES = ("W", "C", "U", "b_h", "V", "b")
 
 
 class ModelParams:
-    """The six parameter blocks, each a reshaped view into one float64 buffer.
+    """The six parameter blocks, each a reshaped view into one buffer.
 
     ``flat`` holds them end to end in BLOCK_NAMES order, the order that
     ``init_params`` draws them in, so ``flat[W.size:]`` is the five dense
-    blocks as one slice.  The constructor copies its arrays into ``flat``.
+    blocks as one slice.  The constructor copies its arrays into ``flat``,
+    whose dtype is the one the arrays promote to.
     """
 
     W: np.ndarray    # |V| × d word embeddings
@@ -195,7 +199,7 @@ class ModelParams:
 
     def __init__(self, W, C, U, b_h, V, b):
         blocks = (W, C, U, b_h, V, b)
-        self.flat = np.concatenate([np.ravel(a) for a in blocks], dtype=np.float64)
+        self.flat = np.concatenate([np.ravel(a) for a in blocks])
         pieces = np.split(self.flat, np.cumsum([np.size(a) for a in blocks[:-1]]))
         for name, a, piece in zip(BLOCK_NAMES, blocks, pieces):
             setattr(self, name, piece.reshape(np.shape(a)))
@@ -256,12 +260,14 @@ def encode_corpus(
 
 
 def init_params(vocab_size: int, cfg: TkeConfig) -> ModelParams:
-    """Uniform [-0.1, 0.1] init from a generator seeded with cfg.seed, one draw over ``flat``.
+    """Uniform [-0.1, 0.1] float64 init from a generator seeded with cfg.seed, one draw
+    over ``flat``, cast to float32.
 
     C is drawn even when enhancement is off so that ablated and λ=0
     builds see identical RNG streams.
     """
-    params = ModelParams(**{name: np.empty(shape) for name, shape in _block_shapes(vocab_size, cfg).items()})
+    shapes = _block_shapes(vocab_size, cfg)
+    params = ModelParams(**{name: np.empty(shape, dtype=np.float32) for name, shape in shapes.items()})
     params.flat[:] = np.random.default_rng(cfg.seed).uniform(-0.1, 0.1, size=params.flat.size)
     return params
 
@@ -297,22 +303,28 @@ def _forward_batch(
     cfg: TkeConfig,
     dropout_mask: np.ndarray | None = None,
 ):
-    """Class scores for a packed batch of a set that ``_check_set`` passed, and the cache the backward pass reads."""
-    counts = batch.offsets[1:] - batch.offsets[:-1]
-    B = len(counts)
-    rows = np.repeat(np.arange(B), counts)
+    """Class scores for a packed batch of a set that ``_check_set`` passed, and the cache the backward pass reads.
+
+    Every operand is cast to the parameters' dtype: one float64 array would upcast the whole step."""
+    dtype = params.flat.dtype
+    lengths = batch.offsets[1:] - batch.offsets[:-1]
+    B = len(lengths)
+    rows = np.repeat(np.arange(B), lengths)
     uniq, inverse = np.unique(batch.tok, return_inverse=True)
     bag = np.bincount(rows * len(uniq) + inverse, minlength=B * len(uniq))
-    bag = bag.reshape(B, len(uniq)).astype(np.float64)
+    bag = bag.reshape(B, len(uniq)).astype(dtype)
     W_rows = params.W[uniq]
     pooled = bag @ W_rows
     catbag = None
     if cfg.enhancement and cfg.lam != 0.0:
         m1 = params.C.shape[0]
         catbag = np.bincount(rows * m1 + batch.tox, minlength=B * m1)
-        catbag = catbag.reshape(B, m1).astype(np.float64)
+        catbag = catbag.reshape(B, m1).astype(dtype)
         pooled += cfg.lam * (catbag @ params.C)
+    counts = lengths.astype(dtype)
     pooled /= counts[:, None]
+    if dropout_mask is not None:
+        dropout_mask = dropout_mask.astype(dtype, copy=False)
     dropped = pooled if dropout_mask is None else pooled * dropout_mask
     z = dropped @ params.U + params.b_h
     hidden = np.tanh(z)
@@ -394,7 +406,8 @@ def loss_and_grads(
     dropout_mask: np.ndarray | None = None,
 ) -> tuple[float, dict, np.ndarray]:
     """Mean weighted CE over a checked batch (see ``_check_set``), analytic
-    gradients for every block, and the batch's class scores.
+    gradients for every block, and the batch's class scores, all in the
+    parameters' dtype: the class weights and multilabel targets are cast to it.
 
     W's gradient is row-sparse: the triple ``(rows, values, W_rows)`` of
     the batch's distinct token ids, ascending, their gradient rows (every
@@ -404,9 +417,11 @@ def loss_and_grads(
     ``_AdamW.step`` writes it back unchecked, so a step after W has changed,
     or a second step with the same gradients, would undo that change.
     """
+    dtype = params.flat.dtype
     scores, cache = _forward_batch(batch, params, cfg, dropout_mask)
     uniq, W_rows, bag, catbag, counts, dropped, dmask, hidden = cache
-    loss, dscores = _batch_loss(scores, batch.labels, class_weights)
+    labels = batch.labels.astype(dtype, copy=False) if cfg.multilabel else batch.labels
+    loss, dscores = _batch_loss(scores, labels, np.asarray(class_weights, dtype=dtype))
 
     dhidden = dscores @ params.V.T
     dz = dhidden * (1.0 - hidden * hidden)
@@ -472,7 +487,8 @@ def grad_check(
     step: float = 1e-5,
     corrupt: bool = False,
 ) -> float:
-    """Max relative error between analytic and finite-difference gradients.
+    """Max relative error between analytic and finite-difference gradients,
+    both computed on a float64 copy of ``params``.
 
     Relative error uses max(|analytic|, |numeric|, 1e-6) as denominator
     so near-zero entries compare on an absolute scale.  ``corrupt``
@@ -485,6 +501,7 @@ def grad_check(
     if (class_weights <= 0).any():
         raise ClassifierError("class weights must be positive")
     _check_set(batch, params, cfg)
+    params = ModelParams(**{name: block.astype(np.float64) for name, block in params.blocks().items()})
     analytic = _flat_grads(loss_and_grads(batch, params, cfg, class_weights)[1], params)
     numeric = finite_diff_grads(batch, params, cfg, class_weights, step=step)
     if corrupt:
@@ -509,7 +526,9 @@ class _AdamW:
     step t, and weight decay reaches those rows only.  The five dense
     blocks step as one slice, ``flat[W.size:]``, in place.  The operations
     and their order are those of the textbook expression, so a dense block,
-    or a row listed at every step, gets bitwise the textbook update.
+    or a row listed at every step, gets bitwise the textbook update.  The
+    moments and the arithmetic take the parameters' dtype; a gradient of
+    another dtype is cast to it.
     """
 
     def __init__(self, params: ModelParams, lr: float, weight_decay: float):
@@ -530,6 +549,7 @@ class _AdamW:
         self._update(self.m[n:], self.v[n:], params.flat[n:], _dense_flat(grads))
 
     def _update(self, m, v, p, g) -> None:
+        g = g.astype(p.dtype, copy=False)
         s1, s2 = np.empty_like(g), np.empty_like(g)
         # m = β1·m + (1-β1)·g ;  v = β2·v + (1-β2)·g·g
         np.multiply(m, self.beta1, out=m)
@@ -609,7 +629,7 @@ def train(
     """
     params = init_params(vocab_size, cfg)
     _check_set(train_set, params, cfg)
-    class_weights = class_weights_for(train_set.labels, cfg)
+    class_weights = class_weights_for(train_set.labels, cfg).astype(params.flat.dtype)
     loop_rng = np.random.default_rng([cfg.seed, 1])
 
     order = loop_rng.permutation(len(train_set))
@@ -631,7 +651,7 @@ def train(
             dropout_mask = None
             if cfg.dropout > 0.0:
                 keep = loop_rng.random((len(chunk), cfg.d)) >= cfg.dropout
-                dropout_mask = keep.astype(np.float64) / (1.0 - cfg.dropout)
+                dropout_mask = keep.astype(params.flat.dtype) / (1.0 - cfg.dropout)
             loss, grads, scores = loss_and_grads(chunk, params, cfg, class_weights, dropout_mask)
             optimizer.step(params, grads)
             loss_sum += loss * len(chunk)
@@ -664,10 +684,13 @@ def _predict_from_scores(scores: np.ndarray, cfg: TkeConfig) -> np.ndarray:
 def predict(
     test_set: EncodedSet, params: ModelParams, cfg: TkeConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, probabilities). Argmax for single-label tasks; 0.5-threshold
-    per label for the group task with a highest-probability fallback."""
+    """(labels, float64 probabilities). Argmax for single-label tasks; 0.5-threshold
+    per label for the group task with a highest-probability fallback.
+
+    Both come from the scores cast to float64, so each softmax row sums to 1
+    within float64 rounding whatever the parameters' dtype."""
     _check_set(test_set, params, cfg)
-    scores = _chunked_scores(test_set, params, cfg)
+    scores = _chunked_scores(test_set, params, cfg).astype(np.float64)
     if cfg.multilabel:
         probs = _sigmoid(scores)
     else:
@@ -719,7 +742,7 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path, lex: Lexicon | None = None) -> tuple[ModelParams, TkeConfig, Vocab]:
-    """Read a checkpoint written by save_checkpoint.
+    """Read a checkpoint written by save_checkpoint; the float64 blocks come back as float32.
 
     Raises ClassifierError naming ``path`` when the file is not UTF-8
     JSON, its version is not CHECKPOINT_VERSION, a top-level key or a
@@ -727,7 +750,8 @@ def load_checkpoint(path: str | Path, lex: Lexicon | None = None) -> tuple[Model
     or range, a vocab entry is not a (character, id) pair or the ids are
     not exactly 2..|V|-1, or a block's shape disagrees with the config and
     vocabulary, or its data is not base64 text of exactly its shape's
-    float64 bytes, or holds a NaN or an infinity.  With ``lex`` given, a
+    float64 bytes, or holds a NaN, an infinity or a value beyond float32's
+    range.  With ``lex`` given, a
     checkpoint trained with a different lexicon raises LexiconMismatchError.
     """
 
@@ -791,7 +815,8 @@ def load_checkpoint(path: str | Path, lex: Lexicon | None = None) -> tuple[Model
             raise bad(f"parameter block {name} data is not base64 text") from None
         if len(raw) != nbytes:  # padding in the text can shorten it
             raise bad(unfilled)
-        blocks[name] = np.frombuffer(raw, "<f8").reshape(shape)  # ModelParams copies it into its buffer
+        with np.errstate(over="ignore"):  # a value past float32's range becomes inf, refused below
+            blocks[name] = np.frombuffer(raw, "<f8").astype(np.float32).reshape(shape)
         if not np.isfinite(blocks[name]).all():
             raise bad(f"parameter block {name} data must be finite")
     return ModelParams(**blocks), cfg, vocab

@@ -15,10 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import statistics
 import sys
-import threading
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -461,22 +459,7 @@ def cmd_kappa(args) -> int:
     return EXIT_OK
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# Concurrent trains slow each other down and each holds its own model, so
-# pipeline trains at most this many seeds at once: the one count whose
-# wall time and peak memory were measured (pipeline-toxic, 2 CPUs).
-_MAX_SEED_WORKERS = 2
-
-
 def cmd_pipeline(args) -> int:
-    from concurrent.futures import ThreadPoolExecutor  # here, not at the top: only this command pays its import
-
     cfg_base = _assemble_config(args)
     lex = load_lexicon(_lexicon_file(args))
     spec = SplitSpec(train_ratio=args.train_ratio, seed=args.split_seed, stratify=args.stratify)
@@ -495,35 +478,15 @@ def cmd_pipeline(args) -> int:
     write_corpus(outdir / "train.jsonl", train_set)
     write_corpus(outdir / "test.jsonl", test_set)
 
-    stop = threading.Event()  # set by the first worker to fail or be interrupted
-
-    def run_seeds(share: list[int]) -> None:
-        # each seed's model is saved and evaluated by the worker that trained
-        # it, so no finished model waits in memory for the others; after a
-        # failure anywhere, every worker stops once its current seed is done
-        try:
-            for seed in share:
-                if stop.is_set():
-                    return
-                cfg = replace(cfg_base, seed=seed)
-                params, _ = train(encoded, cfg, vocab_size=len(vocab))
-                save_checkpoint(outdir / f"model_seed_{seed}.json", params, cfg, vocab, lex)
-                payload = _evaluate(test_selected, test_encoded, params, cfg)
-                payload["seed"] = seed
-                _write_json(outdir / f"report_seed_{seed}.json", payload)
-        except BaseException:
-            stop.set()
-            raise
-
-    # worker j trains seeds[j::workers]; the main thread is worker 0, so two
-    # seeds cost one helper thread.  Each seed's run is deterministic on its
-    # own, so the files do not depend on the worker count.
-    workers = min(len(args.seeds), _MAX_SEED_WORKERS, _usable_cpus())
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        helpers = [pool.submit(run_seeds, args.seeds[j::workers]) for j in range(1, workers)]
-        run_seeds(args.seeds[0::workers])
-        for helper in helpers:
-            helper.result()  # re-raises a helper's error here
+    # each seed's model is saved and evaluated before the next trains, so no
+    # finished model waits in memory, and a failing seed leaves no later one's files
+    for seed in args.seeds:
+        cfg = replace(cfg_base, seed=seed)
+        params, _ = train(encoded, cfg, vocab_size=len(vocab))
+        save_checkpoint(outdir / f"model_seed_{seed}.json", params, cfg, vocab, lex)
+        payload = _evaluate(test_selected, test_encoded, params, cfg)
+        payload["seed"] = seed
+        _write_json(outdir / f"report_seed_{seed}.json", payload)
 
     # aggregate strictly from the per-seed reports on disk
     reports = [json.loads((outdir / f"report_seed_{seed}.json").read_text(encoding="utf-8")) for seed in args.seeds]

@@ -284,7 +284,7 @@ def test_init_params_draws_the_blocks_in_order_from_one_stream():
     blocks = init_params(9, cfg).blocks()
     assert list(blocks) == list(drawn)
     for name, block in blocks.items():
-        assert block.tobytes() == drawn[name].tobytes(), name
+        assert block.tobytes() == drawn[name].astype(np.float32).tobytes(), name
 
 
 def test_blocks_are_views_into_flat():
@@ -513,13 +513,21 @@ def _rel_err(a, b):
     return float(np.abs(a - b).max() / scale) if scale else float(np.abs(a).max())
 
 
+# float32 rounds each operation to 2**-24 relative; the scores and gradients
+# come from chains of a few dot products over at most pad_len * batch terms
+F32_REL_BOUND = 1e-5
+
+
 @pytest.mark.parametrize("task", [Task.TOXIC, Task.GROUP])
 @pytest.mark.parametrize("lam,enhancement", [(0.0, True), (0.5, True), (1.0, True), (0.5, False)])
 def test_bag_forward_backward_match_padded_reference(task, lam, enhancement):
+    """The float64 bag path matches the padded float64 reference to 1e-12, and
+    the float32 path, on the same parameter values and batches, to F32_REL_BOUND."""
     rng = np.random.default_rng(17)
     cfg = TkeConfig(task=task, d=6, h=5, pad_len=12, lam=lam, enhancement=enhancement, seed=3)
     vocab_size = 7
-    params = init_params(vocab_size, cfg)
+    params32 = init_params(vocab_size, cfg)
+    params = ModelParams(**{name: a.astype(np.float64) for name, a in params32.blocks().items()})
     P = params.blocks()
     ref_lam = lam if enhancement else 0.0
     weights = rng.uniform(0.5, 2.0, size=cfg.n_classes)
@@ -537,19 +545,22 @@ def test_bag_forward_backward_match_padded_reference(task, lam, enhancement):
         ref_scores, ref_cache = padded_tke_forward(
             tok, tox, P["W"], P["C"], P["U"], P["b_h"], P["V"], P["b"], ref_lam, mask
         )
-        scores, _ = _forward_batch(batch, params, cfg, mask)
-        assert _rel_err(scores, ref_scores) <= 1e-12
-
         _, dscores = _batch_loss(ref_scores, batch.labels, weights)
         ref_grads = padded_tke_backward(
             tok, tox, P["W"], P["C"], P["U"], P["V"], ref_lam, ref_cache, dscores, mask
         )
-        flat = _flat_grads(loss_and_grads(batch, params, cfg, weights, mask)[1], params)
-        grads = ModelParams(**{name: np.empty_like(a) for name, a in P.items()})
-        grads.flat[:] = flat
-        assert list(grads.blocks()) == list(ref_grads)
-        for name, ref in ref_grads.items():
-            assert _rel_err(grads.blocks()[name], ref) <= 1e-12, name
+        for run, bound in ((params, 1e-12), (params32, F32_REL_BOUND)):
+            scores, _ = _forward_batch(batch, run, cfg, mask)
+            assert scores.dtype == run.flat.dtype
+            assert _rel_err(scores, ref_scores) <= bound
+
+            flat = _flat_grads(loss_and_grads(batch, run, cfg, weights, mask)[1], run)
+            assert flat.dtype == run.flat.dtype
+            grads = ModelParams(**{name: np.empty_like(a) for name, a in run.blocks().items()})
+            grads.flat[:] = flat
+            assert list(grads.blocks()) == list(ref_grads)
+            for name, ref in ref_grads.items():
+                assert _rel_err(grads.blocks()[name], ref) <= bound, (name, run.flat.dtype)
 
 
 @pytest.mark.parametrize("task", [Task.TOXIC, Task.GROUP])
@@ -670,6 +681,28 @@ def test_adamw_lazy_step_leaves_untouched_rows_alone():
     assert not moment_rows[0][7].any() and not moment_rows[1][7].any()
 
 
+@pytest.mark.parametrize("task", [Task.TOXIC, Task.GROUP])
+def test_float32_step_stays_float32(task):
+    """float64 class weights, dropout mask and multilabel targets are cast, not
+    promoted: every gradient, moment and block of a float32 model stays float32."""
+    rng = np.random.default_rng(41)
+    cfg = TkeConfig(task=task, d=6, h=5, pad_len=12, seed=3)
+    params = init_params(9, cfg)
+    optimizer = _AdamW(params, lr=1e-2, weight_decay=0.01)
+    for _ in range(3):
+        batch = _random_check_batch(rng, cfg, 9, size=6)
+        mask = (rng.random((len(batch), cfg.d)) >= 0.5) / 0.5
+        weights = rng.uniform(0.5, 2.0, size=cfg.n_classes)
+        assert batch.labels.dtype != np.float32 and mask.dtype == weights.dtype == np.float64
+        loss, grads, scores = loss_and_grads(batch, params, cfg, weights, mask)
+        optimizer.step(params, grads)
+        rows, values, W_rows = grads.pop("W")
+        assert math.isfinite(loss) and scores.dtype == values.dtype == W_rows.dtype == np.float32
+        assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+    assert params.flat.dtype == optimizer.m.dtype == optimizer.v.dtype == np.float32
+    assert {a.dtype for a in params.blocks().values()} == {np.dtype(np.float32)}
+
+
 # ---------------------------------------------------------------- training
 
 def _train_corpus(lex, n=40, seed=0):
@@ -766,19 +799,13 @@ def test_train_returns_best_validation_snapshot():
     vocab = Vocab.build(s.text for s in corpus)
     enc = encode_corpus(corpus, vocab, lex, cfg)
     params, history = train(enc, cfg, vocab_size=len(vocab))
-    best = min(h.val_loss for h in history)
+    best = min(range(len(history)), key=lambda e: history[e].val_loss)  # the first epoch at the least loss
+    assert best < len(history) - 1, "the snapshot must not be the last epoch"
 
-    # rebuild the documented validation carve-out and score the snapshot
-    order = np.random.default_rng([cfg.seed, 1]).permutation(len(enc))
-    n_val = max(1, int(len(enc) * cfg.val_fraction))
-    val = enc.take(order[len(enc) - n_val :])
-    weights = class_weights_for(enc.labels, cfg)
-    losses = []
-    for i, label in enumerate(val.labels):
-        scores = _scores(val.take([i]), params, cfg)
-        logz = np.log(np.exp(scores - scores.max()).sum()) + scores.max()
-        losses.append(-weights[label] * (scores[label] - logz))
-    assert math.isclose(float(np.mean(losses)), best, rel_tol=1e-9)
+    # a run stopped at the best epoch ends on it, so it returns that epoch's parameters
+    stopped, stopped_history = train(enc, replace(cfg, epochs=best + 1), vocab_size=len(vocab))
+    assert stopped_history == history[: best + 1]
+    assert stopped.flat.tobytes() == params.flat.tobytes()
 
 
 @pytest.mark.parametrize("n", [5, 7, 9])
@@ -897,6 +924,23 @@ def test_predict_single_label_argmax():
     assert math.isclose(probs[0].sum(), 1.0)
 
 
+@pytest.mark.parametrize("task", [Task.TOXIC, Task.EXPRESSION, Task.GROUP])
+def test_predict_float32_model_gives_float64_probabilities(task):
+    rng = np.random.default_rng(43)
+    cfg = TkeConfig(task=task, d=6, h=5, pad_len=12, batch=8, seed=5)
+    params = init_params(30, cfg)  # float32: its own softmax rows would miss 1 by ~1e-7
+    assert params.flat.dtype == np.float32
+    test_set = _random_check_batch(rng, cfg, 30, size=53)
+    labels, probs = predict(test_set, params, cfg)
+    assert probs.dtype == np.float64
+    scores = _forward_batch(test_set, params, cfg)[0].astype(np.float64)
+    if cfg.multilabel:
+        np.testing.assert_allclose(probs, 1.0 / (1.0 + np.exp(-scores)), rtol=1e-12, atol=0)
+    else:
+        assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
+        np.testing.assert_array_equal(labels, scores.argmax(axis=1))
+
+
 def test_predict_group_threshold_and_fallback():
     cfg = TkeConfig(task=Task.GROUP, d=2, h=2, pad_len=3, seed=1)
 
@@ -977,7 +1021,7 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     for a, b in zip(params.blocks().values(), loaded_params.blocks().values()):
         np.testing.assert_array_equal(a, b)
         assert a.tobytes() == b.tobytes()
-        assert b.dtype == np.float64 and b.flags.writeable and b.flags.c_contiguous
+        assert b.dtype == np.float32 and b.flags.writeable and b.flags.c_contiguous
 
     before = predict(enc, params, cfg)
     after = predict(enc, loaded_params, loaded_cfg)
@@ -1126,12 +1170,13 @@ def test_checkpoint_corrupt_shape_rejected(tmp_path, block):
         (lambda data: _pack([math.nan, *_unpack(data)[1:]]), "data must be finite"),
         (lambda data: _pack([math.inf, *_unpack(data)[1:]]), "data must be finite"),
         (lambda data: _pack([-math.inf, *_unpack(data)[1:]]), "data must be finite"),
+        (lambda data: _pack([1e300, *_unpack(data)[1:]]), "data must be finite"),  # inf as float32
         (lambda data: 0.5, "data must be base64 text"),
         (lambda data: "!" + data[1:], "data is not base64 text"),
         (lambda data: "é" + data[1:], "data is not base64 text"),
         (lambda data: "=" + data[1:], "data is not base64 text"),
     ],
-    ids=["null", "string", "bool", "list", "object", "nan", "inf", "-inf", "number", "non-alphabet", "non-ascii",
+    ids=["null", "string", "bool", "list", "object", "nan", "inf", "-inf", "past-float32", "number", "non-alphabet", "non-ascii",
          "padding"],
 )
 def test_checkpoint_non_number_data_rejected(tmp_path, corrupt, message):

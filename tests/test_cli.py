@@ -2,7 +2,6 @@ import argparse
 import base64
 import json
 import math
-import threading
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -1002,23 +1001,12 @@ def test_pipeline_encodes_each_split_once(tmp_path, capsys, monkeypatch):
 _SMALL_MODEL = ["--task", "toxic", "--d", "8", "--h", "8", "--pad-len", "16", "--epochs", "2"]
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 4])
-def test_threaded_pipeline_models_equal_training_alone(tmp_path, capsys, monkeypatch, cpus):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-    real = cli.train
-    threads = set()
-
-    def train(encoded, cfg, vocab_size):
-        threads.add(threading.get_ident())
-        return real(encoded, cfg, vocab_size)
-
-    monkeypatch.setattr(cli, "train", train)
+def test_pipeline_models_equal_training_alone(tmp_path, capsys):
     infile = tmp_path / "raw.jsonl"
     write_corpus(infile, separable_corpus(120, seed=8))
     outdir = tmp_path / "run"
     argv = ["pipeline", "--in", str(infile), "--outdir", str(outdir), "--seeds", "1,2,3", *_SMALL_MODEL]
     assert main(argv) == EXIT_OK
-    assert len(threads) == min(cpus, 2)  # at most two seeds train at once
     for seed in (1, 2, 3):
         alone = tmp_path / f"alone_{seed}.json"
         argv = ["train", "--in", str(outdir / "train.jsonl"), "--out", str(alone), "--seed", str(seed), *_SMALL_MODEL]
@@ -1027,33 +1015,25 @@ def test_threaded_pipeline_models_equal_training_alone(tmp_path, capsys, monkeyp
     capsys.readouterr()
 
 
-def test_pipeline_reports_a_helper_threads_failure(tmp_path, capsys, monkeypatch):
-    # with two workers the main thread trains seeds 1 and 3 and a helper 2 and 4
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+def test_pipeline_stops_at_a_failing_seed(tmp_path, capsys, monkeypatch):
     infile = tmp_path / "raw.jsonl"
     write_corpus(infile, separable_corpus(60, seed=8))
     real = cli.train
-    seen = {}
-    for failing in (1, 2):
-        failed = threading.Event()
-        called = []
+    called = []
 
-        def train(encoded, cfg, vocab_size):
-            called.append(cfg.seed)
-            if cfg.seed == failing:
-                failed.set()
-                raise ClassifierError("no model for this seed")
-            assert failed.wait(10)  # the other worker's seed is still training when the failure comes
-            return real(encoded, cfg, vocab_size)
+    def train(encoded, cfg, vocab_size):
+        called.append(cfg.seed)
+        if cfg.seed == 2:
+            raise ClassifierError("no model for this seed")
+        return real(encoded, cfg, vocab_size)
 
-        monkeypatch.setattr(cli, "train", train)
-        outdir = tmp_path / f"fail_{failing}"
-        argv = ["pipeline", "--in", str(infile), "--outdir", str(outdir), "--seeds", "1,2,3,4", *_SMALL_MODEL]
-        seen[failing] = main(argv), capsys.readouterr().err
-        assert not (outdir / "aggregate.json").exists()
-        # each worker stops after its current seed: seeds 3 and 4 never start
-        assert failing in called and set(called) <= {1, 2}, called
-    assert seen[2] == seen[1] == (EXIT_DATA, "error: no model for this seed\n")
+    monkeypatch.setattr(cli, "train", train)
+    outdir = tmp_path / "run"
+    argv = ["pipeline", "--in", str(infile), "--outdir", str(outdir), "--seeds", "1,2,3,4", *_SMALL_MODEL]
+    assert (main(argv), capsys.readouterr().err) == (EXIT_DATA, "error: no model for this seed\n")
+    assert called == [1, 2]  # seeds 3 and 4 never start
+    written = sorted(p.name for p in outdir.iterdir())
+    assert written == ["model_seed_1.json", "report_seed_1.json", "stats.json", "test.jsonl", "train.jsonl"]
 
 
 def test_pipeline_bad_seeds_is_a_usage_error(tmp_path, capsys):
