@@ -1001,13 +1001,15 @@ def test_pipeline_encodes_each_split_once(tmp_path, capsys, monkeypatch):
 _SMALL_MODEL = ["--task", "toxic", "--d", "8", "--h", "8", "--pad-len", "16", "--epochs", "2"]
 
 
-def test_pipeline_models_equal_training_alone(tmp_path, capsys):
+@pytest.mark.parametrize("n_seeds", [1, 2, 4])
+def test_pipeline_models_equal_training_alone(tmp_path, capsys, n_seeds):
     infile = tmp_path / "raw.jsonl"
     write_corpus(infile, separable_corpus(120, seed=8))
     outdir = tmp_path / "run"
-    argv = ["pipeline", "--in", str(infile), "--outdir", str(outdir), "--seeds", "1,2,3", *_SMALL_MODEL]
+    seeds = range(1, n_seeds + 1)
+    argv = ["pipeline", "--in", str(infile), "--outdir", str(outdir), "--seeds", ",".join(map(str, seeds)), *_SMALL_MODEL]
     assert main(argv) == EXIT_OK
-    for seed in (1, 2, 3):
+    for seed in seeds:
         alone = tmp_path / f"alone_{seed}.json"
         argv = ["train", "--in", str(outdir / "train.jsonl"), "--out", str(alone), "--seed", str(seed), *_SMALL_MODEL]
         assert main(argv) == EXIT_OK
