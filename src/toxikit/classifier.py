@@ -698,7 +698,7 @@ def predict(
     return _predict_from_scores(scores, cfg), probs
 
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class LexiconMismatchError(ClassifierError):
@@ -718,22 +718,18 @@ def lexicon_sha256(lex: Lexicon) -> str:
 def save_checkpoint(
     path: str | Path, params: ModelParams, cfg: TkeConfig, vocab: Vocab, lex: Lexicon
 ) -> None:
-    """JSON container: config echo, vocab, the training lexicon's
-    ``lexicon_sha256``, and every parameter block as its shape and the
-    base64 text of its little-endian float64 bytes (bitwise round trip).
+    """JSON container: config echo, the vocabulary as one string of its
+    characters in id order (the first has id 2), the training lexicon's
+    ``lexicon_sha256``, and ``params`` as the base64 text of ``params.flat``
+    in little-endian float32 bytes (bitwise round trip).  Block shapes are
+    not stored: the config and the vocabulary size give them.
     """
     payload = {
         "version": CHECKPOINT_VERSION,
         "config": {f.name: getattr(cfg, f.name) for f in fields(TkeConfig)} | {"task": cfg.task.value},
-        "vocab": sorted(vocab.token_to_id.items(), key=lambda kv: kv[1]),
+        "vocab": "".join(sorted(vocab.token_to_id, key=vocab.token_to_id.get)),
         "lexicon_sha256": lexicon_sha256(lex),
-        "params": {
-            name: {
-                "shape": list(arr.shape),
-                "data": base64.b64encode(arr.astype("<f8", copy=False).tobytes()).decode("ascii"),
-            }
-            for name, arr in params.blocks().items()
-        },
+        "params": base64.b64encode(params.flat.astype("<f4", copy=False).tobytes()).decode("ascii"),
     }
     # streamed: the whole text at once would be a 2-byte-per-character string
     # (the vocabulary is CJK) twice the size of the file, plus its encoding
@@ -742,17 +738,16 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path, lex: Lexicon | None = None) -> tuple[ModelParams, TkeConfig, Vocab]:
-    """Read a checkpoint written by save_checkpoint; the float64 blocks come back as float32.
+    """Read a version-3 checkpoint written by save_checkpoint.
 
     Raises ClassifierError naming ``path`` when the file is not UTF-8
-    JSON, its version is not CHECKPOINT_VERSION, a top-level key or a
-    parameter block is missing or extra, a config value has the wrong type
-    or range, a vocab entry is not a (character, id) pair or the ids are
-    not exactly 2..|V|-1, or a block's shape disagrees with the config and
-    vocabulary, or its data is not base64 text of exactly its shape's
-    float64 bytes, or holds a NaN, an infinity or a value beyond float32's
-    range.  With ``lex`` given, a
-    checkpoint trained with a different lexicon raises LexiconMismatchError.
+    JSON, its version is not CHECKPOINT_VERSION (a v1 or v2 file must be
+    retrained), a top-level key is missing, a config value has the wrong
+    type or range, the vocab is not a non-empty string of distinct
+    characters, or ``params`` is not base64 text of exactly the float32
+    bytes of the blocks that the config and vocabulary size give, or holds
+    a NaN or an infinity.  With ``lex`` given, a checkpoint trained with a
+    different lexicon raises LexiconMismatchError.
     """
 
     def bad(message: str) -> ClassifierError:
@@ -783,40 +778,26 @@ def load_checkpoint(path: str | Path, lex: Lexicon | None = None) -> tuple[Model
         cfg = TkeConfig(**raw_cfg | {"task": Task(raw_cfg["task"])})
     except (TypeError, ValueError) as exc:
         raise bad(f"bad config: {exc}") from None
-    entries = payload["vocab"]
-    if not isinstance(entries, list) or not all(
-        isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and len(e[0]) == 1 and type(e[1]) is int
-        for e in entries
-    ):
-        raise bad("vocab entries must be [single-character string, integer id] pairs")
-    vocab = Vocab(token_to_id=dict(entries))
-    if len(vocab.token_to_id) != len(entries) or sorted(vocab.token_to_id.values()) != list(range(2, len(vocab))):
-        raise bad(f"vocab must map distinct characters to the ids 2..{len(entries) + 1}, each once")
+    chars = payload["vocab"]
+    if not isinstance(chars, str) or not chars or len(set(chars)) != len(chars):
+        raise bad("vocab must be a non-empty string of distinct characters")
+    vocab = Vocab(token_to_id={ch: i for i, ch in enumerate(chars, start=2)})
     shapes = _block_shapes(len(vocab), cfg)
-    raw_params = payload["params"]
-    if not isinstance(raw_params, dict) or raw_params.keys() != shapes.keys():
-        raise bad(f"parameter blocks must be exactly {' '.join(shapes)}")
-    blocks = {}
-    for name, shape in shapes.items():
-        entry = raw_params[name]
-        if not isinstance(entry, dict) or entry.keys() != {"shape", "data"}:
-            raise bad(f"parameter block {name} needs exactly the keys shape and data")
-        if entry["shape"] != shape:
-            raise bad(f"parameter block {name} has shape {entry['shape']}, expected {shape}")
-        data, nbytes = entry["data"], 8 * math.prod(shape)
-        if not isinstance(data, str):
-            raise bad(f"parameter block {name} data must be base64 text")
-        unfilled = f"parameter block {name} data does not hold the {nbytes} bytes of its shape {shape}"
-        if len(data) != 4 * -(-nbytes // 3):  # refused before decoding allocates anything
-            raise bad(unfilled)
-        try:
-            raw = base64.b64decode(data, validate=True)
-        except ValueError:  # a non-ASCII or non-alphabet character, or bad padding
-            raise bad(f"parameter block {name} data is not base64 text") from None
-        if len(raw) != nbytes:  # padding in the text can shorten it
-            raise bad(unfilled)
-        with np.errstate(over="ignore"):  # a value past float32's range becomes inf, refused below
-            blocks[name] = np.frombuffer(raw, "<f8").astype(np.float32).reshape(shape)
-        if not np.isfinite(blocks[name]).all():
-            raise bad(f"parameter block {name} data must be finite")
-    return ModelParams(**blocks), cfg, vocab
+    data, nbytes = payload["params"], 4 * sum(math.prod(shape) for shape in shapes.values())
+    if not isinstance(data, str):
+        raise bad("params must be base64 text")
+    unfilled = f"params does not hold the {nbytes} bytes of the blocks {shapes}"
+    if len(data) != 4 * -(-nbytes // 3):  # refused before decoding allocates anything
+        raise bad(unfilled)
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError:  # a non-ASCII or non-alphabet character, or bad padding
+        raise bad("params is not base64 text") from None
+    if len(raw) != nbytes:  # padding in the text can shorten it
+        raise bad(unfilled)
+    values = np.frombuffer(raw, "<f4")
+    if not np.isfinite(values).all():
+        raise bad("params must be finite")
+    params = ModelParams(**{name: np.empty(shape, dtype=np.float32) for name, shape in shapes.items()})
+    params.flat[:] = values
+    return params, cfg, vocab

@@ -132,6 +132,8 @@ def _flag_value(dest: str, text: str | list | None):
     """The value of the flag stored at ``dest`` given as ``text``, or a ValueError saying what is wrong."""
     if text == []:  # argparse takes the -- of --flag=-- for the end of the options and stores []
         raise ValueError("expected a value, got '--'")
+    if text == "":  # given, not defaulted (no value flag defaults to ''): never read as "not given"
+        raise ValueError("expected a value, got ''")
     if dest in _CONFIG_FIELDS and text is not None:
         return _config_value(dest, text)
     if dest not in _NUMBER_FLAGS:
@@ -601,8 +603,8 @@ def read_command_line(argv=None) -> argparse.Namespace:
             setattr(args, action.dest, _flag_value(action.dest, getattr(args, action.dest)))
         except ValueError as exc:
             command.error(f"argument {'/'.join(action.option_strings)}: {exc}")
-    if args.command == "derive" and args.rule == DerivationRule.HOMOPHONIC.value and not args.pool:
-        command.error("argument --pool: --rule homophonic needs a non-empty --pool")
+    if args.command == "derive" and args.rule == DerivationRule.HOMOPHONIC.value and args.pool is None:
+        command.error("argument --pool: --rule homophonic needs --pool")
     return args
 
 

@@ -997,12 +997,12 @@ def test_lambda_zero_equals_ablated_build():
 # ---------------------------------------------------------------- checkpoints
 
 def _pack(values) -> str:
-    """A v2 checkpoint block's data: base64 of little-endian float64 bytes."""
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+    """A v3 checkpoint's params: base64 of little-endian float32 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f4").tobytes()).decode("ascii")
 
 
 def _unpack(data: str) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(data), "<f8")
+    return np.frombuffer(base64.b64decode(data), "<f4")
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
@@ -1029,13 +1029,11 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert load_checkpoint(path, lex)[1] == cfg
 
 
-def test_checkpoint_blocks_are_base64_float64(tmp_path):
+def test_checkpoint_params_are_base64_float32(tmp_path):
     path, blob = _saved_checkpoint(tmp_path)
-    params, _, _ = load_checkpoint(path)
-    for name, arr in params.blocks().items():
-        entry = blob["params"][name]
-        assert entry["shape"] == list(arr.shape)
-        assert entry["data"] == _pack(arr.reshape(-1))
+    params, _, vocab = load_checkpoint(path)
+    assert blob["params"] == _pack(params.flat)
+    assert blob["vocab"] == "字很文老黑" and vocab.token_to_id == {"字": 2, "很": 3, "文": 4, "老": 5, "黑": 6}
 
 
 def test_checkpoint_config_roundtrip_every_field(tmp_path):
@@ -1060,7 +1058,7 @@ def test_checkpoint_version_checked(tmp_path):
     path = tmp_path / "model.json"
     save_checkpoint(path, params, cfg, vocab, lex)
     blob = json.loads(path.read_text(encoding="utf-8"))
-    for version in (99, 1):  # a v1 file holds its blocks as number lists; it is refused, not read
+    for version in (99, 1, 2):  # v1 holds number lists, v2 float64 blocks; both are refused, not read
         blob["version"] = version
         path.write_text(json.dumps(blob), encoding="utf-8")
         with pytest.raises(ClassifierError, match=f"unsupported checkpoint version {version}; retrain"):
@@ -1096,22 +1094,33 @@ def _rejected(path, blob, message=""):
         load_checkpoint(path)
 
 
+def _params_without(path, blob, block, cut=None) -> str:
+    """The saved params with the last ``cut`` bytes of block ``block`` taken out, or all of its bytes."""
+    blocks = load_checkpoint(path)[0].blocks()
+    end = 4 * sum(a.size for a in list(blocks.values())[: list(blocks).index(block) + 1])
+    raw = base64.b64decode(blob["params"])
+    return base64.b64encode(raw[: end - (cut or 4 * blocks[block].size)] + raw[end:]).decode("ascii")
+
+
 @pytest.mark.parametrize(
     "key", ["version", "config", "vocab", "lexicon_sha256", "params", "W", "C", "U", "b_h", "V", "b"]
 )
 def test_checkpoint_missing_key_rejected(tmp_path, key):
     path, blob = _saved_checkpoint(tmp_path)
-    del (blob if key in blob else blob["params"])[key]
+    if key in blob:
+        del blob[key]
+    else:  # a block has no key: missing, its bytes are absent from params
+        blob["params"] = _params_without(path, blob, key)
     _rejected(path, blob)
 
 
 def test_checkpoint_extra_block_rejected(tmp_path):
     path, blob = _saved_checkpoint(tmp_path)
-    blob["params"]["Z"] = {"shape": [1], "data": _pack([0.0])}
-    _rejected(path, blob)
+    blob["params"] = _pack([*_unpack(blob["params"]), 0.0])  # a seventh block, of one value
+    _rejected(path, blob, "params does not hold the 280 bytes")
 
 
-@pytest.mark.parametrize("section,key,value", [("config", "d", "x"), ("config", "task", "bogus"), ("vocab", 0, ["文"])])
+@pytest.mark.parametrize("section,key,value", [("config", "d", "x"), ("config", "task", "bogus")])
 def test_checkpoint_bad_config_or_vocab_rejected(tmp_path, section, key, value):
     path, blob = _saved_checkpoint(tmp_path)
     blob[section][key] = value
@@ -1125,64 +1134,65 @@ def test_checkpoint_bad_lexicon_digest_rejected(tmp_path, value):
     _rejected(path, blob, "lexicon_sha256 must be 64 lowercase hex digits")
 
 
+_NOT_A_VOCAB = "vocab must be a non-empty string of distinct characters"
+
+
 @pytest.mark.parametrize(
-    "entry",
-    [["甲", 2], ["甲", 10**6], ["甲", 1], ["甲", "3"], ["甲", True], ["甲乙", 3], [7, 3], ["甲", 3, 0]],
-    ids=["repeated-id", "id-past-table", "reserved-id", "string-id", "bool-id", "two-chars", "non-str", "triple"],
+    "vocab,message",
+    [
+        (list("字很文老黑"), _NOT_A_VOCAB),
+        ([["字", 2], ["很", 3]], _NOT_A_VOCAB),  # the v2 form
+        (7, _NOT_A_VOCAB),
+        (None, _NOT_A_VOCAB),
+        ("", _NOT_A_VOCAB),
+        ("字很文老黑甲", "params does not hold the 292 bytes of the blocks {'W': [8, 3]"),
+    ],
+    ids=["non-str", "pairs", "number", "null", "empty", "id-past-table"],
 )
-def test_checkpoint_bad_vocab_entry_rejected(tmp_path, entry):
-    # the saved vocab is 字 2, 很 3, 文 4, 老 5, 黑 6; 甲 is a fresh character
+def test_checkpoint_bad_vocab_entry_rejected(tmp_path, vocab, message):
+    # the saved vocab is 字很文老黑, ids 2 to 6; 甲, a sixth character, has no row in W
     path, blob = _saved_checkpoint(tmp_path)
-    blob["vocab"][1] = entry
-    _rejected(path, blob)
+    blob["vocab"] = vocab
+    _rejected(path, blob, message)
 
 
 def test_checkpoint_repeated_token_rejected(tmp_path):
     path, blob = _saved_checkpoint(tmp_path)
-    blob["vocab"][1][0] = blob["vocab"][0][0]
-    _rejected(path, blob)
+    blob["vocab"] = blob["vocab"][0] * 2 + blob["vocab"][2:]  # 字字文老黑: as long as before, one character twice
+    _rejected(path, blob, _NOT_A_VOCAB)
 
 
 @pytest.mark.parametrize("block", ["W", "C", "U", "b_h", "V", "b"])
 def test_checkpoint_corrupt_shape_rejected(tmp_path, block):
-    for cut in (8, 1):  # one float short, one byte short: data no longer fills its shape
+    for cut in (4, 1):  # one float short, one byte short, inside the block: params no longer fill the shapes
         path, blob = _saved_checkpoint(tmp_path)
-        entry = blob["params"][block]
-        raw = base64.b64decode(entry["data"])
-        entry["data"] = base64.b64encode(raw[:-cut]).decode("ascii")
-        _rejected(path, blob, f"parameter block {block} data does not hold the {len(raw)} bytes")
-
-    path, blob = _saved_checkpoint(tmp_path)
-    entry = blob["params"][block]
-    entry["shape"][0] += 1  # self-consistent, but disagrees with config/vocab
-    entry["data"] = _pack(np.zeros(math.prod(entry["shape"])))
-    _rejected(path, blob, f"parameter block {block} has shape")
+        blob["params"] = _params_without(path, blob, block, cut)
+        _rejected(path, blob, "params does not hold the 280 bytes of the blocks")
 
 
 @pytest.mark.parametrize(
     "corrupt,message",
     [
-        (lambda data: None, "data must be base64 text"),
-        (lambda data: "0.5", "data does not hold"),
-        (lambda data: True, "data must be base64 text"),
-        (lambda data: _unpack(data).tolist(), "data must be base64 text"),  # the v1 form
-        (lambda data: {}, "data must be base64 text"),
-        (lambda data: _pack([math.nan, *_unpack(data)[1:]]), "data must be finite"),
-        (lambda data: _pack([math.inf, *_unpack(data)[1:]]), "data must be finite"),
-        (lambda data: _pack([-math.inf, *_unpack(data)[1:]]), "data must be finite"),
-        (lambda data: _pack([1e300, *_unpack(data)[1:]]), "data must be finite"),  # inf as float32
-        (lambda data: 0.5, "data must be base64 text"),
-        (lambda data: "!" + data[1:], "data is not base64 text"),
-        (lambda data: "é" + data[1:], "data is not base64 text"),
-        (lambda data: "=" + data[1:], "data is not base64 text"),
+        (lambda data: None, "must be base64 text"),
+        (lambda data: "0.5", "does not hold"),
+        (lambda data: True, "must be base64 text"),
+        (lambda data: _unpack(data).tolist(), "must be base64 text"),  # the v1 form
+        (lambda data: {}, "must be base64 text"),  # the v2 form is an object of blocks
+        (lambda data: _pack([math.nan, *_unpack(data)[1:]]), "must be finite"),
+        (lambda data: _pack([math.inf, *_unpack(data)[1:]]), "must be finite"),
+        (lambda data: _pack([-math.inf, *_unpack(data)[1:]]), "must be finite"),
+        (lambda data: 0.5, "must be base64 text"),
+        (lambda data: "!" + data[1:], "is not base64 text"),
+        (lambda data: "é" + data[1:], "is not base64 text"),
+        (lambda data: "=" + data[1:], "is not base64 text"),
     ],
-    ids=["null", "string", "bool", "list", "object", "nan", "inf", "-inf", "past-float32", "number", "non-alphabet", "non-ascii",
+    ids=["null", "string", "bool", "list", "object", "nan", "inf", "-inf", "number", "non-alphabet", "non-ascii",
          "padding"],
 )
 def test_checkpoint_non_number_data_rejected(tmp_path, corrupt, message):
     path, blob = _saved_checkpoint(tmp_path)
-    blob["params"]["W"]["data"] = corrupt(blob["params"]["W"]["data"])
-    _rejected(path, blob, f"parameter block W {message}")
+    blob["params"] = corrupt(blob["params"])
+    _rejected(path, blob, f"params {message}")
 
 
 # ---------------------------------------------------------------- config

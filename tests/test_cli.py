@@ -356,18 +356,20 @@ def test_every_reader_exits_0_or_2_on_arbitrary_bytes(tmp_path, corpus_file, kin
 
 
 def _pack(values) -> str:
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+    return base64.b64encode(np.asarray(values, dtype="<f4").tobytes()).decode("ascii")
+
+
+def _unpack(data: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(data), "<f4")
 
 
 def _checkpoint_paths(blob) -> dict[str, list[tuple]]:
     """The places in a saved checkpoint that the structure-aware fuzz may overwrite, by kind."""
-    blocks = blob["params"]
     return {
         "top": [("version",), ("lexicon_sha256",), ("config",), ("vocab",), ("params",)],
         "config": [("config", key) for key in blob["config"]],
-        "vocab": [("vocab", i, *j) for i in range(len(blob["vocab"])) for j in ((), (0,), (1,))],
-        "shape": [("params", name, *tail) for name in blocks for tail in (("shape",), ("shape", 0), ())],
-        "data": [("params", name, "data") for name in blocks],
+        "vocab": [("vocab",)],
+        "params": [("params",)],
     }
 
 
@@ -396,10 +398,13 @@ def test_checkpoint_fuzz_reaches_every_check(tmp_path, corpus_file, draw):
     for step in parents:
         target = target[step]
     value = _JSON | st.integers(-1, 8) | _B64_TEXT | _B64_BYTES
-    if kind == "data":  # text of the block's own length reaches the decoder; floats of its size, the finite check
+    if kind == "vocab":  # its own characters, one of them maybe twice or one more: the distinct check, the byte count
+        chars = target[last]
+        value |= st.text(st.sampled_from(chars + "甲"), min_size=len(chars) - 1, max_size=len(chars) + 1)
+    if kind == "params":  # text of the blob's own length reaches the decoder; floats of its size, the finite check
         size = len(target[last])
-        n = len(np.frombuffer(base64.b64decode(target[last]), "<f8"))
-        floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf])
+        n = len(_unpack(target[last]))
+        floats = st.floats(width=32) | st.sampled_from([math.nan, math.inf, -math.inf])
         value |= st.text(_B64_TEXT_ALPHABET, min_size=size, max_size=size)
         value |= st.lists(floats, min_size=n - 1, max_size=n + 1).map(_pack)
     target[last] = draw.draw(value, label="value")
@@ -617,18 +622,17 @@ def test_eval_rejects_malformed_checkpoint(tmp_path, capsys):
     model, train_file = _trained_model(tmp_path)
     saved = model.read_text(encoding="utf-8")
     blob = json.loads(saved)
-    del blob["params"]["V"]
+    values = _unpack(blob["params"]).copy()
+    blob["params"] = _pack(values[:-1])
     model.write_text(json.dumps(blob), encoding="utf-8")
     capsys.readouterr()
     assert main(["eval", "--model", str(model), "--test", str(train_file)]) == EXIT_DATA
-    assert f"error: {model}: parameter blocks must be exactly W C U b_h V b" in capsys.readouterr().err
-    blob = json.loads(saved)
-    values = np.frombuffer(base64.b64decode(blob["params"]["V"]["data"]), "<f8").copy()
-    values[0] = np.nan
-    blob["params"]["V"]["data"] = _pack(values)
+    assert f"error: {model}: params does not hold the {values.nbytes} bytes of the blocks" in capsys.readouterr().err
+    values[-1] = np.nan  # in b, the last block
+    blob["params"] = _pack(values)
     model.write_text(json.dumps(blob), encoding="utf-8")
     assert main(["eval", "--model", str(model), "--test", str(train_file)]) == EXIT_DATA
-    assert f"error: {model}: parameter block V data must be finite" in capsys.readouterr().err
+    assert f"error: {model}: params must be finite" in capsys.readouterr().err
     for text in (saved[: len(saved) // 2], '{"version": ' + "9" * 5000 + "}"):  # truncated; too long an integer
         model.write_text(text, encoding="utf-8")
         assert main(["eval", "--model", str(model), "--test", str(train_file)]) == EXIT_DATA
@@ -690,12 +694,15 @@ def test_eval_checks_the_training_lexicon(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("corrupt", ["repeated id", "id past the table"])
 def test_eval_rejects_bad_vocab_ids(tmp_path, capsys, corrupt):
     model, train_file = _trained_model(tmp_path)
+    # a character's id is its place in the vocab string: a repeated one has two ids, an appended one a row past W's
     blob = json.loads(model.read_text(encoding="utf-8"))
-    blob["vocab"][1][1] = blob["vocab"][0][1] if corrupt == "repeated id" else 10**6
+    chars = blob["vocab"]
+    blob["vocab"] = chars[0] + chars if corrupt == "repeated id" else chars + "\U0010ffff"
     model.write_text(json.dumps(blob), encoding="utf-8")
     capsys.readouterr()
     assert main(["eval", "--model", str(model), "--test", str(train_file)]) == EXIT_DATA
-    assert f"error: {model}: vocab must map distinct characters to the ids" in capsys.readouterr().err
+    expected = "vocab must be a non-empty string" if corrupt == "repeated id" else "params does not hold"
+    assert f"error: {model}: {expected}" in capsys.readouterr().err
 
 
 def test_train_config_file_with_cli_override(tmp_path, capsys):
@@ -866,6 +873,16 @@ def test_a_flag_given_as_equals_dashes_is_refused_naming_it(tmp_path, capsys, co
     write_corpus(tmp_path / "inputs" / "c.jsonl", labeled_corpus(20, seed=2))
     assert main(_argv_for(command, flag, tmp_path) + [f"{flag}=--"]) == EXIT_USAGE
     assert f"error: argument {flag}: expected a value, got '--'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,flag", _VALUE_FLAGS, ids=[f"{c}{f}" for c, f in _VALUE_FLAGS])
+def test_an_empty_flag_value_is_refused_naming_it(tmp_path, capsys, command, flag):
+    (action,) = (a for a in _COMMANDS[command]._actions if a.option_strings[:1] == [flag])
+    why = "invalid choice: ''" if action.choices else "expected a value, got ''"  # argparse checks a choice itself
+    for given in ([f"{flag}="], [flag, ""]):
+        assert main(_argv_for(command, flag, tmp_path) + given) == EXIT_USAGE
+        assert f"error: argument {flag}: {why}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
