@@ -56,18 +56,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Expression, TargetGroup, ToxiSample
-from .lexicon import Lexicon, token_category
+from .lexicon import Category, Lexicon, token_category
 
-NUM_CATEGORIES = 5  # four targeted-group categories + general swearwords
+NUM_CATEGORIES = len(Category)  # four targeted-group categories + general swearwords
 UNK_ID = 1  # id 0 is reserved and never emitted
+FD_STEP = 1e-5  # central-difference step of finite_diff_grads
 
-GROUP_ORDER = (
-    TargetGroup.SEXISM,
-    TargetGroup.RACISM,
-    TargetGroup.REGIONAL_BIAS,
-    TargetGroup.ANTI_LGBTQ,
-)
-EXPRESSION_ORDER = (Expression.EXPLICIT, Expression.IMPLICIT, Expression.REPORTING)
+GROUP_ORDER = tuple(TargetGroup)
+EXPRESSION_ORDER = tuple(Expression)
 
 
 class ClassifierError(ValueError):
@@ -458,7 +454,6 @@ def finite_diff_grads(
     params: ModelParams,
     cfg: TkeConfig,
     class_weights: np.ndarray,
-    step: float = 1e-5,
 ) -> np.ndarray:
     """Central-difference gradients of a checked batch, laid out like ``params.flat``; the oracle for loss_and_grads."""
 
@@ -470,12 +465,12 @@ def finite_diff_grads(
     numeric = np.zeros_like(flat)
     for idx in range(flat.size):
         orig = flat[idx]
-        flat[idx] = orig + step
+        flat[idx] = orig + FD_STEP
         up = batch_loss()
-        flat[idx] = orig - step
+        flat[idx] = orig - FD_STEP
         down = batch_loss()
         flat[idx] = orig
-        numeric[idx] = (up - down) / (2.0 * step)
+        numeric[idx] = (up - down) / (2.0 * FD_STEP)
     return numeric
 
 
@@ -484,7 +479,6 @@ def grad_check(
     batch: EncodedSet,
     cfg: TkeConfig,
     class_weights: np.ndarray | None = None,
-    step: float = 1e-5,
     corrupt: bool = False,
 ) -> float:
     """Max relative error between analytic and finite-difference gradients,
@@ -503,7 +497,7 @@ def grad_check(
     _check_set(batch, params, cfg)
     params = ModelParams(**{name: block.astype(np.float64) for name, block in params.blocks().items()})
     analytic = _flat_grads(loss_and_grads(batch, params, cfg, class_weights)[1], params)
-    numeric = finite_diff_grads(batch, params, cfg, class_weights, step=step)
+    numeric = finite_diff_grads(batch, params, cfg, class_weights)
     if corrupt:
         idx = int(np.abs(analytic).argmax())
         analytic[idx] = -analytic[idx]
@@ -550,26 +544,14 @@ class _AdamW:
 
     def _update(self, m, v, p, g) -> None:
         g = g.astype(p.dtype, copy=False)
-        s1, s2 = np.empty_like(g), np.empty_like(g)
-        # m = β1·m + (1-β1)·g ;  v = β2·v + (1-β2)·g·g
-        np.multiply(m, self.beta1, out=m)
-        np.multiply(g, 1 - self.beta1, out=s1)
-        np.add(m, s1, out=m)
-        np.multiply(v, self.beta2, out=v)
-        np.multiply(g, 1 - self.beta2, out=s1)
-        np.multiply(s1, g, out=s1)
-        np.add(v, s1, out=v)
-        # p -= lr·(m̂ / (√v̂ + ε) + wd·p)
-        np.divide(m, 1 - self.beta1 ** self.t, out=s1)
-        np.divide(v, 1 - self.beta2 ** self.t, out=s2)
-        np.sqrt(s2, out=s2)
-        np.add(s2, self.eps, out=s2)
-        np.divide(s1, s2, out=s1)
+        m *= self.beta1
+        m += g * (1 - self.beta1)
+        v *= self.beta2
+        v += g * (1 - self.beta2) * g
+        step = m / (1 - self.beta1 ** self.t) / (np.sqrt(v / (1 - self.beta2 ** self.t)) + self.eps)
         if self.wd != 0.0:
-            np.multiply(p, self.wd, out=s2)
-            np.add(s1, s2, out=s1)
-        np.multiply(s1, self.lr, out=s1)
-        np.subtract(p, s1, out=p)
+            step += p * self.wd
+        p -= step * self.lr
 
 
 @dataclass(frozen=True)

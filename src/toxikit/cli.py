@@ -24,6 +24,7 @@ import numpy as np
 
 from . import resources
 from .classifier import (
+    NUM_CATEGORIES,
     EncodedSet,
     LexiconMismatchError,
     Task,
@@ -404,7 +405,7 @@ def _random_check_batch(rng, cfg: TkeConfig, vocab_size: int, size: int) -> Enco
     for _ in range(size):
         n_real = int(rng.integers(1, cfg.pad_len + 1))
         tok.append(rng.integers(1, vocab_size, size=n_real))
-        tox.append(rng.integers(0, 6, size=n_real))
+        tox.append(rng.integers(0, NUM_CATEGORIES + 1, size=n_real))
         if cfg.multilabel:
             label = (rng.random(cfg.n_classes) < 0.5).astype(np.float64)
             if label.sum() == 0:

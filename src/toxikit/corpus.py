@@ -241,10 +241,12 @@ def sample_to_record(sample: ToxiSample) -> dict:
 
 
 def _decode(raw: bytes, path, lineno: int) -> str:
+    """Line ``lineno`` of ``path`` as text; line 1 loses one leading byte-order mark."""
     try:
-        return raw.decode("utf-8")
+        line = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CorpusError(f"{path}:{lineno}: not UTF-8: {exc.reason} at byte {exc.start}") from None
+    return line.removeprefix("\ufeff") if lineno == 1 else line
 
 
 def read_lines(path: str | Path) -> Iterator[tuple[str, str]]:

@@ -121,9 +121,6 @@ class Lexicon:
     def __contains__(self, term: str) -> bool:
         return term in self._by_term
 
-    def get(self, term: str) -> InsultEntry | None:
-        return self._by_term.get(term)
-
     def extended(self, new_entries: Iterable[InsultEntry]) -> "Lexicon":
         """A new Lexicon with the extra entries appended (self unchanged)."""
         return Lexicon(self.entries + tuple(new_entries))

@@ -73,17 +73,6 @@ class RatingMatrix:
         return sum(self.counts[0])
 
 
-def _binary_prf(tp: int, fp: int, fn: int) -> tuple[float, float, int]:
-    zero_hit = 0
-    if tp + fp == 0:
-        precision = 0.0
-        zero_hit = 1
-    else:
-        precision = tp / (tp + fp)
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    return precision, recall, zero_hit
-
-
 def weighted_prf(
     preds: Sequence, golds: Sequence, n_classes: int, mode: str = "single"
 ) -> PRF:
@@ -112,32 +101,25 @@ def weighted_prf(
     g = np.asarray(golds, dtype=np.float64).reshape(len(golds), -1)
     if p.shape[1] != n_classes or g.shape[1] != n_classes:
         raise MetricsError(f"multilabel rows must have width {n_classes}")
-    per_class: list[tuple[float, float, float]] = []
-    supports: list[int] = []
-    zero_hits = 0
-    for c in range(n_classes):
-        tp = int(((p[:, c] == 1) & (g[:, c] == 1)).sum())
-        fp = int(((p[:, c] == 1) & (g[:, c] == 0)).sum())
-        fn = int(((p[:, c] == 0) & (g[:, c] == 1)).sum())
-        precision, recall, hit = _binary_prf(tp, fp, fn)
-        zero_hits += hit
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        per_class.append((precision, recall, f1))
-        supports.append(tp + fn)
-
-    total = sum(supports)
+    tp = ((p == 1) & (g == 1)).sum(axis=0)
+    fp = ((p == 1) & (g == 0)).sum(axis=0)
+    fn = ((p == 0) & (g == 1)).sum(axis=0)
+    support, predicted = tp + fn, tp + fp
+    total = int(support.sum())
     if total == 0:
         raise MetricsError("no gold support in any class")
-    avg = [
-        100.0 * sum(metric[i] * s for metric, s in zip(per_class, supports)) / total
-        for i in range(3)
-    ]
+    precision = np.divide(tp, predicted, out=np.zeros(n_classes), where=predicted > 0)
+    recall = np.divide(tp, support, out=np.zeros(n_classes), where=support > 0)
+    both = precision + recall
+    f1 = np.divide(2 * precision * recall, both, out=np.zeros(n_classes), where=both > 0)
+    # Python's sum adds the classes left to right; NumPy's is pairwise from 8 terms on
+    avg = [100.0 * sum((metric * support).tolist()) / total for metric in (precision, recall, f1)]
     return PRF(
         precision=avg[0],
         recall=avg[1],
         f1=avg[2],
-        support=tuple(supports),
-        zero_division_hits=zero_hits,
+        support=tuple(support.tolist()),
+        zero_division_hits=int((predicted == 0).sum()),
     )
 
 

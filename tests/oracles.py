@@ -161,14 +161,21 @@ def fleiss_kappa_exact(counts: Sequence[Sequence[int]]) -> Fraction | None:
     return (p_bar - pe) / (1 - pe)
 
 
-def prf_by_hand(preds: Sequence[int], golds: Sequence[int], n_classes: int) -> tuple[float, float, float]:
-    """Support-weighted P/R/F1 (percent) tallied class by class."""
+def prf_by_hand(preds: Sequence, golds: Sequence, n_classes: int) -> tuple[float, float, float]:
+    """Support-weighted P/R/F1 (percent) tallied class by class.
+
+    A label is a class index, or a row of 0/1 flags (multilabel), one per class.
+    """
+
+    def has(label, cls: int) -> bool:
+        return label == cls if isinstance(label, int) else label[cls] == 1
+
     weighted_p = weighted_r = weighted_f = 0.0
     total_support = 0
     for cls in range(n_classes):
-        tp = sum(1 for p, g in zip(preds, golds) if p == cls and g == cls)
-        fp = sum(1 for p, g in zip(preds, golds) if p == cls and g != cls)
-        fn = sum(1 for p, g in zip(preds, golds) if p != cls and g == cls)
+        tp = sum(1 for p, g in zip(preds, golds) if has(p, cls) and has(g, cls))
+        fp = sum(1 for p, g in zip(preds, golds) if has(p, cls) and not has(g, cls))
+        fn = sum(1 for p, g in zip(preds, golds) if not has(p, cls) and has(g, cls))
         support = tp + fn
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0

@@ -24,10 +24,21 @@ from toxikit.classifier import (
     save_checkpoint,
 )
 from toxikit.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from toxikit.corpus import sample_to_record, write_corpus
+from toxikit.corpus import (
+    SCHEMA_KEY,
+    SCHEMA_VERSION,
+    Platform,
+    Topic,
+    ToxiSample,
+    read_corpus,
+    read_lines,
+    sample_to_record,
+    write_corpus,
+)
 from toxikit.lexicon import load_lexicon
 from toxikit.pseudolabel import PseudoLabel, iterate_to_fixpoint
 from toxikit.resources import lexicon_path
+from toxikit.variants import PinyinTable
 
 
 @pytest.fixture
@@ -66,8 +77,6 @@ def test_bad_record_exits_2(tmp_path, capsys):
 # ---------------------------------------------------------------- normalize
 
 def test_normalize_summary_and_output(tmp_path, capsys):
-    from toxikit.corpus import Platform, Topic, ToxiSample
-
     samples = [
         ToxiSample(1, Platform.ZHIHU, Topic.RACE, "@某人 你好呀朋友", 0, 0, frozenset(), None),
         ToxiSample(2, Platform.ZHIHU, Topic.RACE, "你好呀朋友", 0, 0, frozenset(), None),
@@ -80,16 +89,12 @@ def test_normalize_summary_and_output(tmp_path, capsys):
     assert main(["normalize", "--in", str(infile), "--out", str(out)]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "kept=2 dropped_brief=1 dropped_dup=1"
 
-    from toxikit.corpus import read_corpus
-
     kept = read_corpus(out)
     assert [s.id for s in kept] == [1, 4]
     assert kept[0].text == "你好呀朋友"
 
 
 def test_normalize_exclude_list(tmp_path, capsys):
-    from toxikit.corpus import Platform, Topic, ToxiSample
-
     samples = [
         ToxiSample(1, Platform.ZHIHU, Topic.RACE, "广告广告广告", 0, 0, frozenset(), None),
         ToxiSample(2, Platform.ZHIHU, Topic.RACE, "正常的文本啊", 0, 0, frozenset(), None),
@@ -119,8 +124,6 @@ def test_normalize_exclude_list(tmp_path, capsys):
 
 @pytest.mark.parametrize("min_chars", ["0", "-2", "x"])
 def test_normalize_min_chars_below_one_is_a_usage_error(tmp_path, capsys, min_chars):
-    from toxikit.corpus import Platform, Topic, ToxiSample
-
     samples = [
         ToxiSample(1, Platform.ZHIHU, Topic.RACE, "https://example.com/a", 0, 0, frozenset(), None),
         ToxiSample(2, Platform.ZHIHU, Topic.RACE, "正常的文本啊", 0, 0, frozenset(), None),
@@ -137,8 +140,6 @@ def test_normalize_min_chars_below_one_is_a_usage_error(tmp_path, capsys, min_ch
 
 
 def test_normalize_rejects_duplicate_ids(tmp_path, capsys):
-    from toxikit.corpus import Platform, Topic, ToxiSample
-
     samples = [
         ToxiSample(i, Platform.ZHIHU, Topic.RACE, "同一条文本内容", 0, 0, frozenset(), None)
         for i in (1, 1, 2)
@@ -210,8 +211,6 @@ def test_derive_homophonic_requires_pool(capsys):
 # ---------------------------------------------------------------- pseudolabel / validate / stats
 
 def test_pseudolabel_end_to_end(tmp_path, capsys):
-    from toxikit.corpus import Platform, Topic, ToxiSample
-
     texts = ["骂蛆一句", "骂蛆两句", "骂蛆三句", "骂蛆四句", "蛆虫飞呀", "蛆虫爬呀"]
     samples = [
         ToxiSample(i, Platform.ZHIHU, Topic.RACE, t, 0, 0, frozenset(), None)
@@ -464,8 +463,6 @@ def test_validate_clean_corpus_exits_0(corpus_file, capsys):
 
 
 def test_validate_reports_duplicate_ids(tmp_path, capsys):
-    from toxikit.corpus import Platform, Topic, ToxiSample
-
     samples = [
         ToxiSample(i, Platform.ZHIHU, Topic.RACE, "同一条文本内容", 0, 0, frozenset(), None)
         for i in (1, 2, 1)
@@ -734,6 +731,42 @@ def test_config_file_errors(tmp_path, capsys):
     cfgfile.write_text("# task\ntask=bogus\n", encoding="utf-8")
     assert main(["train", "--config", str(cfgfile), "--in", "x", "--out", "y"]) == EXIT_DATA
     assert f"{cfgfile}:2: bad value 'bogus' for task" in capsys.readouterr().err
+
+
+_BOM_SAMPLES = [
+    ToxiSample(i, Platform.ZHIHU, Topic.RACE, text, 0, 0, frozenset(), None) for i, text in enumerate(["傻逼啊", "你好"])
+]
+_CORPUS_ROWS = [{SCHEMA_KEY: SCHEMA_VERSION}, *map(sample_to_record, _BOM_SAMPLES)]
+_SIDE_FILES = {  # each file's first line holds an entry, the one a byte-order mark would spoil
+    "lexicon": ("傻逼\tgeneral\texplicit\tnone\n蛆\t1\timplicit\tirony\n", lambda p: load_lexicon(p).entries),
+    "accept": ("蛆\n虫\n", lambda p: [line for _, line in read_lines(p)]),
+    "config": ("epochs=2\n# comment\nd=8\n", cli._parse_config_file),
+    "pinyin": ("傻\tsha\n逼\tbi\n", lambda p: PinyinTable.load(p)._map),
+    "corpus": ("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in _CORPUS_ROWS), read_corpus),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SIDE_FILES))
+def test_a_byte_order_mark_does_not_change_what_a_file_holds(tmp_path, kind):
+    text, load = _SIDE_FILES[kind]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    assert load(marked) == load(plain)
+    if kind == "corpus":
+        assert load(plain) == _BOM_SAMPLES
+
+
+def test_match_counts_the_first_term_of_a_lexicon_with_a_byte_order_mark(tmp_path, capsys):
+    infile = tmp_path / "c.jsonl"
+    write_corpus(infile, _BOM_SAMPLES + [replace(_BOM_SAMPLES[0], id=2)])
+    for encoding in ("utf-8", "utf-8-sig"):
+        lexfile = tmp_path / f"{encoding}.tsv"
+        lexfile.write_text("傻逼\tgeneral\texplicit\tnone\n", encoding=encoding)
+        argv = ["match", "--lexicon", str(lexfile), "--in", str(infile), "--out", str(tmp_path / "m.jsonl")]
+        assert main(argv) == EXIT_OK
+        assert "matched=2" in capsys.readouterr().out
 
 
 def test_config_file_keys_are_the_tke_config_fields(tmp_path, capsys):

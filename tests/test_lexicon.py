@@ -30,6 +30,10 @@ def lex_of(*terms_with_cats):
     )
 
 
+def by_term(lex):
+    return {e.term: e for e in lex}
+
+
 # ---------------------------------------------------------------- matching
 
 def test_single_match():
@@ -169,7 +173,7 @@ def test_extended_returns_new_lexicon():
     grown = base.extended([entry("蛆")])
     assert "蛆" in grown and "蛆" not in base
     assert len(base) == 1 and len(grown) == 2
-    assert grown.get("蛆").category is Category.GENERAL
+    assert by_term(grown)["蛆"].category is Category.GENERAL
 
 
 # ---------------------------------------------------------------- loading
@@ -193,9 +197,10 @@ def test_load_parses_columns(tmp_path):
         encoding="utf-8",
     )
     lex = load_lexicon(path)
-    assert lex.get("老黑").category is Category.RACISM
-    assert lex.get("小仙女").category is Category.SEXISM
-    assert lex.get("小仙女").surface is Surface.IMPLICIT
+    terms = by_term(lex)
+    assert terms["老黑"].category is Category.RACISM
+    assert terms["小仙女"].category is Category.SEXISM
+    assert terms["小仙女"].surface is Surface.IMPLICIT
 
     # CRLF ends, an indented comment and a line's surrounding whitespace
     # (here a trailing tab) are all dropped before the tab split

@@ -39,16 +39,37 @@ def test_all_one_class_on_balanced_gold():
 
 def test_matches_by_hand_tally_on_fuzz():
     rng = random.Random(21)
-    for _ in range(200):
+    for mode in ["single"] * 200 + ["multilabel"] * 200:
         n_classes = rng.randint(2, 5)
         n = rng.randint(1, 40)
-        golds = [rng.randrange(n_classes) for _ in range(n)]
-        preds = [rng.randrange(n_classes) for _ in range(n)]
-        prf = weighted_prf(preds, golds, n_classes)
+        if mode == "single":
+            golds = [rng.randrange(n_classes) for _ in range(n)]
+            preds = [rng.randrange(n_classes) for _ in range(n)]
+        else:
+            golds = [[int(rng.random() < 0.4) for _ in range(n_classes)] for _ in range(n)]
+            preds = [[int(rng.random() < 0.4) for _ in range(n_classes)] for _ in range(n)]
+            if not any(map(any, golds)):
+                golds[0][0] = 1  # some gold support, or there is nothing to weigh
+        prf = weighted_prf(preds, golds, n_classes, mode=mode)
         p, r, f = prf_by_hand(preds, golds, n_classes)
         assert math.isclose(prf.precision, p, abs_tol=1e-9)
         assert math.isclose(prf.recall, r, abs_tol=1e-9)
         assert math.isclose(prf.f1, f, abs_tol=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["single", "multilabel"])
+def test_a_class_never_predicted_and_never_gold_scores_zero_and_hits_once(mode):
+    # classes 0 and 1 as in test_hand_confusion_matrix_fixture, plus class 2 that no row holds
+    preds, golds = [0, 1, 1, 1], [0, 0, 1, 1]
+    if mode == "multilabel":
+        preds, golds = ([[int(c == y) for c in range(3)] for y in ys] for ys in (preds, golds))
+    prf = weighted_prf(preds, golds, n_classes=3, mode=mode)
+    two_classes = weighted_prf([0, 1, 1, 1], [0, 0, 1, 1], n_classes=2)
+    assert prf.support == (2, 2, 0)
+    assert prf.zero_division_hits == 1
+    # class 2 weighs 0, so its P = R = F1 = 0 leaves each average as it is without it
+    assert (prf.precision, prf.recall, prf.f1) == (two_classes.precision, two_classes.recall, two_classes.f1)
+    assert (prf.precision, prf.recall, prf.f1) == pytest.approx(prf_by_hand(preds, golds, 3), abs=1e-9)
 
 
 def test_pair_order_permutation_invariant():
