@@ -17,7 +17,7 @@ import json
 import math
 import statistics
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -299,34 +299,22 @@ def cmd_validate(args) -> int:
     return EXIT_OK if bad == 0 else EXIT_DATA
 
 
-def _stats_payload(report) -> dict:
-    return {
-        "by_topic": {topic.value: asdict(row) for topic, row in report.by_topic.items()},
-        "overall": asdict(report.overall),
-        "group_expression": {
-            group.value: asdict(row) for group, row in report.group_expression.items()
-        },
-    }
-
-
 def cmd_stats(args) -> int:
-    report = corpus_stats(read_corpus(args.infile))
+    stats = corpus_stats(iter_corpus(args.infile))
     header = f"{'topic':<10}{'non_toxic':>10}{'toxic':>7}{'off':>6}{'hate':>6}{'h_exp':>7}{'h_imp':>7}{'h_rep':>7}{'total':>7}{'avg_len':>9}"
     print(header)
-    rows = list(report.by_topic.items()) + [(None, report.overall)]
-    for topic, row in rows:
-        name = topic.value if topic else "total"
+    for name, row in [*stats["by_topic"].items(), ("total", stats["overall"])]:
         print(
-            f"{name:<10}{row.non_toxic:>10}{row.toxic:>7}{row.offensive:>6}{row.hate:>6}"
-            f"{row.hate_explicit:>7}{row.hate_implicit:>7}{row.hate_reporting:>7}"
-            f"{row.total:>7}{row.avg_length:>9.2f}"
+            f"{name:<10}{row['non_toxic']:>10}{row['toxic']:>7}{row['offensive']:>6}{row['hate']:>6}"
+            f"{row['hate_explicit']:>7}{row['hate_implicit']:>7}{row['hate_reporting']:>7}"
+            f"{row['total']:>7}{row['avg_length']:>9.2f}"
         )
     print()
     print(f"{'group':<15}{'explicit':>9}{'implicit':>9}{'reporting':>10}{'total':>7}")
-    for group, row in report.group_expression.items():
-        print(f"{group.value:<15}{row.explicit:>9}{row.implicit:>9}{row.reporting:>10}{row.total:>7}")
+    for name, row in stats["group_expression"].items():
+        print(f"{name:<15}{row['explicit']:>9}{row['implicit']:>9}{row['reporting']:>10}{row['total']:>7}")
     if args.json:
-        _write_json(args.json, _stats_payload(report))
+        _write_json(args.json, stats)
     return EXIT_OK
 
 
@@ -468,7 +456,7 @@ def cmd_pipeline(args) -> int:
     spec = SplitSpec(train_ratio=args.train_ratio, seed=args.split_seed, stratify=args.stratify)
 
     clean, _, _ = clean_corpus(read_corpus(args.infile))
-    stats = _stats_payload(corpus_stats(clean))
+    stats = corpus_stats(clean)
     train_set, test_set = split_dataset(clean, spec)
     # both splits are selected and encoded before anything is written, so a
     # split the task cannot use leaves no outdir; encoding never reads the seed

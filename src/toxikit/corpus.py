@@ -92,34 +92,6 @@ class SplitSpec:
             raise CorpusError(f"split seed must be ≥ 0, got {self.seed}")
 
 
-@dataclass(frozen=True)
-class TopicStats:
-    non_toxic: int
-    toxic: int
-    offensive: int
-    hate: int
-    hate_explicit: int
-    hate_implicit: int
-    hate_reporting: int
-    total: int
-    avg_length: float
-
-
-@dataclass(frozen=True)
-class GroupExpressionRow:
-    explicit: int
-    implicit: int
-    reporting: int
-    total: int
-
-
-@dataclass(frozen=True)
-class StatsReport:
-    by_topic: dict[Topic, TopicStats]
-    overall: TopicStats
-    group_expression: dict[TargetGroup, GroupExpressionRow]
-
-
 def validate_hierarchy(sample: ToxiSample) -> list[str]:
     """Return every violated hierarchy rule; empty list means valid."""
     violations = []
@@ -370,43 +342,44 @@ def split_dataset(
     return train, test
 
 
-def _expression_counts(samples: list[ToxiSample]) -> tuple[int, int, int]:
-    exp = sum(1 for s in samples if s.expression is Expression.EXPLICIT)
-    imp = sum(1 for s in samples if s.expression is Expression.IMPLICIT)
-    rep = sum(1 for s in samples if s.expression is Expression.REPORTING)
-    return exp, imp, rep
+# the fields of a stats row, in the order stats.json writes them
+_ROW_KEYS = ("non_toxic", "toxic", "offensive", "hate", "hate_explicit", "hate_implicit", "hate_reporting", "total", "avg_length")
 
 
-def _topic_stats(samples: list[ToxiSample]) -> TopicStats:
-    non_toxic = sum(1 for s in samples if s.toxic == 0)
-    toxic = sum(1 for s in samples if s.toxic == 1)
-    offensive = sum(1 for s in samples if s.toxic == 1 and s.hate == 0)
-    hate = sum(1 for s in samples if s.hate == 1)
-    exp, imp, rep = _expression_counts([s for s in samples if s.hate == 1])
-    total = len(samples)
-    avg_length = sum(len(s.text) for s in samples) / total if total else 0.0
-    return TopicStats(non_toxic, toxic, offensive, hate, exp, imp, rep, total, avg_length)
+def corpus_stats(corpus: Iterable[ToxiSample]) -> dict:
+    """The ``stats.json`` payload: label counts and average text length per
+    topic and overall, and the hate samples of each target group by expression.
 
-
-def corpus_stats(corpus: Sequence[ToxiSample]) -> StatsReport:
-    """Per-topic label counts, totals, and the group-by-expression table.
-
-    Every sample must pass validate_hierarchy; otherwise the offending
-    ids are collected into one CorpusError.
+    ``corpus`` may be any iterable, an iterator included; it is read once and
+    only the counters are kept.  Every sample must pass validate_hierarchy;
+    otherwise the offending ids, in input order, are collected into one
+    CorpusError.
     """
-    bad = [s.id for s in corpus if validate_hierarchy(s)]
+    by_topic = {topic.value: dict.fromkeys(_ROW_KEYS, 0) for topic in Topic}
+    group_expression = {group.value: dict.fromkeys((*(e.value for e in Expression), "total"), 0) for group in TargetGroup}
+    bad = []
+    for s in corpus:
+        if validate_hierarchy(s):
+            bad.append(s.id)
+            continue
+        row = by_topic[s.topic.value]
+        row["avg_length"] += len(s.text)  # the character sum until the loop ends
+        row["total"] += 1
+        if not s.toxic:
+            row["non_toxic"] += 1
+            continue
+        row["toxic"] += 1
+        if not s.hate:
+            row["offensive"] += 1
+            continue
+        row["hate"] += 1
+        row["hate_" + s.expression.value] += 1
+        for group in s.groups:
+            group_expression[group.value][s.expression.value] += 1
+            group_expression[group.value]["total"] += 1
     if bad:
         raise CorpusError(f"invalid samples (hierarchy violations): ids {bad}")
-
-    by_topic = {}
-    for topic in Topic:
-        members = [s for s in corpus if s.topic is topic]
-        by_topic[topic] = _topic_stats(members)
-    overall = _topic_stats(list(corpus))
-
-    group_expression = {}
-    for group in TargetGroup:
-        members = [s for s in corpus if group in s.groups]
-        exp, imp, rep = _expression_counts(members)
-        group_expression[group] = GroupExpressionRow(exp, imp, rep, len(members))
-    return StatsReport(by_topic=by_topic, overall=overall, group_expression=group_expression)
+    overall = {key: sum(row[key] for row in by_topic.values()) for key in _ROW_KEYS}
+    for row in (*by_topic.values(), overall):
+        row["avg_length"] = row["avg_length"] / row["total"] if row["total"] else 0.0
+    return {"by_topic": by_topic, "overall": overall, "group_expression": group_expression}

@@ -4,8 +4,9 @@ Everything here is deliberately naive and written from the textbook
 definition, sharing no code with the package: a quadratic substring
 scanner, a character-by-character text normalizer, an exact-rational
 Fleiss' kappa, a by-hand precision/recall/F1 tally, the TKE forward and
-backward pass over a padded per-token embedding tensor, and candidate
-n-gram mining that tests every gram against every match span.
+backward pass over a padded per-token embedding tensor, candidate
+n-gram mining that tests every gram against every match span, and a
+sample-by-sample tally of the corpus statistics.
 """
 
 from __future__ import annotations
@@ -186,6 +187,43 @@ def prf_by_hand(preds: Sequence, golds: Sequence, n_classes: int) -> tuple[float
         total_support += support
     scale = 100.0 / total_support
     return weighted_p * scale, weighted_r * scale, weighted_f * scale
+
+
+def _label_tally(samples: Sequence) -> dict:
+    """One stats row: label counts over ``samples``, then their mean text length."""
+    row = {"non_toxic": 0, "toxic": 0, "offensive": 0, "hate": 0,
+           "hate_explicit": 0, "hate_implicit": 0, "hate_reporting": 0, "total": 0}
+    chars = 0
+    for sample in samples:
+        row["total"] += 1
+        chars += len(sample.text)
+        if sample.toxic == 0:
+            row["non_toxic"] += 1
+            continue
+        row["toxic"] += 1
+        if sample.hate == 0:
+            row["offensive"] += 1
+        else:
+            row["hate"] += 1
+            row["hate_" + sample.expression.value] += 1
+    row["avg_length"] = chars / row["total"] if row["total"] > 0 else 0.0
+    return row
+
+
+def stats_by_hand(samples: Sequence) -> dict:
+    """The corpus statistics as ``stats.json`` holds them, tallied one sample
+    at a time: a label row per topic and for the whole corpus, then each
+    target group's hate samples by expression.  The keys are written out in
+    the order the file lists them."""
+    topics = ("gender", "race", "region", "lgbtq")
+    groups = ("sexism", "racism", "regional_bias", "anti_lgbtq")
+    by_topic = {topic: _label_tally([s for s in samples if s.topic.value == topic]) for topic in topics}
+    group_expression = {group: {"explicit": 0, "implicit": 0, "reporting": 0, "total": 0} for group in groups}
+    for sample in samples:
+        for group in sample.groups:
+            group_expression[group.value][sample.expression.value] += 1
+            group_expression[group.value]["total"] += 1
+    return {"by_topic": by_topic, "overall": _label_tally(samples), "group_expression": group_expression}
 
 
 def padded_tke_forward(tok, tox, W, C, U, b_h, V, b, lam, dropout_mask=None):

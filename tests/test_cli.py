@@ -2,6 +2,7 @@ import argparse
 import base64
 import json
 import math
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -432,8 +433,11 @@ def test_bad_record_names_file_and_line(tmp_path, capsys):
     path = tmp_path / "arr.jsonl"
     path.write_text('{"toxicn_schema": 1}\n\n[1]\n', encoding="utf-8")
     expected = f"{path}:3: record 1: expected a JSON object, got list"
-    assert main(["stats", "--in", str(path)]) == EXIT_DATA
-    assert capsys.readouterr().err == f"error: {expected}\n"
+    json_out = tmp_path / "stats.json"
+    assert main(["stats", "--in", str(path), "--json", str(json_out)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {expected}\n"
+    assert captured.out == "" and not json_out.exists()  # stats streams, yet shows nothing before the last record
     assert main(["validate", "--in", str(path)]) == EXIT_DATA
     assert capsys.readouterr().out == f"{expected}\nrecords=1 invalid=1\n"
 
@@ -485,6 +489,29 @@ def test_stats_table_and_json(tmp_path, corpus_file, capsys):
     assert set(payload["group_expression"]) == {
         "sexism", "racism", "regional_bias", "anti_lgbtq",
     }
+
+
+def test_stats_memory_grows_only_with_the_id_set(tmp_path, capsys):
+    # stats folds each sample into counters as it is read; what grows with the
+    # file is the reader's set of seen ids, about 70 bytes a record, where
+    # holding every sample costs several hundred
+    n = 3_000
+    paths = []
+    for size in (n, 4 * n):
+        paths.append(tmp_path / f"{size}.jsonl")
+        write_corpus(paths[-1], labeled_corpus(size, seed=3))
+    assert main(["stats", "--in", str(paths[0])]) == EXIT_OK  # imports and caches load untraced
+    peaks = []
+    for path in paths:
+        tracemalloc.start()
+        try:
+            assert main(["stats", "--in", str(path)]) == EXIT_OK
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    per_record = (peaks[1] - peaks[0]) / (3 * n)
+    assert per_record < 150, f"traced peaks {peaks} bytes: {per_record:.0f} bytes per added record"
 
 
 # ---------------------------------------------------------------- kappa / gradcheck

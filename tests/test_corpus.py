@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import stats_by_hand
 from synthcorpus import labeled_corpus
 from toxikit.corpus import (
     CorpusError,
@@ -394,21 +395,18 @@ def test_stats_identities():
     corpus = _corpus_of(300, seed=2)
     report = corpus_stats(corpus)
     for field in ("non_toxic", "toxic", "offensive", "hate", "hate_explicit", "total"):
-        assert getattr(report.overall, field) == sum(
-            getattr(row, field) for row in report.by_topic.values()
-        )
-    assert report.overall.toxic == report.overall.offensive + report.overall.hate
-    assert report.overall.total == len(corpus)
-    assert report.overall.hate == (
-        report.overall.hate_explicit + report.overall.hate_implicit + report.overall.hate_reporting
-    )
+        assert report["overall"][field] == sum(row[field] for row in report["by_topic"].values())
+    overall = report["overall"]
+    assert overall["toxic"] == overall["offensive"] + overall["hate"]
+    assert overall["total"] == len(corpus)
+    assert overall["hate"] == overall["hate_explicit"] + overall["hate_implicit"] + overall["hate_reporting"]
 
 
 def test_stats_avg_length_and_empty():
     report = corpus_stats([make(1, text="十二三四"), make(2, text="五六")])
-    assert report.overall.avg_length == 3.0
+    assert report["overall"]["avg_length"] == 3.0
     empty = corpus_stats([])
-    assert empty.overall.total == 0 and empty.overall.avg_length == 0.0
+    assert empty["overall"]["total"] == 0 and empty["overall"]["avg_length"] == 0.0
 
 
 def test_stats_group_expression_counts_multilabel():
@@ -423,13 +421,46 @@ def test_stats_group_expression_counts_multilabel():
         make(2, toxic=1, hate=1, groups=(TargetGroup.SEXISM,), expression=Expression.IMPLICIT),
     ]
     report = corpus_stats(corpus)
-    sexism = report.group_expression[TargetGroup.SEXISM]
-    assert (sexism.explicit, sexism.implicit, sexism.reporting, sexism.total) == (1, 1, 0, 2)
-    racism = report.group_expression[TargetGroup.RACISM]
-    assert (racism.explicit, racism.total) == (1, 1)
+    sexism = report["group_expression"][TargetGroup.SEXISM.value]
+    assert (sexism["explicit"], sexism["implicit"], sexism["reporting"], sexism["total"]) == (1, 1, 0, 2)
+    racism = report["group_expression"][TargetGroup.RACISM.value]
+    assert (racism["explicit"], racism["total"]) == (1, 1)
 
 
 def test_stats_rejects_invalid_samples_listing_ids():
     bad = make(9, toxic=0, hate=1)
     with pytest.raises(CorpusError, match=r"ids \[9\]"):
         corpus_stats([make(1), bad])
+
+
+def test_stats_read_an_iterator_once():
+    corpus = labeled_corpus(120, seed=5)
+    assert corpus_stats(s for s in corpus) == corpus_stats(corpus)
+
+
+# one sample breaking each of four hierarchy rules
+_INVALID = (
+    dict(toxic=0, hate=1),
+    dict(toxic=0, groups=(TargetGroup.RACISM,)),
+    dict(toxic=1, expression=Expression.IMPLICIT),
+    dict(toxic=1, hate=1, expression=Expression.EXPLICIT),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 80),
+    seed=st.integers(0, 2**16),
+    bad=st.lists(st.tuples(st.integers(0, 80), st.sampled_from(_INVALID)), max_size=4),
+)
+def test_stats_match_by_hand_tally(n, seed, bad):
+    corpus = labeled_corpus(n, seed)
+    # json.dumps compares key order as well as every count and float
+    assert json.dumps(corpus_stats(corpus)) == json.dumps(stats_by_hand(corpus))
+    for k, (pos, fields) in enumerate(bad):
+        corpus.insert(pos, make(10_000 + k, **fields))
+    bad_ids = [s.id for s in corpus if s.id >= 10_000]
+    if bad_ids:
+        with pytest.raises(CorpusError) as exc:
+            corpus_stats(iter(corpus))
+        assert str(exc.value) == f"invalid samples (hierarchy violations): ids {bad_ids}"
